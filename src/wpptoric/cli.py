@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import InternalInconsistencyError, InvalidInputError
-from .exact_arith import as_rational
 from .hilbert import (
     GeneratingSheafSpec,
     chi_oracle,
@@ -105,14 +104,21 @@ def _parse_partition(text):
     text = text.strip()
     if not text:
         return Partition()
-    return Partition(tuple(int(p) for p in text.split(",")))
+    try:
+        parts = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise InvalidInputError(f"partition {text!r} is not a comma-list of integers") from None
+    return Partition(parts)
 
 
 def _parse_points(text):
     points = []
     for chunk in text.split(";"):
-        x, y = chunk.split(":")
-        points.append((Fraction(x), Fraction(y)))
+        try:
+            x, y = chunk.split(":")
+            points.append((Fraction(x), Fraction(y)))
+        except (ValueError, ZeroDivisionError):
+            raise InvalidInputError(f"point {chunk!r} is not of the form x:y") from None
     if len(points) != 3:
         raise InvalidInputError("need three points, like '1:0;0:1;1:1'")
     return points

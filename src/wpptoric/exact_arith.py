@@ -281,20 +281,6 @@ def zeta_pow(n, k):
     return Cyclotomic(n, _zeta_power_basis(n, k % n))
 
 
-def cyc_add(a, b):
-    return a + b
-
-
-def cyc_mul(a, b):
-    return a * b
-
-
-def cyc_inv(a):
-    if not isinstance(a, Cyclotomic):
-        a = Cyclotomic.from_rational(a)
-    return a.inverse()
-
-
 def as_rational(a):
     """The Fraction value of `a` if it is rational, else None.
 

@@ -8,6 +8,12 @@ monomials: chi(O(r)) = N(r) + N(-r-a-b-c) with N(s) the number of
 weighted monomials of degree s, using that middle cohomology of a line
 bundle vanishes on these surfaces.  Constant terms are never produced
 by the closed form, only by the oracle's quadratic fit.
+
+The twisted-sector contributions are sums over roots of unity with
+rational values (Fourier-Dedekind sums).  They are computed as integer
+sums: for x^n = 1 and x != 1, 1/(1-x) = -(1/n) sum_{j<n} j x^j, and a
+sum of a power of zeta_n over a set of exponents is an integer
+(`_root_sum`).  No cyclotomic arithmetic is used here.
 """
 
 from dataclasses import dataclass
@@ -16,7 +22,6 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import InternalInconsistencyError, InvalidInputError
-from .exact_arith import Cyclotomic, as_rational, zeta_pow
 from .kgroup import WppParams
 
 
@@ -44,22 +49,13 @@ class GeneratingSheafSpec:
         return self
 
 
-def phi_E(E, x):
-    """x + 2x^2 + ... + (E-1)x^(E-1), evaluated exactly.
+def _root_sum(n, e, t):
+    """Sum of zeta_n^(h t) over h = 1..n-1, skipping the multiples of e (e | n).
 
-    >>> phi_E(1, zeta_pow(2, 1)) == 0
-    True
+    The full sum over h < n is n [n | t]; the multiples of e contribute
+    (n/e) [(n/e) | t], the term h = 0 included.
     """
-    if E < 1:
-        raise InvalidInputError("E must be positive")
-    if not isinstance(x, Cyclotomic):
-        x = Cyclotomic.from_rational(x)
-    total = Cyclotomic.from_rational(0)
-    power = Cyclotomic.from_rational(1)
-    for u in range(1, E):
-        power = power * x
-        total = total + u * power
-    return total
+    return (n if t % n == 0 else 0) - (n // e if t % (n // e) == 0 else 0)
 
 
 def psi_E(E, m1, m2, m3, n):
@@ -67,29 +63,34 @@ def psi_E(E, m1, m2, m3, n):
 
     Sums (1 + w^(-k m2)) w^(-k m3) phi_E(w^k) / (1 - w^(-k m1)) over
     k = 1..n-1 with n/gcd(m1, n) not dividing k, w the primitive n-th
-    root.  The twist data m2, m3 enter with the sign opposite to the
-    residual weight m1 in the denominator: the reference display carries
-    the denominator with the other sign, which fails the holomorphic
-    Euler characteristic oracle as soon as some pairwise gcd exceeds 2
-    (weights (1,3,3) already witness it), and in particular breaks the
-    integrality of the rank-2 constant term there.  The constraint
-    excludes exactly the vanishing denominators, and the sum is
-    invariant under the Galois action, so the result is rational;
-    anything else is an internal inconsistency.
+    root and phi_E(x) = x + 2x^2 + ... + (E-1)x^(E-1).  The twist data
+    m2, m3 enter with the sign opposite to the residual weight m1 in the
+    denominator: the reference display carries the denominator with the
+    other sign, which fails the holomorphic Euler characteristic oracle
+    as soon as some pairwise gcd exceeds 2 (weights (1,3,3) already
+    witness it), and in particular breaks the integrality of the rank-2
+    constant term there.  The constraint excludes exactly the vanishing
+    denominators.
+
+    The sum is rational and is computed with integers.  For x^n = 1,
+    x != 1 one has 1/(1-x) = -(1/n) sum_{j<n} j x^j, and n | E gives
+    phi_E(x) = E/(x-1); both denominators expand that way, and the sum
+    over k of each resulting power of w is a `_root_sum`.
+
+    >>> psi_E(2, 1, 0, 0, 2)
+    Fraction(-1, 1)
     """
     if n < 1:
         raise InvalidInputError("n must be positive")
+    if E % n:
+        raise InvalidInputError("psi_E needs n | E")
     excluder = n // gcd(m1, n)
-    total = Cyclotomic.from_rational(0)
-    for k in range(1, n):
-        if k % excluder == 0:
-            continue
-        numer = (1 + zeta_pow(n, -k * m2)) * zeta_pow(n, -k * m3) * phi_E(E, zeta_pow(n, k))
-        total = total + numer / (1 - zeta_pow(n, -k * m1))
-    value = as_rational(total)
-    if value is None:
-        raise InternalInconsistencyError(f"psi_E({E},{m1},{m2},{m3},{n}) is not rational")
-    return value
+    total = 0
+    for i in range(n):
+        for j in range(n):
+            t = i - m1 * j - m3
+            total += i * j * (_root_sum(n, excluder, t) + _root_sum(n, excluder, t - m2))
+    return Fraction(-E * total, n * n)
 
 
 @lru_cache(maxsize=None)
@@ -98,7 +99,11 @@ def hilb_top(params, r):
 
     Vanishes identically unless d | r; otherwise the quadratic term is
     d m^2/(2abc) and the linear term adds, to the untwisted part, one
-    Galois-stable root-of-unity sum per pair of weights.
+    Galois-stable root-of-unity sum per pair of weights: the sum of
+    zeta^(-hr)/(1 - zeta^(h khat)) over h = 1..d_ij-1 with d_ij/d not
+    dividing h, zeta the primitive d_ij-th root and khat the third
+    weight.  Expanding 1/(1-x) = -(1/n) sum_{j<n} j x^j turns it into
+    an integer sum over j.
     """
     a, b, c = params.weights()
     d, m = params.d, params.m
@@ -110,22 +115,12 @@ def hilb_top(params, r):
     pair_data = ((params.d12, c), (params.d13, b), (params.d23, a))
     pair_weights = ((a, b), (a, c), (b, c))
     for (dij, khat), (wi, wj) in zip(pair_data, pair_weights):
-        if dij == 1:
-            continue
-        excluder = dij // d
-        total = Cyclotomic.from_rational(0)
-        for h in range(1, dij):
-            if h % excluder == 0:
-                continue
-            # the twist eigenvalue enters inverted relative to the residual
-            # weight in the denominator; the monomial-counting oracle pins
-            # this orientation (the same-sign variant fails already on
-            # weights (1,3,3))
-            total = total + zeta_pow(dij, -h * r) / (1 - zeta_pow(dij, h * khat))
-        value = as_rational(total)
-        if value is None:
-            raise InternalInconsistencyError("pair sum in hilb_top is not rational")
-        lin += Fraction(1, wi * wj) * value
+        # the twist eigenvalue enters inverted relative to the residual
+        # weight in the denominator; the monomial-counting oracle pins
+        # this orientation (the same-sign variant fails already on
+        # weights (1,3,3))
+        total = sum(j * _root_sum(dij, dij // d, khat * j - r) for j in range(dij))
+        lin -= Fraction(total, wi * wj * dij)
     return HilbTop(quad, m * lin)
 
 
@@ -229,6 +224,29 @@ def slope_mu(params, spec, quad, lin):
     return Fraction(lin) / Fraction(quad)
 
 
+def width_free_bracket(params, E, c1, Ad):
+    """The terms of the rank-2 constant-term bracket free of the widths.
+
+    `Ad` is the reduced twist residue [A]_d; the widths add
+    sum D_i^2/4 - sum D_i D_j/2 to this.
+    """
+    a, b, c = params.weights()
+    d = params.d
+    s = a + b + c
+    return (
+        Fraction(c1 * c1, 4)
+        + Fraction(s * c1, 2)
+        + Fraction(a * a + b * b + c * c, 6)
+        + Fraction(a * b + b * c + c * a, 2)
+        + (c1 + s + E - d) * Ad
+        + Fraction((c1 + s) * (E - d), 2)
+        + Ad * Ad
+        + Fraction(E * E, 3)
+        - Fraction(E * d, 2)
+        + Fraction(d * d, 6)
+    )
+
+
 def rank2_constant_term(params, spec, c1, lam, D1, D2, D3):
     """Constant term of the modified Hilbert polynomial of a rank-2 bundle.
 
@@ -252,21 +270,10 @@ def rank2_constant_term(params, spec, c1, lam, D1, D2, D3):
     A = -(c1 + total_d) // 2
     if (A - lam) % d:
         raise InvalidInputError("A = -(c1+D1+D2+D3)/2 must be lam mod d")
-    Ad = A % d
-    s = a + b + c
     bracket = (
-        Fraction(c1 * c1, 4)
+        width_free_bracket(params, E, c1, A % d)
         + Fraction(D1 * D1 + D2 * D2 + D3 * D3, 4)
         - Fraction(D1 * D2 + D2 * D3 + D3 * D1, 2)
-        + Fraction(s * c1, 2)
-        + Fraction(a * a + b * b + c * c, 6)
-        + Fraction(a * b + b * c + c * a, 2)
-        + (c1 + s + E - d) * Ad
-        + Fraction((c1 + s) * (E - d), 2)
-        + Ad * Ad
-        + Fraction(E * E, 3)
-        - Fraction(E * d, 2)
-        + Fraction(d * d, 6)
     )
     value = Fraction(E, a * b * c) * bracket
     value += Fraction(1, a * b) * psi_E(E, c, D2, A, params.d12)

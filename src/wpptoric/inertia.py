@@ -10,10 +10,16 @@ multiplicatively gives a ring map from the K-group to the direct sum of
 truncated cohomologies with cyclotomic coefficients, and the map is an
 isomorphism, so exact coefficientwise comparison of the images is a
 complete equality test.
+
+The coefficients on the sector f = p/n live in Q(zeta_n), and they are
+stored there, at order n = f.denominator; only `ChernVector.to_records`
+writes them in the order-lcm(a,b,c) field, so that every sector's
+record uses one basis.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .errors import InvalidInputError
 from .exact_arith import Cyclotomic, zeta_pow
@@ -63,42 +69,44 @@ def sectors(params):
     return tuple(sorted(out, key=Sector.sort_key))
 
 
-def _root(params, f, exponent=1):
-    """e^(-2 pi i f exponent) embedded in the order-lcm(a,b,c) field."""
-    m = params.m
-    return zeta_pow(f.denominator, -f.numerator * exponent).embed(m)
+def _root(f, exponent=1):
+    """e^(-2 pi i f exponent) in Q(zeta_n), n = f.denominator."""
+    return zeta_pow(f.denominator, -f.numerator * exponent)
 
 
-def _tpoly_mul(p, q, length):
-    out = [Cyclotomic.from_rational(0) for _ in range(length)]
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            if i + j < length:
-                out[i + j] = out[i + j] + a * b
-    return out
+def _at_order(value, n):
+    """A rational or a cyclotomic number of order dividing n, at order n."""
+    if not isinstance(value, Cyclotomic):
+        return Cyclotomic(n, [value])
+    if value.order == n:
+        return value
+    if n % value.order:
+        raise InvalidInputError(f"order {value.order} does not divide {n}")
+    # the sum lives at order lcm(value.order, n) = n
+    return value + Cyclotomic(n, [])
 
 
 class ChernVector:
     """Per-sector truncated polynomials in the sector hyperplane class.
 
     Entries are tuples of cyclotomic coefficients in ascending degree
-    (length dim+1), all embedded in the order-lcm(a,b,c) field so that
-    equality is plain coefficient comparison.  Codegree k of a sector of
-    dimension n is the degree n-k coefficient.
+    (length dim+1).  Every entry of the sector f is stored at order
+    f.denominator, so that equality is plain coefficient comparison;
+    rationals and numbers of a dividing order are brought there on
+    input.  Codegree k of a sector of dimension n is the degree n-k
+    coefficient.
     """
 
     __slots__ = ("params", "entries")
 
     def __init__(self, params, entries):
-        m = params.m
         self.params = params
         fixed = {}
         for sector, coeffs in entries.items():
             if len(coeffs) != sector.dim + 1:
                 raise InvalidInputError("sector entry length must be dim + 1")
-            fixed[sector] = tuple(c.embed(m) if isinstance(c, Cyclotomic)
-                                  else Cyclotomic.from_rational(c).embed(m)
-                                  for c in coeffs)
+            n = sector.f.denominator
+            fixed[sector] = tuple(_at_order(c, n) for c in coeffs)
         self.entries = fixed
 
     def sector_list(self):
@@ -121,10 +129,12 @@ class ChernVector:
     __hash__ = None
 
     def to_records(self):
+        """JSON-ready records, every coefficient in the order-lcm(a,b,c) field."""
+        m = self.params.m
         records = []
         for sector in self.sector_list():
             coeffs = [
-                [c.order, [[x.numerator, x.denominator] for x in c.coeffs]]
+                [m, [[x.numerator, x.denominator] for x in c.embed(m).coeffs]]
                 for c in self.entries[sector]
             ]
             records.append({
@@ -140,44 +150,26 @@ class ChernVector:
         return f"ChernVector({', '.join(parts)})"
 
 
-from functools import lru_cache
-
-
-@lru_cache(maxsize=None)
-def _g_image_powers(params):
-    """Per sector, the truncated powers of the image of g up to g^(a+b+c-1)."""
-    table = {}
-    for sector in sectors(params):
-        length = sector.dim + 1
-        omega = _root(params, sector.f)
-        image_g = [omega * c for c in (1, -1, Fraction(1, 2))[:length]]
-        powers = [[Cyclotomic.from_rational(1)] + [Cyclotomic.from_rational(0)] * (length - 1)]
-        for _ in range(params.degree - 1):
-            powers.append(_tpoly_mul(powers[-1], image_g, length))
-        table[sector] = tuple(tuple(p) for p in powers)
-    return table
-
-
 def tch_of_kclass(kclass):
     """Orbifold Chern character of a K-class, sector by sector.
 
-    Sends g to e^(-2 pi i f) (1 - x + x^2/2), truncated at the sector
-    dimension, and extends multiplicatively over the canonical
-    representative.
+    On the sector f = p/n, g maps to w e^(-x) with w = zeta_n^(-p),
+    truncated at the sector dimension, so the degree-k coefficient of
+    sum_e c_e g^e is (1/k!) sum_e c_e (-e)^k w^e: a vector of rationals
+    indexed by e mod n, folded into one element of Q(zeta_n).
     """
     params = kclass.params
-    table = _g_image_powers(params)
     entries = {}
     for sector in sectors(params):
-        length = sector.dim + 1
-        powers = table[sector]
-        acc = [Cyclotomic.from_rational(0) for _ in range(length)]
-        for j, coeff in enumerate(kclass.coeffs):
-            if coeff == 0:
-                continue
-            for i in range(length):
-                acc[i] = acc[i] + coeff * powers[j][i]
-        entries[sector] = acc
+        n, p = sector.f.denominator, sector.f.numerator
+        entry = []
+        for k in range(sector.dim + 1):
+            folded = [Fraction(0)] * n
+            for e, coeff in enumerate(kclass.coeffs):
+                if coeff:
+                    folded[-p * e % n] += coeff * (-e) ** k
+            entry.append(Cyclotomic(n, [x / factorial(k) for x in folded]))
+        entries[sector] = entry
     return ChernVector(params, entries)
 
 
@@ -205,7 +197,7 @@ def tch_rank2_closed_form(params, datum):
     pair_roles = {(1, 2): (1, 0, 2), (2, 3): (2, 1, 0), (1, 3): (0, 2, 1)}
     entries = {}
     for sector in sectors(params):
-        omega_a = _root(params, sector.f, A)
+        omega_a = _root(sector.f, A)
         if sector.kind == "2dim":
             entries[sector] = (
                 2 * omega_a,
@@ -214,7 +206,7 @@ def tch_rank2_closed_form(params, datum):
             )
         elif sector.kind == "1dim":
             j_idx, i_idx, k_idx = pair_roles[sector.which]
-            twist = _root(params, sector.f, D[j_idx])
+            twist = _root(sector.f, D[j_idx])
             const = (1 + twist) * omega_a
             linear = -((1 + twist) * A + D[i_idx] + twist * D[j_idx] + D[k_idx]) * omega_a
             entries[sector] = (const, linear)
@@ -222,5 +214,5 @@ def tch_rank2_closed_form(params, datum):
             (i,) = sector.which
             di = D[i - 1]
             dnext = D[i % 3]
-            entries[sector] = ((_root(params, sector.f, di) + _root(params, sector.f, dnext)) * omega_a,)
+            entries[sector] = ((_root(sector.f, di) + _root(sector.f, dnext)) * omega_a,)
     return ChernVector(params, entries)

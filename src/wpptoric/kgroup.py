@@ -73,18 +73,6 @@ def relation_poly(params):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _g_inverse(params):
-    """Canonical representative of 1/g.
-
-    P(g) = 1 + g*Q(g) vanishes in the quotient, so 1/g = -Q(g); the
-    constant term of P being 1 is what makes this work.
-    """
-    rel = relation_poly(params)
-    assert rel[0] == 1
-    return _reduce(params, [-c for c in rel[1:]])
-
-
 def _scalar(value):
     """Prefer plain ints for integral values; Fraction otherwise."""
     f = Fraction(value)
@@ -178,16 +166,26 @@ def kclass_scalar(params, value):
     return KClass(params, coeffs, reduce=False)
 
 
-def kclass_from_poly(params, coeffs):
-    return KClass(params, coeffs)
+@lru_cache(maxsize=None)
+def _period_nilpotent(params):
+    """N = 1 - g^m and N^2, m = lcm(a,b,c).
+
+    Each factor 1 - g^w of the relation divides 1 - g^m, so N^3 = 0.
+    """
+    nil = kclass_scalar(params, 1) - KClass(params, [0] * params.m + [1])
+    return nil, nil * nil
 
 
 @lru_cache(maxsize=None)
 def g_power(params, e):
-    """Canonical representative of g^e for any integer e."""
-    if e >= 0:
-        return KClass(params, [0] * e + [1])
-    return g_power(params, e + 1) * KClass(params, _g_inverse(params), reduce=False)
+    """Canonical representative of g^e for any integer e.
+
+    With e = qm + r and 0 <= r < m, g^(qm) = (1 - N)^q = 1 - qN +
+    q(q-1)/2 N^2 for every integer q, since N^3 = 0.
+    """
+    q, r = divmod(e, params.m)
+    nil, nil2 = _period_nilpotent(params)
+    return KClass(params, [0] * r + [1]) * (1 - q * nil + q * (q - 1) // 2 * nil2)
 
 
 def kclass_from_laurent(params, terms):

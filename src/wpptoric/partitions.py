@@ -254,9 +254,6 @@ class Series:
         """Monomials in canonical order: by total degree, then exponents."""
         return sorted(self.coeffs.items(), key=lambda item: (sum(item[0]), item[0]))
 
-    def min_total_degree(self):
-        return min((sum(e) for e in self.coeffs), default=None)
-
     def shift_exponents(self, offset):
         """Multiply a one-variable series by q^offset."""
         if len(self.vars) != 1:

@@ -18,8 +18,14 @@ from functools import lru_cache
 
 from .errors import InternalInconsistencyError, InvalidInputError
 from .exact_arith import Cyclotomic, as_rational
-from .hilbert import hilb_top_E_of_kclass, rank2_constant_term, slope_mu
-from .inertia import sectors, tch_rank2_closed_form
+from .hilbert import (
+    hilb_top_E_of_kclass,
+    psi_E,
+    rank2_constant_term,
+    slope_mu,
+    width_free_bracket,
+)
+from .inertia import _root, sectors, tch_rank2_closed_form
 from .kgroup import g_power, rank2_typeI_class
 from .partitions import Series, chart_series, color_zero_specialization
 from .sheaf_model import TypeIBundle
@@ -116,8 +122,9 @@ def _standard_datum(A, widths):
 def refined_key(params, chern):
     """Canonical hashable key of the codegree-0 character entries.
 
-    Sectors in canonical order; each entry embedded in the lcm-order
-    field so equal values collide exactly.
+    Sectors in canonical order; each entry in power-basis coordinates at
+    the sector's own order f.denominator, so equal values collide
+    exactly.
     """
     key = []
     for sector in sectors(params):
@@ -191,14 +198,12 @@ def refined_targets(params, c1, lam):
     2 e^(-2 pi i f lam) and the codegree-1 value to c1 e^(-2 pi i f lam);
     1-dimensional sectors are left unconstrained.
     """
-    from .inertia import _root
-
     alpha = {}
     beta = {}
     for sector in sectors(params):
         if sector.kind != "2dim":
             continue
-        omega = _root(params, sector.f, lam)
+        omega = _root(sector.f, lam)
         alpha[sector.f] = 2 * omega
         beta[sector.f] = c1 * omega
     return alpha, beta
@@ -222,8 +227,6 @@ def h_vb_specialized(params, spec, c1, lam, max_sum):
 @lru_cache(maxsize=None)
 def _psi_bound(params, E, m1, n, weight_product):
     """Largest value of the character-sum term over all residue classes."""
-    from .hilbert import psi_E
-
     best = Fraction(0)
     for r2 in range(n):
         for r3 in range(n):
@@ -243,24 +246,8 @@ def _constant_term_upper_bound(params, spec, c1, total):
     residues.
     """
     a, b, c = params.weights()
-    E, d = spec.E, params.d
-    s = a + b + c
-    best_bracket = None
-    for Ad in range(d):
-        bracket = (
-            Fraction(c1 * c1, 4)
-            + Fraction(s * c1, 2)
-            + Fraction(a * a + b * b + c * c, 6)
-            + Fraction(a * b + b * c + c * a, 2)
-            + (c1 + s + E - d) * Ad
-            + Fraction((c1 + s) * (E - d), 2)
-            + Ad * Ad
-            + Fraction(E * E, 3)
-            - Fraction(E * d, 2)
-            + Fraction(d * d, 6)
-        )
-        if best_bracket is None or bracket > best_bracket:
-            best_bracket = bracket
+    E = spec.E
+    best_bracket = max(width_free_bracket(params, E, c1, Ad) for Ad in range(params.d))
     quad_max = -Fraction(2 * total - 3, 4)
     bound = Fraction(E, a * b * c) * (best_bracket + quad_max)
     bound += _psi_bound(params, E, c, params.d12, a * b)

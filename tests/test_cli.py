@@ -132,6 +132,28 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_kclass_large_negative_twist(capsys):
+    code, records, _ = run(
+        capsys, "kclass", "--abc", "1", "1", "2", "--ABC", "-2000", "0", "0", "--check",
+    )
+    assert code == 0
+    assert [r for r in records if r["record"] == "check"][0]["ok"] is True
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--partitions", "a,b;;"),
+    ("--points", "1:x;0:1;1:1"),
+])
+def test_malformed_kclass_flags(capsys, flag, value):
+    argv = ["kclass", "--abc", "1", "1", "2", "--ABC", "0", "0", "0", flag, value]
+    if flag == "--points":
+        argv += ["--widths", "1", "2", "1"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("invalid input:")
+
+
 def test_pretty_mode_runs(capsys):
     code = main(["hilb", "--abc", "1", "1", "1", "--r", "2", "--pretty"])
     out = capsys.readouterr().out

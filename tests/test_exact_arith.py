@@ -8,8 +8,6 @@ from wpptoric.errors import InvalidInputError
 from wpptoric.exact_arith import (
     Cyclotomic,
     as_rational,
-    cyc_inv,
-    cyc_mul,
     cyclotomic_poly,
     euler_phi,
     poly_divmod,
@@ -50,16 +48,16 @@ def test_zeta_pow_basics():
 
 
 def test_root_of_unity_products():
-    assert cyc_mul(zeta_pow(3, 1), zeta_pow(3, 2)) == 1
+    assert zeta_pow(3, 1) * zeta_pow(3, 2) == 1
     assert zeta_pow(5, 3) ** 5 == 1
     assert zeta_pow(12, 7) == zeta_pow(12, 19)
 
 
 def test_inverse_examples():
-    assert cyc_inv(Cyclotomic.from_rational(-1)) == -1
+    assert Cyclotomic.from_rational(-1).inverse() == -1
     # 1/(1 - zeta_3) = (2 + zeta_3)/3, by extended Euclid on x^2+x+1
     z3 = zeta_pow(3, 1)
-    inv = cyc_inv(1 - z3 + 0 * z3)
+    inv = (1 - z3 + 0 * z3).inverse()
     assert inv == (2 + z3) * Fraction(1, 3)
     assert inv * (1 + (-1) * z3) == 1
 
@@ -81,7 +79,7 @@ def test_as_rational():
 
 def test_division_by_zero_is_invalid_input():
     with pytest.raises(InvalidInputError):
-        cyc_inv(Cyclotomic(3, [0]))
+        Cyclotomic(3, [0]).inverse()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 9, 12, 15, 16, 20, 24])
@@ -113,7 +111,7 @@ def cyclotomic_elements(draw):
 def test_inverse_roundtrip(a):
     if a.is_zero():
         return
-    assert a * cyc_inv(a) == 1
+    assert a * a.inverse() == 1
 
 
 @given(cyclotomic_elements(), cyclotomic_elements(), cyclotomic_elements())
@@ -128,7 +126,6 @@ def test_poly_divmod_exactness():
     p = [Fraction(1), Fraction(0), Fraction(-2), Fraction(1)]
     q = [Fraction(-1), Fraction(1)]
     quo, rem = poly_divmod(p, q)
-    assert poly_mul(quo, q) == [a - b for a, b in zip(p + [0], rem + [0, 0, 0])][:4] or True
     # direct check: p = quo*q + rem
     recomposed = poly_mul(quo, q)
     recomposed = recomposed + [Fraction(0)] * (len(p) - len(recomposed))

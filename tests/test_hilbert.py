@@ -1,10 +1,12 @@
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from itertools import combinations_with_replacement
+from math import gcd, lcm
 
 import pytest
 
 from wpptoric.errors import InvalidInputError
-from wpptoric.exact_arith import zeta_pow
+from wpptoric.exact_arith import Cyclotomic, as_rational, zeta_pow
 from wpptoric.hilbert import (
     GeneratingSheafSpec,
     HilbTop,
@@ -13,12 +15,98 @@ from wpptoric.hilbert import (
     hilb_top,
     hilb_top_E,
     hilb_top_E_of_kclass,
-    phi_E,
     psi_E,
     rank2_constant_term,
     slope_mu,
 )
 from wpptoric.kgroup import WppParams, g_power, kclass_from_laurent, structure_sheaf_point
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: the character sums evaluated term by term in Q(zeta_n)
+# ---------------------------------------------------------------------------
+
+def phi_E(E, x):
+    """x + 2x^2 + ... + (E-1)x^(E-1), evaluated exactly."""
+    if not isinstance(x, Cyclotomic):
+        x = Cyclotomic.from_rational(x)
+    total = Cyclotomic.from_rational(0)
+    power = Cyclotomic.from_rational(1)
+    for u in range(1, E):
+        power = power * x
+        total = total + u * power
+    return total
+
+
+@lru_cache(maxsize=None)
+def _phi_E_at_root(E, n, k):
+    return phi_E(E, zeta_pow(n, k))
+
+
+@lru_cache(maxsize=None)
+def _inv_one_minus_root(n, k):
+    """1/(1 - zeta_n^k), by extended Euclid in Q(zeta_n)."""
+    return 1 / (1 - zeta_pow(n, k))
+
+
+def psi_E_oracle(E, m1, m2, m3, n):
+    """psi_E summed over k in Q(zeta_n), with one field inverse per term."""
+    excluder = n // gcd(m1, n)
+    total = Cyclotomic.from_rational(0)
+    for k in range(1, n):
+        if k % excluder == 0:
+            continue
+        numer = (1 + zeta_pow(n, -k * m2)) * zeta_pow(n, -k * m3) * _phi_E_at_root(E, n, k)
+        total = total + numer * _inv_one_minus_root(n, -k * m1 % n)
+    value = as_rational(total)
+    assert value is not None, (E, m1, m2, m3, n)
+    return value
+
+
+def hilb_top_oracle(params, r):
+    """(quad, lin) of hilb_top with each pair sum evaluated in Q(zeta_dij)."""
+    a, b, c = params.weights()
+    d, m = params.d, params.m
+    if r % d:
+        return (Fraction(0), Fraction(0))
+    abc = a * b * c
+    lin = Fraction((2 * r + a + b + c) * d, 2 * abc)
+    for (dij, khat), (wi, wj) in zip(
+        ((params.d12, c), (params.d13, b), (params.d23, a)), ((a, b), (a, c), (b, c))
+    ):
+        total = Cyclotomic.from_rational(0)
+        for h in range(1, dij):
+            if h % (dij // d) == 0:
+                continue
+            total = total + zeta_pow(dij, -h * r) * _inv_one_minus_root(dij, h * khat % dij)
+        value = as_rational(total)
+        assert value is not None, (params, r)
+        lin += Fraction(1, wi * wj) * value
+    return (Fraction(d * m * m, 2 * abc), m * lin)
+
+
+def test_hilb_top_matches_cyclotomic_oracle():
+    # every sorted weight triple up to 8, twists -6..6
+    for weights in combinations_with_replacement(range(1, 9), 3):
+        params = WppParams(*weights)
+        for r in range(-6, 7):
+            top = hilb_top(params, r)
+            assert (top.quad, top.lin) == hilb_top_oracle(params, r), (weights, r)
+
+
+def test_psi_E_matches_cyclotomic_oracle():
+    for n in (1, 2, 3, 4, 5, 6, 8, 12):
+        for E in (n, 2 * n):
+            for m1 in range(7):
+                for m2 in range(-3, 4):
+                    for m3 in range(-3, 4):
+                        expected = psi_E_oracle(E, m1, m2, m3, n)
+                        assert psi_E(E, m1, m2, m3, n) == expected, (E, m1, m2, m3, n)
+
+
+def test_psi_E_needs_n_dividing_E():
+    with pytest.raises(InvalidInputError):
+        psi_E(3, 1, 0, 0, 2)
 
 
 def test_phi_E_examples():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -12,6 +13,43 @@ from wpptoric.kgroup import (
     kclass_scalar,
     rank2_typeI_class,
 )
+
+
+def tch_oracle(kclass):
+    """The character by multiplying out truncated powers of the image of g.
+
+    Every coefficient lives in the order-lcm(a,b,c) field: g maps to
+    zeta_m^(-fm) (1 - x + x^2/2) on the sector f, and the powers g^e are
+    built one multiplication at a time.
+    """
+    params = kclass.params
+    m = params.m
+    out = {}
+    for sector in sectors(params):
+        length = sector.dim + 1
+        omega = zeta_pow(m, -sector.f.numerator * (m // sector.f.denominator))
+        image_g = [omega * c for c in (1, -1, Fraction(1, 2))[:length]]
+        power = [Cyclotomic(m, [1])] + [Cyclotomic(m, [])] * (length - 1)
+        acc = [Cyclotomic(m, [])] * length
+        for coeff in kclass.coeffs:
+            acc = [acc[i] + coeff * power[i] for i in range(length)]
+            power = [
+                sum((power[i] * image_g[k - i] for i in range(k + 1)), Cyclotomic(m, []))
+                for k in range(length)
+            ]
+        out[sector] = acc
+    return out
+
+
+def _assert_matches_oracle(kclass):
+    m = kclass.params.m
+    chern = tch_of_kclass(kclass)
+    expected = tch_oracle(kclass)
+    assert set(chern.entries) == set(expected)
+    for sector, coeffs in chern.entries.items():
+        assert all(c.order == sector.f.denominator for c in coeffs), sector
+        assert [c.embed(m).coeffs for c in coeffs] == [c.coeffs for c in expected[sector]]
+
 
 P1 = (Fraction(1), Fraction(0))
 P2 = (Fraction(0), Fraction(1))
@@ -153,3 +191,36 @@ def test_closed_form_matches_kclass_route(weights):
         direct = tch_of_kclass(rank2_typeI_class(params, datum))
         closed = tch_rank2_closed_form(params, datum)
         assert direct == closed, (weights, (datum.D1, datum.D2, datum.D3), datum.A3)
+
+
+CHERN_ORACLE_WEIGHTS = [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2), (1, 2, 3),
+                        (2, 2, 4), (3, 3, 3), (2, 3, 4), (2, 4, 6), (2, 3, 5)]
+
+
+@pytest.mark.parametrize("weights", CHERN_ORACLE_WEIGHTS)
+def test_tch_matches_power_table_oracle(weights):
+    params = WppParams(*weights)
+    for terms in ({0: 1}, {1: 1}, {-4: 2, 3: Fraction(-1, 3)}, {7: 1, 11: -2, -13: 5}):
+        _assert_matches_oracle(kclass_from_laurent(params, terms))
+
+
+def test_tch_matches_power_table_oracle_on_rank2_classes():
+    # the weights and a spread of the data of the acceptance check of the
+    # rank-2 closed form
+    for weights in product((1, 2, 3, 4), repeat=3):
+        params = WppParams(*weights)
+        a, b, c = weights
+        for A, widths in ((-2, (b, c, a)), (3, (2 * b, c, 2 * a)), (0, (b, 2 * c, 3 * a))):
+            _assert_matches_oracle(rank2_typeI_class(params, FakeTypeI((0, 0, A), widths)))
+
+
+def test_chern_vector_coerces_to_sector_order():
+    params = WppParams(2, 2, 4)
+    entries = {}
+    for sector in sectors(params):
+        entries[sector] = [zeta_pow(1, 0)] + [Fraction(1, 2)] * sector.dim
+    chern = ChernVector(params, entries)
+    for sector, coeffs in chern.entries.items():
+        assert all(c.order == sector.f.denominator for c in coeffs)
+    with pytest.raises(InvalidInputError):
+        ChernVector(params, {sectors(params)[0]: [zeta_pow(4, 1), 0, 0]})

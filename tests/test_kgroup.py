@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wpptoric.errors import InvalidInputError
 from wpptoric.kgroup import (
@@ -138,3 +140,22 @@ def test_ring_axioms_random():
 )
 def test_verify_relations(weights):
     assert verify_relations(WppParams(*weights))
+
+
+WEIGHTS = st.sampled_from([(1, 1, 1), (1, 1, 2), (2, 2, 2), (2, 3, 4), (1, 2, 3),
+                           (4, 6, 10), (5, 7, 9)])
+
+
+@given(WEIGHTS, st.integers(min_value=0, max_value=400))
+@settings(max_examples=120, deadline=None)
+def test_g_power_is_direct_reduction(weights, e):
+    params = WppParams(*weights)
+    assert g_power(params, e) == KClass(params, [0] * e + [1])
+
+
+@given(WEIGHTS, st.integers(min_value=-10**6, max_value=10**6))
+@settings(max_examples=120, deadline=None)
+def test_g_power_inverse_pairs(weights, e):
+    params = WppParams(*weights)
+    assert g_power(params, e) * g_power(params, -e) == kclass_scalar(params, 1)
+    assert g_power(params, e) * g_power(params, 1) == g_power(params, e + 1)
