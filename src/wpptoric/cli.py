@@ -47,8 +47,10 @@ from .rank2 import (
 from .sheaf_model import (
     Rank1Sheaf,
     TypeIBundle,
+    Window,
     check_gluing,
     kclass_by_devissage,
+    minimal_halfwidth,
     rank1_sfamily,
     typeI_sfamily,
 )
@@ -100,6 +102,12 @@ def _series_records(out, series, label):
                   "coeff": coeff if isinstance(coeff, int) else _rat(coeff)})
 
 
+def _require_nonnegative(args, *names):
+    for name in names:
+        if getattr(args, name) < 0:
+            raise InvalidInputError(f"--{name} must be nonnegative")
+
+
 def _parse_partition(text):
     text = text.strip()
     if not text:
@@ -130,6 +138,8 @@ def _parse_points(text):
 
 def cmd_hilb(args, out):
     params = WppParams(*args.abc)
+    if args.E is not None:
+        te = hilb_top_E(params, GeneratingSheafSpec(args.E), args.r)
     _meta(out, "hilb", {"abc": args.abc, "r": args.r, "E": args.E})
     top = hilb_top(params, args.r)
     quad, lin, const = hilb_fit_oracle(params, args.r)
@@ -143,8 +153,6 @@ def cmd_hilb(args, out):
         out.emit({"record": "vanishing", "chi_samples": samples})
         agree = agree and not any(samples)
     if args.E is not None:
-        spec = GeneratingSheafSpec(args.E)
-        te = hilb_top_E(params, spec, args.r)
         out.emit({"record": "hilb", "source": "generating-sheaf",
                   "E": args.E, "quad": _rat(te.quad), "lin": _rat(te.lin)})
         sq = sum((hilb_top(params, args.r + u).quad for u in range(args.E)), Fraction(0))
@@ -157,6 +165,7 @@ def cmd_hilb(args, out):
 
 def cmd_gseries(args, out):
     params = WppParams(*args.abc)
+    _require_nonnegative(args, "order")
     _meta(out, "gseries", {"abc": args.abc, "beta": args.beta,
                            "order": args.order, "specialize": args.specialize})
     series = g_series(params, args.beta, args.order)
@@ -188,7 +197,8 @@ def cmd_gseries(args, out):
 
 def cmd_hseries(args, out):
     params = WppParams(*args.abc)
-    spec = GeneratingSheafSpec(args.E)
+    spec = GeneratingSheafSpec(args.E).validate(params)
+    _require_nonnegative(args, "max", "order")
     lam = args.lam % params.d
     _meta(out, "hseries", {"abc": args.abc, "E": args.E, "c1": args.c1,
                            "lambda": lam, "max": args.max, "order": args.order})
@@ -212,6 +222,7 @@ def cmd_hseries(args, out):
 
 def cmd_stable(args, out):
     params = WppParams(*args.abc)
+    _require_nonnegative(args, "max")
     lam = args.lam % params.d
     _meta(out, "stable", {"abc": args.abc, "c1": args.c1, "lambda": lam, "max": args.max})
     triples = list(enumerate_stable_triples(params, args.c1, lam, args.max))
@@ -269,20 +280,21 @@ def cmd_glue(args, out):
     params = WppParams(*args.abc)
     _meta(out, "glue", {"abc": args.abc, "demo": args.demo})
     if args.demo == "rank1":
+        # chart 3 sees the hull label C through its corner on every plane,
+        # B only through fine weights mod c
         sheaf = Rank1Sheaf(1, 0, 1, Partition((2, 1)), Partition(), Partition((1,)))
-        fams = [rank1_sfamily(params, sheaf, ch) for ch in (1, 2, 3)]
+        mutated = Rank1Sheaf(1, 0, 2, Partition((2, 1)), Partition(), Partition((1,)))
+        window = Window.symmetric(max(minimal_halfwidth(params, sheaf),
+                                      minimal_halfwidth(params, mutated)))
+        fams = [rank1_sfamily(params, sheaf, ch, window=window) for ch in (1, 2, 3)]
         ok, _ = check_gluing(params, *fams)
         out.emit({"record": "glue", "case": "matched-data", "pass": ok})
-        mutated = Rank1Sheaf(1, 1, 1, Partition((2, 1)), Partition(), Partition((1,)))
-        fams_bad = [rank1_sfamily(params, sheaf, ch, window=fams[0].window) for ch in (1, 2)]
-        fams_bad.append(rank1_sfamily(params, mutated, 3, window=fams[0].window))
+        fams_bad = fams[:2] + [rank1_sfamily(params, mutated, 3, window=window)]
         bad_ok, diag = check_gluing(params, *fams_bad)
         out.emit({"record": "glue", "case": "mutated-hull-label", "pass": bad_ok,
                   "diagnostics": diag[:2]})
         expected = ok and not bad_ok
     else:
-        from .sheaf_model import Window, minimal_halfwidth
-
         datum = TypeIBundle(0, 1, -1, params.b, 2 * params.c, params.a)
         mutated = TypeIBundle(0, 1, -1, params.b, 2 * params.c, 2 * params.a)
         window = Window.symmetric(minimal_halfwidth(params, mutated))

@@ -124,25 +124,42 @@ def hilb_top(params, r):
     return HilbTop(quad, m * lin)
 
 
+def _check_E(params, E):
+    if E < 1:
+        raise InvalidInputError("E must be positive")
+    for dij in (params.d12, params.d13, params.d23):
+        if E % dij:
+            raise InvalidInputError("E must be divisible by every pairwise gcd")
+
+
+def _twist_window_sum(params, E, r):
+    """Sum of 2(r+u) + a+b+c over the u < E with d | r+u.
+
+    Since d | E these are u0 + d k for k < E/d, u0 = (-r) mod d.
+    """
+    d = params.d
+    k = E // d
+    return k * (2 * (r + (-r) % d) + params.degree) + d * k * (k - 1)
+
+
+def _top_E(params, E, rank, twists):
+    """HilbTop from sum(coeff) and sum(coeff * _twist_window_sum) over g^e."""
+    abc = params.a * params.b * params.c
+    m = params.m
+    return HilbTop(Fraction(rank * E * m * m, 2 * abc), Fraction(twists * m * params.d, 2 * abc))
+
+
 def hilb_top_E(params, spec, r):
     """Top two modified Hilbert coefficients of the r-th twist of O.
 
     Tensoring with the dual of the generating sheaf turns the single
     twist r into the twists r+u for u < E; the pair sums cancel because
-    every pairwise gcd divides E, leaving only the u with d | r + u.
+    every pairwise gcd divides E, leaving only the u with d | r + u,
+    each adding (2r + 2u + a+b+c) m d/(2abc) to the linear term.
     """
-    a, b, c = params.weights()
     E = spec.E
-    for dij in (params.d12, params.d13, params.d23):
-        if E % dij:
-            raise InvalidInputError("E must be divisible by every pairwise gcd")
-    abc = a * b * c
-    quad = Fraction(E * params.m * params.m, 2 * abc)
-    lin = Fraction(0)
-    for u in range(E):
-        if (r + u) % params.d == 0:
-            lin += Fraction((2 * r + 2 * u + a + b + c) * params.m * params.d, 2 * abc)
-    return HilbTop(quad, lin)
+    _check_E(params, E)
+    return _top_E(params, E, 1, _twist_window_sum(params, E, r))
 
 
 def hilb_top_E_of_kclass(params, spec, kclass):
@@ -151,15 +168,15 @@ def hilb_top_E_of_kclass(params, spec, kclass):
     The canonical representative writes the class as a sum of powers
     g^e = [O(-e)], and the Hilbert coefficients are additive.
     """
-    quad = Fraction(0)
-    lin = Fraction(0)
+    E = spec.E
+    _check_E(params, E)
+    rank = 0
+    twists = 0
     for e, coeff in enumerate(kclass.coeffs):
-        if coeff == 0:
-            continue
-        top = hilb_top_E(params, spec, -e)
-        quad += coeff * top.quad
-        lin += coeff * top.lin
-    return HilbTop(quad, lin)
+        if coeff:
+            rank += coeff
+            twists += coeff * _twist_window_sum(params, E, -e)
+    return _top_E(params, E, rank, twists)
 
 
 @lru_cache(maxsize=None)

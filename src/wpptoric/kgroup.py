@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import InvalidInputError
-from .exact_arith import poly_divmod, poly_mod, poly_mul, poly_trim
+from .exact_arith import poly_divmod, poly_mul
 from .partitions import chart_spec, color_count
 
 
@@ -75,14 +75,41 @@ def relation_poly(params):
 
 def _scalar(value):
     """Prefer plain ints for integral values; Fraction otherwise."""
+    if type(value) is int:
+        return value
     f = Fraction(value)
     return int(f) if f.denominator == 1 else f
 
 
+@lru_cache(maxsize=None)
+def _relation_tail(params):
+    """(j, P_j) for the nonzero terms of P below its leading one.
+
+    P = (1 - g^a)(1 - g^b)(1 - g^c) has leading coefficient -1, so
+    g^(deg P) = sum_j P_j g^j in the K-group.
+    """
+    rel = relation_poly(params)
+    return tuple((j, p) for j, p in enumerate(rel[:-1]) if p)
+
+
 def _reduce(params, coeffs):
-    rem = poly_mod(list(coeffs), list(relation_poly(params)))
+    """Canonical representative, by division-free reduction from the top.
+
+    Each coefficient f at degree i >= deg P becomes f * P_j at degree
+    i - deg P + j; no division happens, so integers stay integers.
+    """
     deg = params.degree
-    return tuple(_scalar(rem[i]) if i < len(rem) else 0 for i in range(deg))
+    rem = list(coeffs)
+    if len(rem) < deg:
+        rem.extend([0] * (deg - len(rem)))
+    tail = _relation_tail(params)
+    for i in range(len(rem) - 1, deg - 1, -1):
+        f = rem[i]
+        if f:
+            base = i - deg
+            for j, p in tail:
+                rem[base + j] += f * p
+    return tuple(_scalar(x) for x in rem[:deg])
 
 
 class KClass:

@@ -342,16 +342,52 @@ def specialize(series, assignment, result_vars=None):
 # colored partition generating functions
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _colored_counts(n, w1, w2, offset, max_order):
+    """Color-count vector -> number of partitions with <= max_order boxes.
+
+    Walks the prefix tree of row lengths, whose nodes are exactly the
+    partitions: a child appends row l2 with length at most that of row
+    l2 - 1, and lengthening row l2 to L adds the box of color
+    offset + l2*w2 + (L-1)*w1.  One count vector is updated in place and
+    restored on the way back.  Conjugation swaps w1 and w2, so callers
+    pass them sorted.
+    """
+    counts = [0] * n
+    out = {tuple(counts): 1}
+
+    def grow(l2, cap, room):
+        base = offset + l2 * w2
+        longest = min(cap, room)
+        for length in range(1, longest + 1):
+            counts[(base + (length - 1) * w1) % n] += 1
+            key = tuple(counts)
+            out[key] = out.get(key, 0) + 1
+            if room > length:
+                grow(l2 + 1, length, room - length)
+        for l1 in range(longest):
+            counts[(base + l1 * w1) % n] -= 1
+
+    grow(0, max_order, max_order)
+    return out
+
+
 def colored_series(spec, max_order, vars=None):
-    """Sum over partitions with <= max_order boxes of the color monomials."""
+    """Sum over partitions with <= max_order boxes of the color monomials.
+
+    >>> s = colored_series(ColoringSpec(1, 0, 0), 4)
+    >>> [s.coefficient((k,)) for k in range(5)]
+    [1, 1, 2, 3, 5]
+    >>> colored_series(ColoringSpec(2, 1, 1), 2).items()
+    [((0, 0), 1), ((1, 0), 1), ((1, 1), 2)]
+    """
+    if max_order < 0:
+        raise InvalidInputError("max_order must be nonnegative")
     n = spec.modulus
     if vars is None:
         vars = tuple(f"q{l}" for l in range(n))
-    coeffs = {}
-    for lam in enumerate_partitions(max_order):
-        key = color_count(lam, spec)
-        coeffs[key] = coeffs.get(key, 0) + 1
-    return Series(vars, coeffs, max_order)
+    w1, w2 = sorted((spec.w1, spec.w2))
+    return Series(vars, _colored_counts(n, w1, w2, spec.offset, max_order), max_order)
 
 
 def chart_variables(params):

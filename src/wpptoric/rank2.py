@@ -84,13 +84,14 @@ def slope_oracle_stability(params, spec, datum):
     return True
 
 
-def _admissible_widths(params, c1, max_sum):
+def _admissible_widths(params, c1, totals):
     """Positive divisible width triples with strict triangles and parity.
 
-    Deterministic order: by total width, then lexicographically.
+    Only the totals in the range `totals` are enumerated.  Deterministic
+    order: by total width, then lexicographically.
     """
     a, b, c = params.weights()
-    for total in range(3, max_sum + 1):
+    for total in totals:
         if (c1 + total) % 2:
             continue
         for d1 in range(b, total - 1, b):
@@ -102,14 +103,15 @@ def _admissible_widths(params, c1, max_sum):
                     yield (d1, d2, d3)
 
 
-def enumerate_stable_triples(params, c1, lam, max_sum):
+def enumerate_stable_triples(params, c1, lam, max_sum, min_sum=3):
     """All (A; D1, D2, D3) with the stated divisibility, parity, congruence
-    and strict-triangle constraints, widths summing to at most max_sum.
+    and strict-triangle constraints, widths summing to between min_sum
+    and max_sum.
 
     Deterministic order: by total width, then lexicographically.
     """
     d = params.d
-    for widths in _admissible_widths(params, c1, max_sum):
+    for widths in _admissible_widths(params, c1, range(min_sum, max_sum + 1)):
         A = -(c1 + sum(widths)) // 2
         if (A - lam) % d == 0:
             yield StableTriple(A, *widths)
@@ -162,7 +164,7 @@ def enumerate_refined_solutions(params, alpha, beta, max_sum):
         raise InvalidInputError("the f = 0 component of beta must be an integer")
     beta0 = int(beta0)
     sector_list = sectors(params)
-    for widths in _admissible_widths(params, beta0, max_sum):
+    for widths in _admissible_widths(params, beta0, range(3, max_sum + 1)):
         A = -(beta0 + sum(widths)) // 2
         datum = _standard_datum(A, widths)
         chern = tch_rank2_closed_form(params, datum)
@@ -266,18 +268,24 @@ def h_vb_window(params, spec, c1, lam, depth):
     Returns (series, floor_exponent).
     """
     spec.validate(params)
+    values = {}
+
+    def values_at(total):
+        if total not in values:
+            values[total] = [
+                int(rank2_constant_term(params, spec, c1, lam, *t.widths))
+                for t in enumerate_stable_triples(params, c1, lam, total, min_sum=total)
+            ]
+        return values[total]
+
     top = None
     total = 3
     while True:
-        found = [
-            rank2_constant_term(params, spec, c1, lam, *t.widths)
-            for t in enumerate_stable_triples(params, c1, lam, total)
-            if sum(t.widths) == total
-        ]
+        found = values_at(total)
         if found:
             best = max(found)
             if top is None or best > top:
-                top = int(best)
+                top = best
         if top is not None and _constant_term_upper_bound(params, spec, c1, total) < top:
             break
         total += 1
@@ -291,10 +299,7 @@ def h_vb_window(params, spec, c1, lam, depth):
     while _constant_term_upper_bound(params, spec, c1, total) >= floor or total <= sum(
         (3, params.a, params.b, params.c)
     ):
-        for triple in enumerate_stable_triples(params, c1, lam, total):
-            if sum(triple.widths) != total:
-                continue
-            value = int(rank2_constant_term(params, spec, c1, lam, *triple.widths))
+        for value in values_at(total):
             if value >= floor:
                 coeffs[(value,)] = coeffs.get((value,), 0) + 1
         total += 1

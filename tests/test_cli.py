@@ -1,4 +1,5 @@
 import json
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -111,9 +112,10 @@ def test_kclass_rank2_with_check(capsys):
 
 
 def test_glue_demos(capsys):
-    for weights in (("1", "1", "2"), ("2", "2", "2")):
-        code, records, _ = run(capsys, "glue", "--abc", *weights, "--demo", "rank1")
-        assert code == 0
+    # the rank-1 mutation must be caught on every sorted weight triple <= 4
+    for weights in combinations_with_replacement("1234", 3):
+        code, records, _ = run(capsys, "glue", "--abc", *weights, "--demo", "rank1", "--check")
+        assert code == 0, weights
         cases = {r["case"]: r["pass"] for r in records if r["record"] == "glue"}
         assert cases["matched-data"] is True
         assert cases["mutated-hull-label"] is False
@@ -121,6 +123,22 @@ def test_glue_demos(capsys):
     assert code == 0
     cases = {r["case"]: r["pass"] for r in records if r["record"] == "glue"}
     assert cases["matched-data"] is True and cases["mutated-width"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["hilb", "--abc", "1", "1", "1", "--E", "-2", "--check"],
+    ["hilb", "--abc", "1", "1", "1", "--E", "0", "--check"],
+    ["hseries", "--abc", "1", "1", "1", "--E", "1", "--c1", "0", "--order", "-2"],
+    ["hseries", "--abc", "1", "1", "1", "--E", "1", "--c1", "0", "--max", "-1"],
+    ["stable", "--abc", "1", "1", "1", "--c1", "0", "--max", "-1"],
+    ["gseries", "--abc", "1", "1", "1", "--order", "-1"],
+])
+def test_out_of_range_numbers(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("invalid input:")
 
 
 def test_usage_errors(capsys):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -19,7 +20,13 @@ from wpptoric.hilbert import (
     rank2_constant_term,
     slope_mu,
 )
-from wpptoric.kgroup import WppParams, g_power, kclass_from_laurent, structure_sheaf_point
+from wpptoric.kgroup import (
+    KClass,
+    WppParams,
+    g_power,
+    kclass_from_laurent,
+    structure_sheaf_point,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +210,52 @@ def test_hilb_top_E_of_kclass_is_representative_independent():
     pt = structure_sheaf_point(params, 2, 1)
     top = hilb_top_E_of_kclass(params, spec, pt)
     assert (top.quad, top.lin) == (0, 0)
+
+
+def hilb_top_E_oracle(params, E, r):
+    """hilb_top_E summed over the u < E one twist at a time."""
+    a, b, c = params.weights()
+    abc = a * b * c
+    lin = Fraction(0)
+    for u in range(E):
+        if (r + u) % params.d == 0:
+            lin += Fraction((2 * r + 2 * u + a + b + c) * params.m * params.d, 2 * abc)
+    return HilbTop(Fraction(E * params.m * params.m, 2 * abc), lin)
+
+
+def test_hilb_top_E_matches_termwise_oracle():
+    for weights in combinations_with_replacement(range(1, 7), 3):
+        params = WppParams(*weights)
+        for E in (params.m, 2 * params.m, 3 * params.m):
+            spec = GeneratingSheafSpec(E)
+            for r in range(-20, 21):
+                assert hilb_top_E(params, spec, r) == hilb_top_E_oracle(params, E, r), (
+                    weights, E, r)
+
+
+def test_hilb_top_E_of_kclass_matches_termwise_sum():
+    rng = random.Random(5)
+    for weights in ((1, 1, 1), (1, 1, 2), (2, 2, 2), (2, 3, 4), (1, 3, 3), (4, 6, 6)):
+        params = WppParams(*weights)
+        spec = GeneratingSheafSpec(params.m)
+        for _ in range(20):
+            coeffs = [rng.choice((0, rng.randint(-5, 5), Fraction(rng.randint(-5, 5), 3)))
+                      for _ in range(params.degree)]
+            kclass = KClass(params, coeffs)
+            quad = sum((c * hilb_top_E(params, spec, -e).quad
+                        for e, c in enumerate(kclass.coeffs)), Fraction(0))
+            lin = sum((c * hilb_top_E(params, spec, -e).lin
+                       for e, c in enumerate(kclass.coeffs)), Fraction(0))
+            assert hilb_top_E_of_kclass(params, spec, kclass) == HilbTop(quad, lin)
+
+
+@pytest.mark.parametrize("E", [0, -1, -2])
+def test_hilb_top_E_needs_positive_E(E):
+    with pytest.raises(InvalidInputError):
+        hilb_top_E(WppParams(1, 1, 1), GeneratingSheafSpec(E), 0)
+    with pytest.raises(InvalidInputError):
+        hilb_top_E_of_kclass(WppParams(1, 1, 1), GeneratingSheafSpec(E),
+                             KClass(WppParams(1, 1, 1), [1, 0, 0]))
 
 
 def test_slope_examples():

@@ -1,20 +1,25 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wpptoric.errors import InvalidInputError
+from wpptoric.exact_arith import poly_mod
 from wpptoric.kgroup import (
     KClass,
     WppParams,
+    _reduce,
+    _scalar,
     g_power,
     kclass_from_laurent,
     kclass_scalar,
     line_bundle_class,
     rank1_class,
     rank2_typeI_class,
+    relation_poly,
     structure_sheaf_point,
     verify_relations,
 )
@@ -159,3 +164,22 @@ def test_g_power_inverse_pairs(weights, e):
     params = WppParams(*weights)
     assert g_power(params, e) * g_power(params, -e) == kclass_scalar(params, 1)
     assert g_power(params, e) * g_power(params, 1) == g_power(params, e + 1)
+
+
+def reduce_oracle(params, coeffs):
+    """Canonical representative by dense division in Q[g]."""
+    rem = poly_mod(list(coeffs), list(relation_poly(params)))
+    return tuple(_scalar(rem[i]) if i < len(rem) else 0 for i in range(params.degree))
+
+
+def test_reduce_matches_division_oracle():
+    rng = random.Random(11)
+    for weights in combinations_with_replacement(range(1, 7), 3):
+        params = WppParams(*weights)
+        for length in (0, 1, params.degree, params.degree + 1, 4 * params.degree):
+            ints = [rng.randint(-9, 9) for _ in range(length)]
+            fast = _reduce(params, ints)
+            assert fast == reduce_oracle(params, ints), (weights, ints)
+            assert all(type(x) is int for x in fast)
+            fracs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(length)]
+            assert _reduce(params, fracs) == reduce_oracle(params, fracs), (weights, fracs)

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from wpptoric.errors import InvalidInputError
 from wpptoric.kgroup import WppParams
 from wpptoric.partitions import (
     ColoringSpec,
@@ -234,3 +236,38 @@ def test_reference_113_report():
     # ground truth: the misprinted term should be 3*r0*r1^2*r2
     assert report["brute"].coefficient((1, 2, 1)) == 3
     assert (({"r0": 1, "r1": 2, "r2": 1}, 3)) in report["unmatched_brute_terms"]
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: one validated Partition object per partition
+# ---------------------------------------------------------------------------
+
+def colored_series_oracle(spec, max_order):
+    """colored_series by coloring every enumerated partition box by box."""
+    coeffs = {}
+    for lam in enumerate_partitions(max_order):
+        key = color_count(lam, spec)
+        coeffs[key] = coeffs.get(key, 0) + 1
+    return Series(tuple(f"q{l}" for l in range(spec.modulus)), coeffs, max_order)
+
+
+def test_colored_series_matches_partition_oracle():
+    # every normalized spec with modulus <= 6: all steps and offsets
+    for n in range(1, 7):
+        for w1, w2, offset in product(range(n), repeat=3):
+            spec = ColoringSpec(n, w1, w2, offset)
+            assert colored_series(spec, 9) == colored_series_oracle(spec, 9), spec
+    spec = ColoringSpec(1, 0, 0)
+    assert colored_series(spec, 30) == colored_series_oracle(spec, 30)
+
+
+def test_colored_series_cache_is_not_aliased():
+    spec = ColoringSpec(3, 1, 2, 1)
+    first = colored_series(spec, 6)
+    first.coeffs.clear()
+    assert colored_series(spec, 6) == colored_series_oracle(spec, 6)
+
+
+def test_colored_series_rejects_negative_order():
+    with pytest.raises(InvalidInputError):
+        colored_series(ColoringSpec(2, 1, 1), -1)

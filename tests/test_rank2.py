@@ -75,6 +75,17 @@ def test_enumeration_is_deterministic_and_ordered():
     assert triples == list(enumerate_stable_triples(P111, -1, 0, 9))
 
 
+@pytest.mark.parametrize("weights", [(1, 1, 1), (1, 1, 2), (2, 2, 2), (1, 2, 3), (2, 3, 4)])
+def test_enumeration_by_total_range(weights):
+    params = WppParams(*weights)
+    for c1, lam in ((0, 0), (-1, 0), (1, 1)):
+        full = list(enumerate_stable_triples(params, c1, lam % params.d, 24))
+        for lo in (3, 7, 12):
+            for hi in (lo, lo + 5, 24):
+                part = list(enumerate_stable_triples(params, c1, lam % params.d, hi, min_sum=lo))
+                assert part == [t for t in full if lo <= sum(t.widths) <= hi]
+
+
 def test_refined_keys_112():
     alpha, beta = refined_targets(P112, -2, 0)
     counts = h_vb_refined(P112, alpha, beta, 10)
@@ -175,6 +186,18 @@ def test_h_vb_window_completeness():
     expected = {k: v for k, v in wide.coeffs.items() if k[0] >= floor}
     assert window.coeffs == expected
     assert expected[(-3,)] == 6  # (3,2,2) and (4,4,1) patterns
+
+
+@pytest.mark.parametrize("weights, E, c1, depth", [
+    ((1, 1, 2), 2, 0, 3), ((2, 2, 2), 2, 0, 4), ((1, 2, 3), 6, -1, 2), ((1, 1, 1), 2, 0, 5),
+])
+def test_h_vb_window_matches_wide_enumeration(weights, E, c1, depth):
+    params = WppParams(*weights)
+    spec = GeneratingSheafSpec(E)
+    window, floor = h_vb_window(params, spec, c1, 0, depth)
+    wide = h_vb_specialized(params, spec, c1, 0, 48)
+    assert window.coeffs
+    assert window.coeffs == {k: v for k, v in wide.coeffs.items() if k[0] >= floor}
 
 
 def test_h_vb_window_empty_for_parity_obstruction():
