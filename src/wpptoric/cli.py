@@ -6,7 +6,15 @@ to human-readable tables.  Exit codes: 0 success, 1 usage or invalid
 input, 2 oracle mismatch under --check, 3 internal inconsistency.
 
 Default truncation orders can be overridden with the environment
-variables WPPTORIC_ORDER and WPPTORIC_MAX.
+variables WPPTORIC_ORDER (default 6) and WPPTORIC_MAX (default 10).
+They are read on every call of `main`, so a changed value takes effect
+in a long-lived process too; a value that is not an integer is invalid
+input.  The parser itself is built once per pair of defaults.
+
+Input limits: `hilb` accepts |r| <= 10^6 and E <= 10^5.  The counting
+oracle it always runs costs O(|r|), and the generating-sheaf oracle a
+loop over u < E; beyond the limits they would run for seconds to
+forever.
 """
 
 import argparse
@@ -14,6 +22,8 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 from . import __version__
 from .errors import InternalInconsistencyError, InvalidInputError
@@ -59,6 +69,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 EXIT_INCONSISTENT = 3
+
+MAX_ABS_R = 10**6
+MAX_E = 10**5
 
 
 class _OracleMismatch(Exception):
@@ -136,9 +149,22 @@ def _parse_points(text):
 # commands
 # ---------------------------------------------------------------------------
 
+def _exact_sum(fractions):
+    """Sum over the lcm of the denominators, reduced once at the end.
+
+    Adding `Fraction`s one by one reduces by a gcd after every term.
+    """
+    den = lcm(*(f.denominator for f in fractions))
+    return Fraction(sum(f.numerator * (den // f.denominator) for f in fractions), den)
+
+
 def cmd_hilb(args, out):
     params = WppParams(*args.abc)
+    if abs(args.r) > MAX_ABS_R:
+        raise InvalidInputError(f"|r| must be at most {MAX_ABS_R}")
     if args.E is not None:
+        if args.E > MAX_E:
+            raise InvalidInputError(f"E must be at most {MAX_E}")
         te = hilb_top_E(params, GeneratingSheafSpec(args.E), args.r)
     _meta(out, "hilb", {"abc": args.abc, "r": args.r, "E": args.E})
     top = hilb_top(params, args.r)
@@ -155,8 +181,10 @@ def cmd_hilb(args, out):
     if args.E is not None:
         out.emit({"record": "hilb", "source": "generating-sheaf",
                   "E": args.E, "quad": _rat(te.quad), "lin": _rat(te.lin)})
-        sq = sum((hilb_top(params, args.r + u).quad for u in range(args.E)), Fraction(0))
-        sl = sum((hilb_top(params, args.r + u).lin for u in range(args.E)), Fraction(0))
+        # termwise over u < E, independent of the closed form of hilb_top_E
+        terms = [hilb_top(params, args.r + u) for u in range(args.E)]
+        sq = _exact_sum([t.quad for t in terms])
+        sl = _exact_sum([t.lin for t in terms])
         agree = agree and (sq, sl) == (te.quad, te.lin)
     out.emit({"record": "verdict", "oracle_match": agree})
     if not agree:
@@ -244,11 +272,15 @@ def cmd_stable(args, out):
 def cmd_kclass(args, out):
     params = WppParams(*args.abc)
     A, B, C = args.ABC
+    if args.points is not None and args.widths is None:
+        raise InvalidInputError("--points needs --widths")
+    if args.partitions is not None and args.widths is not None:
+        raise InvalidInputError("--partitions and --widths exclude each other")
     config = {"abc": args.abc, "ABC": args.ABC, "partitions": args.partitions,
               "widths": args.widths, "points": args.points}
     _meta(out, "kclass", config)
     if args.widths is not None:
-        points = _parse_points(args.points) if args.points else None
+        points = _parse_points(args.points) if args.points is not None else None
         datum = (TypeIBundle(A, B, C, *args.widths, *points) if points
                  else TypeIBundle(A, B, C, *args.widths))
         sheaf = datum
@@ -316,9 +348,19 @@ def cmd_glue(args, out):
 # argument wiring
 # ---------------------------------------------------------------------------
 
-def _build_parser():
-    default_order = int(os.environ.get("WPPTORIC_ORDER", "6"))
-    default_max = int(os.environ.get("WPPTORIC_MAX", "10"))
+def _env_int(name, default):
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidInputError(f"{name}={text!r} is not an integer") from None
+
+
+@lru_cache(maxsize=8)
+def _build_parser(default_order, default_max):
+    """The argument parser; `parse_args` leaves it unchanged, so it is shared."""
     parser = _Parser(prog="wpptoric",
                      description="Exact invariants of toric sheaves on weighted projective planes")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -378,15 +420,19 @@ def _build_parser():
     return parser
 
 
-def main(argv=None):
-    parser = _build_parser()
+def _run(argv):
+    parser = _build_parser(_env_int("WPPTORIC_ORDER", 6), _env_int("WPPTORIC_MAX", 10))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
-    out = Output(args.pretty)
+    args.func(args, Output(args.pretty))
+    return EXIT_OK
+
+
+def main(argv=None):
     try:
-        args.func(args, out)
+        return _run(argv)
     except _OracleMismatch as exc:
         print(f"oracle mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
@@ -396,7 +442,6 @@ def main(argv=None):
     except InvalidInputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_OK
 
 
 if __name__ == "__main__":

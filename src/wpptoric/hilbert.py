@@ -93,6 +93,9 @@ def psi_E(E, m1, m2, m3, n):
     return Fraction(-E * total, n * n)
 
 
+_ZERO_TOP = HilbTop(Fraction(0), Fraction(0))
+
+
 @lru_cache(maxsize=None)
 def hilb_top(params, r):
     """Top two Hilbert coefficients of the r-th twist of O.
@@ -103,25 +106,28 @@ def hilb_top(params, r):
     zeta^(-hr)/(1 - zeta^(h khat)) over h = 1..d_ij-1 with d_ij/d not
     dividing h, zeta the primitive d_ij-th root and khat the third
     weight.  Expanding 1/(1-x) = -(1/n) sum_{j<n} j x^j turns it into
-    an integer sum over j.
+    an integer sum over j.  The linear term is accumulated as one
+    integer over 2abc d12 d13 d23, since 2abc/(w_i w_j) = 2 khat.
+
+    >>> hilb_top(WppParams(1, 1, 1), 0)
+    HilbTop(quad=Fraction(1, 2), lin=Fraction(3, 2))
     """
     a, b, c = params.weights()
     d, m = params.d, params.m
     if r % d:
-        return HilbTop(Fraction(0), Fraction(0))
-    abc = a * b * c
-    quad = Fraction(d * m * m, 2 * abc)
-    lin = Fraction((2 * r + a + b + c) * d, 2 * abc)
+        return _ZERO_TOP
     pair_data = ((params.d12, c), (params.d13, b), (params.d23, a))
-    pair_weights = ((a, b), (a, c), (b, c))
-    for (dij, khat), (wi, wj) in zip(pair_data, pair_weights):
+    gcd_product = params.d12 * params.d13 * params.d23
+    lin = (2 * r + a + b + c) * d * gcd_product
+    for dij, khat in pair_data:
         # the twist eigenvalue enters inverted relative to the residual
         # weight in the denominator; the monomial-counting oracle pins
         # this orientation (the same-sign variant fails already on
         # weights (1,3,3))
         total = sum(j * _root_sum(dij, dij // d, khat * j - r) for j in range(dij))
-        lin -= Fraction(total, wi * wj * dij)
-    return HilbTop(quad, m * lin)
+        lin -= 2 * khat * (gcd_product // dij) * total
+    two_abc = 2 * a * b * c
+    return HilbTop(Fraction(d * m * m, two_abc), Fraction(m * lin, two_abc * gcd_product))
 
 
 def _check_E(params, E):

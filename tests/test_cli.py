@@ -1,8 +1,10 @@
 import json
+import time
 from itertools import combinations_with_replacement
 
 import pytest
 
+from wpptoric import cli
 from wpptoric.cli import main
 
 
@@ -132,6 +134,8 @@ def test_glue_demos(capsys):
     ["hseries", "--abc", "1", "1", "1", "--E", "1", "--c1", "0", "--max", "-1"],
     ["stable", "--abc", "1", "1", "1", "--c1", "0", "--max", "-1"],
     ["gseries", "--abc", "1", "1", "1", "--order", "-1"],
+    ["hilb", "--abc", "1", "1", "1", "--r", "-1000001"],
+    ["hilb", "--abc", "1", "1", "1", "--r", "0", "--E", "100001"],
 ])
 def test_out_of_range_numbers(capsys, argv):
     code = main(argv)
@@ -139,6 +143,64 @@ def test_out_of_range_numbers(capsys, argv):
     assert code == 1
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("invalid input:")
+
+
+def test_huge_twist_is_refused_promptly(capsys):
+    # the counting oracle would loop over about 10^20 lattice points
+    start = time.perf_counter()
+    code = main(["hilb", "--abc", "1", "1", "1", "--r", str(10**20)])
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "invalid input: |r| must be at most 1000000\n"
+
+
+@pytest.mark.parametrize("name", ["WPPTORIC_ORDER", "WPPTORIC_MAX"])
+def test_malformed_env_default(capsys, monkeypatch, name):
+    monkeypatch.setenv(name, "x")
+    code = main(["gseries", "--abc", "1", "1", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"invalid input: {name}='x' is not an integer\n"
+
+
+@pytest.mark.parametrize("name, argv, key", [
+    ("WPPTORIC_ORDER", ["gseries", "--abc", "1", "1", "1"], "order"),
+    ("WPPTORIC_MAX", ["stable", "--abc", "1", "1", "1", "--c1", "-1"], "max"),
+])
+def test_env_default_read_on_every_call(capsys, monkeypatch, name, argv, key):
+    for value in (2, 3, 2):
+        monkeypatch.setenv(name, str(value))
+        code, records, _ = run(capsys, *argv)
+        assert code == 0
+        assert records[0]["config"][key] == value
+
+
+def test_parser_built_once_per_env(capsys, monkeypatch):
+    monkeypatch.delenv("WPPTORIC_ORDER", raising=False)
+    monkeypatch.delenv("WPPTORIC_MAX", raising=False)
+    cli._build_parser.cache_clear()
+    for r in range(-3, 4):
+        assert main(["hilb", "--abc", "1", "1", "2", "--r", str(r)]) == 0
+    assert main(["nonsense"]) == 1
+    assert main(["gseries", "--abc", "1", "1", "1", "--order", "2"]) == 0
+    assert cli._build_parser.cache_info().misses == 1
+    capsys.readouterr()
+
+
+def test_no_state_carries_between_calls(capsys):
+    code, records, _ = run(capsys, "hilb", "--abc", "1", "2", "3", "--r", "4", "--E", "6")
+    assert code == 0 and any(r.get("source") == "generating-sheaf" for r in records)
+    code, records, _ = run(capsys, "hilb", "--abc", "1", "2", "3", "--r", "4")
+    assert code == 0 and records[0]["config"]["E"] is None
+    assert not any(r.get("source") == "generating-sheaf" for r in records)
+    assert main(["hilb", "--abc", "1", "1", "1", "--pretty"]) == 0
+    assert capsys.readouterr().out.startswith("[meta]")
+    code, records, _ = run(capsys, "hilb", "--abc", "1", "1", "1")  # JSON again
+    assert code == 0 and records[0]["record"] == "meta"
+    assert main(["hilb"]) == 1
+    code, _, _ = run(capsys, "hilb", "--abc", "1", "1", "1", "--r", "2")
+    assert code == 0
 
 
 def test_usage_errors(capsys):
@@ -161,6 +223,7 @@ def test_kclass_large_negative_twist(capsys):
 @pytest.mark.parametrize("flag, value", [
     ("--partitions", "a,b;;"),
     ("--points", "1:x;0:1;1:1"),
+    ("--points", ""),
 ])
 def test_malformed_kclass_flags(capsys, flag, value):
     argv = ["kclass", "--abc", "1", "1", "2", "--ABC", "0", "0", "0", flag, value]
@@ -170,6 +233,17 @@ def test_malformed_kclass_flags(capsys, flag, value):
     err = capsys.readouterr().err
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("invalid input:")
+
+
+@pytest.mark.parametrize("extra", [
+    ["--points", "1:0;0:1;1:1"],
+    ["--partitions", "2,1;;1", "--widths", "1", "2", "1"],
+])
+def test_kclass_flags_that_would_be_ignored(capsys, extra):
+    code = main(["kclass", "--abc", "1", "1", "2", "--ABC", "0", "0", "0", *extra])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("invalid input:")
 
 
 def test_pretty_mode_runs(capsys):

@@ -101,6 +101,23 @@ def test_hilb_top_matches_cyclotomic_oracle():
             assert (top.quad, top.lin) == hilb_top_oracle(params, r), (weights, r)
 
 
+def _max_pair_gcd(weights):
+    a, b, c = weights
+    return max(gcd(a, b), gcd(a, c), gcd(b, c))
+
+
+def test_hilb_top_matches_cyclotomic_oracle_large_pair_gcds():
+    # pair sums of length 6..12, where the common denominator of the
+    # linear term is largest; twists -15..15 as in the rr-sweep bench
+    pool = [w for w in combinations_with_replacement(range(1, 37), 3)
+            if 6 <= _max_pair_gcd(w) <= 12]
+    for weights in random.Random(4).sample(pool, 40):
+        params = WppParams(*weights)
+        for r in range(-15, 16):
+            top = hilb_top(params, r)
+            assert (top.quad, top.lin) == hilb_top_oracle(params, r), (weights, r)
+
+
 def test_psi_E_matches_cyclotomic_oracle():
     for n in (1, 2, 3, 4, 5, 6, 8, 12):
         for E in (n, 2 * n):
