@@ -240,7 +240,7 @@ def cmd_hseries(args, out):
         grouped = {}
         alpha, beta = refined_targets(params, args.c1, lam)
         for _, widths, _ in enumerate_refined_solutions(params, alpha, beta, args.max):
-            e = int(rank2_constant_term(params, spec, args.c1, lam, *widths))
+            e = rank2_constant_term(params, spec, args.c1, lam, *widths)
             grouped[(e,)] = grouped.get((e,), 0) + 1
         ok = grouped == series.coeffs
         out.emit({"record": "check", "name": "refined-vs-specialized", "ok": ok})
@@ -276,19 +276,20 @@ def cmd_kclass(args, out):
         raise InvalidInputError("--points needs --widths")
     if args.partitions is not None and args.widths is not None:
         raise InvalidInputError("--partitions and --widths exclude each other")
+    points = _parse_points(args.points) if args.points is not None else None
+    if args.partitions is not None:
+        lams = [_parse_partition(p) for p in args.partitions.split(";")]
+        if len(lams) != 3:
+            raise InvalidInputError("need three partitions, like '2,1;;3'")
     config = {"abc": args.abc, "ABC": args.ABC, "partitions": args.partitions,
               "widths": args.widths, "points": args.points}
     _meta(out, "kclass", config)
     if args.widths is not None:
-        points = _parse_points(args.points) if args.points is not None else None
         datum = (TypeIBundle(A, B, C, *args.widths, *points) if points
                  else TypeIBundle(A, B, C, *args.widths))
         sheaf = datum
         kclass = rank2_typeI_class(params, datum)
     elif args.partitions is not None:
-        lams = [_parse_partition(p) for p in args.partitions.split(";")]
-        if len(lams) != 3:
-            raise InvalidInputError("need three partitions, like '2,1;;3'")
         sheaf = Rank1Sheaf(A, B, C, *lams)
         kclass = rank1_class(params, A, B, C, *lams)
     else:

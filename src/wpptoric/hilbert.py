@@ -58,6 +58,23 @@ def _root_sum(n, e, t):
     return (n if t % n == 0 else 0) - (n // e if t % (n // e) == 0 else 0)
 
 
+@lru_cache(maxsize=None)
+def _psi_sum(n, m1, m2, m3):
+    """The integer double sum behind psi_E, for residues m1, m2, m3 mod n.
+
+    psi_E(E, m1, m2, m3, n) = -E/n^2 times this sum, which depends on
+    m1, m2, m3 only mod n; callers reduce them, so the cache holds at
+    most n^3 entries for each n.
+    """
+    excluder = n // gcd(m1, n)
+    total = 0
+    for i in range(n):
+        for j in range(n):
+            t = i - m1 * j - m3
+            total += i * j * (_root_sum(n, excluder, t) + _root_sum(n, excluder, t - m2))
+    return total
+
+
 def psi_E(E, m1, m2, m3, n):
     """Galois-stable character sum over the n-th roots of unity.
 
@@ -75,7 +92,7 @@ def psi_E(E, m1, m2, m3, n):
     The sum is rational and is computed with integers.  For x^n = 1,
     x != 1 one has 1/(1-x) = -(1/n) sum_{j<n} j x^j, and n | E gives
     phi_E(x) = E/(x-1); both denominators expand that way, and the sum
-    over k of each resulting power of w is a `_root_sum`.
+    over k of each resulting power of w is a `_root_sum` (`_psi_sum`).
 
     >>> psi_E(2, 1, 0, 0, 2)
     Fraction(-1, 1)
@@ -84,13 +101,7 @@ def psi_E(E, m1, m2, m3, n):
         raise InvalidInputError("n must be positive")
     if E % n:
         raise InvalidInputError("psi_E needs n | E")
-    excluder = n // gcd(m1, n)
-    total = 0
-    for i in range(n):
-        for j in range(n):
-            t = i - m1 * j - m3
-            total += i * j * (_root_sum(n, excluder, t) + _root_sum(n, excluder, t - m2))
-    return Fraction(-E * total, n * n)
+    return Fraction(-E * _psi_sum(n, m1 % n, m2 % n, m3 % n), n * n)
 
 
 _ZERO_TOP = HilbTop(Fraction(0), Fraction(0))
@@ -168,11 +179,13 @@ def hilb_top_E(params, spec, r):
     return _top_E(params, E, 1, _twist_window_sum(params, E, r))
 
 
-def hilb_top_E_of_kclass(params, spec, kclass):
-    """Extend hilb_top_E linearly over a K-class.
+def rank_and_twists(params, spec, kclass):
+    """The two integers behind hilb_top_E_of_kclass: rank and twist sum.
 
-    The canonical representative writes the class as a sum of powers
-    g^e = [O(-e)], and the Hilbert coefficients are additive.
+    The rank is the sum of the coefficients of the canonical
+    representative, the twist sum that of coeff * _twist_window_sum
+    over its powers g^e = [O(-e)].  The modified slope lin/quad is
+    twists * d / (rank * E * m).
     """
     E = spec.E
     _check_E(params, E)
@@ -182,7 +195,16 @@ def hilb_top_E_of_kclass(params, spec, kclass):
         if coeff:
             rank += coeff
             twists += coeff * _twist_window_sum(params, E, -e)
-    return _top_E(params, E, rank, twists)
+    return rank, twists
+
+
+def hilb_top_E_of_kclass(params, spec, kclass):
+    """Extend hilb_top_E linearly over a K-class.
+
+    The canonical representative writes the class as a sum of powers
+    g^e = [O(-e)], and the Hilbert coefficients are additive.
+    """
+    return _top_E(params, spec.E, *rank_and_twists(params, spec, kclass))
 
 
 @lru_cache(maxsize=None)
@@ -240,33 +262,28 @@ def hilb_fit_oracle(params, r):
     return (quad, lin, const)
 
 
-def slope_mu(params, spec, quad, lin):
-    """Modified slope: linear over quadratic Hilbert coefficient."""
-    if quad == 0:
-        raise InvalidInputError("slope needs a 2-dimensional sheaf (quad != 0)")
-    return Fraction(lin) / Fraction(quad)
-
-
-def width_free_bracket(params, E, c1, Ad):
-    """The terms of the rank-2 constant-term bracket free of the widths.
+@lru_cache(maxsize=None)
+def width_free_bracket_12(params, E, c1, Ad):
+    """Twelve times the terms of the rank-2 constant-term bracket free of
+    the widths, an integer.
 
     `Ad` is the reduced twist residue [A]_d; the widths add
-    sum D_i^2/4 - sum D_i D_j/2 to this.
+    sum D_i^2/4 - sum D_i D_j/2 to the bracket.
     """
     a, b, c = params.weights()
     d = params.d
     s = a + b + c
     return (
-        Fraction(c1 * c1, 4)
-        + Fraction(s * c1, 2)
-        + Fraction(a * a + b * b + c * c, 6)
-        + Fraction(a * b + b * c + c * a, 2)
-        + (c1 + s + E - d) * Ad
-        + Fraction((c1 + s) * (E - d), 2)
-        + Ad * Ad
-        + Fraction(E * E, 3)
-        - Fraction(E * d, 2)
-        + Fraction(d * d, 6)
+        3 * c1 * c1
+        + 6 * s * c1
+        + 2 * (a * a + b * b + c * c)
+        + 6 * (a * b + b * c + c * a)
+        + 12 * (c1 + s + E - d) * Ad
+        + 6 * (c1 + s) * (E - d)
+        + 12 * Ad * Ad
+        + 4 * E * E
+        - 6 * E * d
+        + 2 * d * d
     )
 
 
@@ -277,9 +294,10 @@ def rank2_constant_term(params, spec, c1, lam, D1, D2, D3):
     the twist normalization A = -(c1 + D1 + D2 + D3)/2 must exist (even
     sum) and reduce to lam mod d.  Follows the closed-form display
     literally: the bracket uses the reduced residue [A]_d, while the
-    three character sums receive A itself.  The result is asserted to be
-    an integer; a fractional value would point at a transcription
-    ambiguity, not a valid output.
+    three character sums receive A itself.  The value is assembled as
+    one integer numerator over 12 abc (d12 d13 d23)^2 and must divide
+    out; a remainder would point at a transcription ambiguity, not a
+    valid output.
     """
     a, b, c = params.weights()
     E, d = spec.validate(params).E, params.d
@@ -294,17 +312,22 @@ def rank2_constant_term(params, spec, c1, lam, D1, D2, D3):
     if (A - lam) % d:
         raise InvalidInputError("A = -(c1+D1+D2+D3)/2 must be lam mod d")
     bracket = (
-        width_free_bracket(params, E, c1, A % d)
-        + Fraction(D1 * D1 + D2 * D2 + D3 * D3, 4)
-        - Fraction(D1 * D2 + D2 * D3 + D3 * D1, 2)
+        width_free_bracket_12(params, E, c1, A % d)
+        + 3 * (D1 * D1 + D2 * D2 + D3 * D3)
+        - 6 * (D1 * D2 + D2 * D3 + D3 * D1)
     )
-    value = Fraction(E, a * b * c) * bracket
-    value += Fraction(1, a * b) * psi_E(E, c, D2, A, params.d12)
-    value += Fraction(1, a * c) * psi_E(E, b, D1, A, params.d13)
-    value += Fraction(1, b * c) * psi_E(E, a, D3, A, params.d23)
-    if value.denominator != 1:
+    # psi_E(E, khat, D, A, n) / (w_i w_j) = -E S / (n^2 w_i w_j), and
+    # 12 abc G^2 / (n^2 w_i w_j) = 12 khat (G/n)^2
+    G = params.d12 * params.d13 * params.d23
+    psi = 0
+    for n, khat, width in ((params.d12, c, D2), (params.d13, b, D1), (params.d23, a, D3)):
+        psi += khat * (G // n) ** 2 * _psi_sum(n, khat % n, width % n, A % n)
+    numerator = E * (bracket * G * G - 12 * psi)
+    denominator = 12 * a * b * c * G * G
+    value, rem = divmod(numerator, denominator)
+    if rem:
         raise InternalInconsistencyError(
-            f"constant term {value} is not an integer for "
-            f"c1={c1}, lam={lam}, D=({D1},{D2},{D3}) on {params}"
+            f"constant term {Fraction(numerator, denominator)} is not an integer "
+            f"for c1={c1}, lam={lam}, D=({D1},{D2},{D3}) on {params}"
         )
     return value

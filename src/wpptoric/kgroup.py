@@ -8,6 +8,7 @@ representative of degree < a + b + c.  Equality of classes is equality
 of those coefficient vectors.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -128,7 +129,7 @@ class KClass:
             raise InvalidInputError("K-classes live over different weights")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not KClass and isinstance(other, (int, Fraction)):
             other = kclass_scalar(self.params, other)
         self._check(other)
         return KClass(
@@ -143,7 +144,7 @@ class KClass:
         return KClass(self.params, tuple(-x for x in self.coeffs), reduce=False)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not KClass and isinstance(other, (int, Fraction)):
             other = kclass_scalar(self.params, other)
         return self + (-other)
 
@@ -151,7 +152,7 @@ class KClass:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not KClass and isinstance(other, (int, Fraction)):
             return KClass(
                 self.params,
                 tuple(_scalar(x * other) for x in self.coeffs),
@@ -216,11 +217,18 @@ def g_power(params, e):
 
 
 def kclass_from_laurent(params, terms):
-    """Class of a finite Laurent polynomial {exponent: coefficient} in g."""
-    out = kclass_scalar(params, 0)
+    """Class of a finite Laurent polynomial {exponent: coefficient} in g.
+
+    Sums the cached canonical representatives of the powers, so no
+    reduction is needed.
+    """
+    out = [0] * params.degree
     for e, coeff in terms.items():
-        out = out + g_power(params, e) * _scalar(coeff)
-    return out
+        if coeff:
+            for j, x in enumerate(g_power(params, e).coeffs):
+                if x:
+                    out[j] += coeff * x
+    return KClass(params, [_scalar(x) for x in out], reduce=False)
 
 
 @lru_cache(maxsize=None)
@@ -273,32 +281,31 @@ def rank1_class(params, A, B, C, lam1, lam2, lam3):
     return total
 
 
-@lru_cache(maxsize=None)
-def _one_minus_g_product(params, e1, e2):
-    one = kclass_scalar(params, 1)
-    return (one - g_power(params, e1)) * (one - g_power(params, e2))
-
-
 def rank2_typeI_class(params, datum):
     """Class of a rank-2 bundle with one box summand per chart.
 
     `datum` carries integers A1, A2, A3, widths D1, D2, D3 with
-    b | D1, c | D2, a | D3, and normalized points p1, p2, p3.
+    b | D1, c | D2, a | D3, and normalized points p1, p2, p3.  The class
+    is g^(A1+A2+A3) (1 + g^(D1+D2+D3) - sum (1 - g^Di)(1 - g^Dj)), the
+    sum over the pairs of distinct points.
     """
     a, b, c = params.weights()
     if datum.D1 % b or datum.D2 % c or datum.D3 % a:
         raise InvalidInputError("widths must satisfy b | D1, c | D2, a | D3")
-    total = kclass_scalar(params, 1) + g_power(params, datum.D1 + datum.D2 + datum.D3)
+    shift = datum.A1 + datum.A2 + datum.A3
+    terms = Counter((shift, shift + datum.D1 + datum.D2 + datum.D3))
     pairs = (
         (datum.D1, datum.D2, datum.p1 == datum.p2),
         (datum.D2, datum.D3, datum.p2 == datum.p3),
         (datum.D3, datum.D1, datum.p3 == datum.p1),
     )
     for di, dj, coincide in pairs:
-        if coincide:
-            continue
-        total = total - _one_minus_g_product(params, di, dj)
-    return total * g_power(params, datum.A1 + datum.A2 + datum.A3)
+        if not coincide:
+            terms[shift] -= 1
+            terms[shift + di] += 1
+            terms[shift + dj] += 1
+            terms[shift + di + dj] -= 1
+    return kclass_from_laurent(params, terms)
 
 
 def verify_relations(params):

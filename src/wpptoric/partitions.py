@@ -15,6 +15,7 @@ terms.
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from operator import add
 
 from .errors import InternalInconsistencyError, InvalidInputError
 
@@ -196,7 +197,7 @@ class Series:
         return min(self.truncation, other.truncation)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Series and isinstance(other, (int, Fraction)):
             other = Series.monomial(self.vars, (0,) * len(self.vars), other)
         if self.vars != other.vars:
             raise InvalidInputError("series variable mismatch")
@@ -211,12 +212,12 @@ class Series:
         return Series(self.vars, {e: -c for e, c in self.coeffs.items()}, self.truncation)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Series and isinstance(other, (int, Fraction)):
             other = Series.monomial(self.vars, (0,) * len(self.vars), other)
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Series and isinstance(other, (int, Fraction)):
             return Series(
                 self.vars,
                 {e: c * other for e, c in self.coeffs.items()},
@@ -226,11 +227,21 @@ class Series:
             raise InvalidInputError("series variable mismatch")
         trunc = self._common_truncation(other)
         out = {}
+        if trunc is None:
+            for e1, c1 in self.coeffs.items():
+                for e2, c2 in other.coeffs.items():
+                    e = tuple(x + y for x, y in zip(e1, e2))
+                    out[e] = out.get(e, 0) + c1 * c2
+            return Series(self.vars, out, trunc)
+        # right terms by total degree: each left term stops at the first
+        # right term that would leave the truncation
+        right = sorted((sum(e), e, c) for e, c in other.coeffs.items())
         for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                if trunc is not None and sum(e) > trunc:
-                    continue
+            room = trunc - sum(e1)
+            for deg, e2, c2 in right:
+                if deg > room:
+                    break
+                e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return Series(self.vars, out, trunc)
 

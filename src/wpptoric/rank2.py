@@ -19,11 +19,10 @@ from functools import lru_cache
 from .errors import InternalInconsistencyError, InvalidInputError
 from .exact_arith import Cyclotomic, as_rational
 from .hilbert import (
-    hilb_top_E_of_kclass,
     psi_E,
     rank2_constant_term,
-    slope_mu,
-    width_free_bracket,
+    rank_and_twists,
+    width_free_bracket_12,
 )
 from .inertia import _root, sectors, tch_rank2_closed_form
 from .kgroup import g_power, rank2_typeI_class
@@ -59,6 +58,12 @@ def is_mu_stable(params, datum):
     return _strict_triangle(datum.D1, datum.D2, datum.D3)
 
 
+@lru_cache(maxsize=None)
+def _line_rank_twists(params, spec, e):
+    """(rank, twist sum) of the line bundle class g^e."""
+    return rank_and_twists(params, spec, g_power(params, e))
+
+
 def slope_oracle_stability(params, spec, datum):
     """Stability decided by comparing modified slopes.
 
@@ -66,6 +71,9 @@ def slope_oracle_stability(params, spec, datum):
     the three distinguished sub-line-bundles (twists by the opposite
     pairs of widths); stable means every sub-line-bundle has strictly
     smaller slope, the widths are positive and the points distinct.
+    The slope of a class is twists * d / (rank * E * m), so with
+    positive ranks the test mu_l >= mu_f is the integer comparison
+    twists_l * rank_f >= twists_f * rank_l.
     """
     datum.validate(params)
     spec.validate(params)
@@ -73,13 +81,13 @@ def slope_oracle_stability(params, spec, datum):
         return False
     if datum.p1 == datum.p2 or datum.p2 == datum.p3 or datum.p3 == datum.p1:
         return False
-    top_f = hilb_top_E_of_kclass(params, spec, rank2_typeI_class(params, datum))
-    mu_f = slope_mu(params, spec, top_f.quad, top_f.lin)
+    rank_f, tw_f = rank_and_twists(params, spec, rank2_typeI_class(params, datum))
     total_a = datum.A1 + datum.A2 + datum.A3
     for opposite in (datum.D2 + datum.D3, datum.D1 + datum.D3, datum.D1 + datum.D2):
-        sub = g_power(params, opposite + total_a)
-        top_l = hilb_top_E_of_kclass(params, spec, sub)
-        if slope_mu(params, spec, top_l.quad, top_l.lin) >= mu_f:
+        rank_l, tw_l = _line_rank_twists(params, spec, opposite + total_a)
+        if min(rank_f, rank_l) <= 0:
+            raise InternalInconsistencyError(f"ranks {rank_f}, {rank_l} must be positive")
+        if tw_l * rank_f >= tw_f * rank_l:
             return False
     return True
 
@@ -220,22 +228,33 @@ def h_vb_specialized(params, spec, c1, lam, max_sum):
     """
     coeffs = {}
     for triple in enumerate_stable_triples(params, c1, lam, max_sum):
-        value = rank2_constant_term(params, spec, c1, lam, *triple.widths)
-        key = (int(value),)
+        key = (rank2_constant_term(params, spec, c1, lam, *triple.widths),)
         coeffs[key] = coeffs.get(key, 0) + 1
     return Series(("q",), coeffs, None)
 
 
-@lru_cache(maxsize=None)
-def _psi_bound(params, E, m1, n, weight_product):
+def _psi_bound(E, m1, n, weight_product):
     """Largest value of the character-sum term over all residue classes."""
     best = Fraction(0)
     for r2 in range(n):
         for r3 in range(n):
-            value = Fraction(1, weight_product) * psi_E(E, m1, r2, r3, n)
+            value = psi_E(E, m1, r2, r3, n) / weight_product
             if value > best:
                 best = value
     return best
+
+
+@lru_cache(maxsize=None)
+def _bound_parts(params, E, c1):
+    """(12 x the best width-free bracket over [A]_d, the character-sum bound)."""
+    a, b, c = params.weights()
+    best12 = max(width_free_bracket_12(params, E, c1, Ad) for Ad in range(params.d))
+    psi = (
+        _psi_bound(E, c, params.d12, a * b)
+        + _psi_bound(E, b, params.d13, a * c)
+        + _psi_bound(E, a, params.d23, b * c)
+    )
+    return best12, psi
 
 
 def _constant_term_upper_bound(params, spec, c1, total):
@@ -247,15 +266,10 @@ def _constant_term_upper_bound(params, spec, c1, total):
     maximized over the residue [A]_d and the character sums over their
     residues.
     """
-    a, b, c = params.weights()
     E = spec.E
-    best_bracket = max(width_free_bracket(params, E, c1, Ad) for Ad in range(params.d))
-    quad_max = -Fraction(2 * total - 3, 4)
-    bound = Fraction(E, a * b * c) * (best_bracket + quad_max)
-    bound += _psi_bound(params, E, c, params.d12, a * b)
-    bound += _psi_bound(params, E, b, params.d13, a * c)
-    bound += _psi_bound(params, E, a, params.d23, b * c)
-    return bound
+    best12, psi = _bound_parts(params, E, c1)
+    abc = params.a * params.b * params.c
+    return Fraction(E * (best12 - 3 * (2 * total - 3)), 12 * abc) + psi
 
 
 def h_vb_window(params, spec, c1, lam, depth):
@@ -273,7 +287,7 @@ def h_vb_window(params, spec, c1, lam, depth):
     def values_at(total):
         if total not in values:
             values[total] = [
-                int(rank2_constant_term(params, spec, c1, lam, *t.widths))
+                rank2_constant_term(params, spec, c1, lam, *t.widths)
                 for t in enumerate_stable_triples(params, c1, lam, total, min_sum=total)
             ]
         return values[total]
@@ -327,11 +341,11 @@ def h_full(params, spec, c1, lam, max_order, chart_source_order=None):
         return Series(("q",), {}, None), 0
     if chart_source_order is None:
         chart_source_order = 4 * max_order + 6
-    unit = Series(("q",), {(0,): 1}, None)
-    correction = unit
+    # vb lives in [floor, floor + max_order], so only correction
+    # exponents n <= max_order reach the window
+    correction = Series(("q",), {(0,): 1}, max_order)
     for chart in (1, 2, 3):
-        g = chart_unit_series(params, chart, chart_source_order)
-        g = Series(("q",), dict(g.coeffs), None)
+        g = chart_unit_series(params, chart, chart_source_order).truncate(max_order)
         correction = correction * g * g
     out = {}
     for (e,), coeff in vb.coeffs.items():

@@ -230,9 +230,9 @@ def test_malformed_kclass_flags(capsys, flag, value):
     if flag == "--points":
         argv += ["--widths", "1", "2", "1"]
     code = main(argv)
-    err = capsys.readouterr().err
-    assert code == 1
-    assert len(err.splitlines()) == 1 and err.startswith("invalid input:")
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("invalid input:")
 
 
 @pytest.mark.parametrize("extra", [

@@ -11,6 +11,7 @@ from wpptoric.exact_arith import Cyclotomic, as_rational, zeta_pow
 from wpptoric.hilbert import (
     GeneratingSheafSpec,
     HilbTop,
+    _psi_sum,
     chi_oracle,
     hilb_fit_oracle,
     hilb_top,
@@ -18,7 +19,6 @@ from wpptoric.hilbert import (
     hilb_top_E_of_kclass,
     psi_E,
     rank2_constant_term,
-    slope_mu,
 )
 from wpptoric.kgroup import (
     KClass,
@@ -275,6 +275,14 @@ def test_hilb_top_E_needs_positive_E(E):
                              KClass(WppParams(1, 1, 1), [1, 0, 0]))
 
 
+def slope_mu(params, spec, quad, lin):
+    """Modified slope lin/quad in `Fraction`s, the reference for the
+    integer slope comparison of `rank2.slope_oracle_stability`."""
+    if quad == 0:
+        raise InvalidInputError("slope needs a 2-dimensional sheaf (quad != 0)")
+    return Fraction(lin) / Fraction(quad)
+
+
 def test_slope_examples():
     params = WppParams(1, 1, 1)
     spec = GeneratingSheafSpec(1)
@@ -352,6 +360,71 @@ def test_rank2_constant_term_guards():
         rank2_constant_term(params, spec, -2, 0, 1, 1, 1)  # c | D2 fails
     with pytest.raises(InvalidInputError):
         rank2_constant_term(params, spec, -1, 0, 1, 2, 1)  # parity fails
+
+
+def width_free_bracket_oracle(params, E, c1, Ad):
+    """The width-free bracket terms summed in `Fraction`s."""
+    a, b, c = params.weights()
+    d = params.d
+    s = a + b + c
+    return (
+        Fraction(c1 * c1, 4)
+        + Fraction(s * c1, 2)
+        + Fraction(a * a + b * b + c * c, 6)
+        + Fraction(a * b + b * c + c * a, 2)
+        + (c1 + s + E - d) * Ad
+        + Fraction((c1 + s) * (E - d), 2)
+        + Ad * Ad
+        + Fraction(E * E, 3)
+        - Fraction(E * d, 2)
+        + Fraction(d * d, 6)
+    )
+
+
+def rank2_constant_term_oracle(params, E, c1, D1, D2, D3):
+    """The rank-2 constant term as a sum of `Fraction` terms, psi_E included."""
+    a, b, c = params.weights()
+    A = -(c1 + D1 + D2 + D3) // 2
+    bracket = (
+        width_free_bracket_oracle(params, E, c1, A % params.d)
+        + Fraction(D1 * D1 + D2 * D2 + D3 * D3, 4)
+        - Fraction(D1 * D2 + D2 * D3 + D3 * D1, 2)
+    )
+    value = Fraction(E, a * b * c) * bracket
+    value += Fraction(1, a * b) * psi_E(E, c, D2, A, params.d12)
+    value += Fraction(1, a * c) * psi_E(E, b, D1, A, params.d13)
+    value += Fraction(1, b * c) * psi_E(E, a, D3, A, params.d23)
+    return value
+
+
+def test_rank2_constant_term_matches_fraction_oracle():
+    for weights in combinations_with_replacement(range(1, 7), 3):
+        params = WppParams(*weights)
+        a, b, c = weights
+        for E in (params.m, 2 * params.m):
+            spec = GeneratingSheafSpec(E)
+            for c1 in range(-3, 4):
+                for d1 in range(b, 24, b):
+                    for d2 in range(c, 24 - d1, c):
+                        for d3 in range(a, 25 - d1 - d2, a):
+                            if (c1 + d1 + d2 + d3) % 2:
+                                continue
+                            if not (d1 < d2 + d3 and d2 < d1 + d3 and d3 < d1 + d2):
+                                continue
+                            lam = -(c1 + d1 + d2 + d3) // 2 % params.d
+                            value = rank2_constant_term(params, spec, c1, lam, d1, d2, d3)
+                            assert type(value) is int
+                            assert value == rank2_constant_term_oracle(
+                                params, E, c1, d1, d2, d3), (weights, E, c1, (d1, d2, d3))
+
+
+def test_psi_sum_depends_on_residues_only():
+    # the cache is keyed on residues; the sum itself must not see the lift
+    for n in (1, 2, 3, 4, 6):
+        for m1, m2, m3 in ((1, 0, 0), (2, 1, 3), (5, -1, -7)):
+            lifted = psi_E(n, m1 + 3 * n, m2 - 2 * n, m3 + 5 * n, n)
+            assert lifted == Fraction(-n * _psi_sum(n, m1 % n, m2 % n, m3 % n), n * n)
+            assert lifted == psi_E_oracle(n, m1, m2, m3, n)
 
 
 def _chi_of_class(params, kclass):

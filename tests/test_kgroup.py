@@ -183,3 +183,41 @@ def test_reduce_matches_division_oracle():
             assert all(type(x) is int for x in fast)
             fracs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(length)]
             assert _reduce(params, fracs) == reduce_oracle(params, fracs), (weights, fracs)
+
+
+def rank2_class_oracle(params, datum):
+    """The rank-2 type-I class as a chain of K-class products and sums."""
+    one = kclass_scalar(params, 1)
+    total = one + g_power(params, datum.D1 + datum.D2 + datum.D3)
+    for di, dj, coincide in (
+        (datum.D1, datum.D2, datum.p1 == datum.p2),
+        (datum.D2, datum.D3, datum.p2 == datum.p3),
+        (datum.D3, datum.D1, datum.p3 == datum.p1),
+    ):
+        if not coincide:
+            total = total - (one - g_power(params, di)) * (one - g_power(params, dj))
+    return total * g_power(params, datum.A1 + datum.A2 + datum.A3)
+
+
+def test_rank2_class_matches_product_oracle():
+    rng = random.Random(17)
+    patterns = (DISTINCT, EQUAL, (DISTINCT[0], DISTINCT[0], DISTINCT[2]),
+                (DISTINCT[0], DISTINCT[1], DISTINCT[1]), (DISTINCT[2], DISTINCT[1], DISTINCT[2]))
+    for weights in combinations_with_replacement(range(1, 7), 3):
+        params = WppParams(*weights)
+        a, b, c = weights
+        for _ in range(12):
+            D = (b * rng.randint(0, 6), c * rng.randint(0, 6), a * rng.randint(0, 6))
+            A = tuple(rng.randint(-40, 40) for _ in range(3))
+            datum = FakeTypeI(A, D, rng.choice(patterns))
+            fast = rank2_typeI_class(params, datum)
+            assert fast == rank2_class_oracle(params, datum), (weights, A, D)
+            assert all(type(x) is int for x in fast.coeffs)
+
+
+def test_rank2_class_huge_widths():
+    # the class is a sum of cached powers, never a list as long as the widths
+    params = WppParams(2, 3, 4)
+    datum = FakeTypeI((0, 0, -10**6), (3 * 10**6, 4 * 10**6, 2 * 10**6), DISTINCT)
+    assert rank2_typeI_class(params, datum) == rank2_class_oracle(params, datum)
+

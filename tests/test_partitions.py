@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -87,6 +88,40 @@ def test_series_truncation_semantics():
     t = s.truncate(2) * s
     assert t.truncation == 2
     assert t.coefficient((3,)) == 0
+
+
+def naive_product(left, right):
+    """Every pair of terms multiplied, then cut at the smaller truncation."""
+    trunc = left._common_truncation(right)
+    out = {}
+    for e1, c1 in left.coeffs.items():
+        for e2, c2 in right.coeffs.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if trunc is None or sum(e) <= trunc:
+                out[e] = out.get(e, 0) + c1 * c2
+    return Series(left.vars, out, trunc)
+
+
+def _random_series(rng, nvars, truncation, low):
+    coeffs = {}
+    for _ in range(rng.randint(0, 12)):
+        exps = tuple(rng.randint(low, 6) for _ in range(nvars))
+        coeffs[exps] = rng.choice((rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+    return Series(tuple(f"x{i}" for i in range(nvars)), coeffs, truncation)
+
+
+def test_series_product_matches_naive_product():
+    rng = random.Random(23)
+    for _ in range(600):
+        nvars = rng.randint(1, 3)
+        t1, t2 = (rng.choice((None, None, rng.randint(0, 12))) for _ in range(2))
+        # negative exponents only where nothing truncates
+        low = -3 if t1 is None and t2 is None else 0
+        left = _random_series(rng, nvars, t1, low)
+        right = _random_series(rng, nvars, t2, low)
+        product = left * right
+        expected = naive_product(left, right)
+        assert product == expected and product.truncation == expected.truncation
 
 
 def test_specialize_identity_and_total():

@@ -3,9 +3,14 @@ from fractions import Fraction
 import pytest
 
 from wpptoric.errors import InvalidInputError
-from wpptoric.hilbert import GeneratingSheafSpec, rank2_constant_term
+from wpptoric.hilbert import (
+    GeneratingSheafSpec,
+    _psi_sum,
+    hilb_top_E_of_kclass,
+    rank2_constant_term,
+)
 from wpptoric.inertia import sectors
-from wpptoric.kgroup import WppParams
+from wpptoric.kgroup import WppParams, g_power, rank2_typeI_class
 from wpptoric.partitions import Series, eta_inv_pow
 from wpptoric.rank2 import (
     STANDARD_POINTS,
@@ -224,3 +229,95 @@ def test_h_full_plane():
         assert coeff == expected
     assert full.coefficient((0,)) == vb.coefficient((0,)) == 1
     assert full.coefficient((-1,)) == 3 + 1 * 6  # new bundles plus six point escapes
+
+
+def slope_stability_oracle(params, spec, datum):
+    """Stability by comparing the `Fraction` slopes lin/quad."""
+    if min(datum.D1, datum.D2, datum.D3) <= 0:
+        return False
+    if datum.p1 == datum.p2 or datum.p2 == datum.p3 or datum.p3 == datum.p1:
+        return False
+    top_f = hilb_top_E_of_kclass(params, spec, rank2_typeI_class(params, datum))
+    mu_f = top_f.lin / top_f.quad
+    total_a = datum.A1 + datum.A2 + datum.A3
+    for opposite in (datum.D2 + datum.D3, datum.D1 + datum.D3, datum.D1 + datum.D2):
+        top_l = hilb_top_E_of_kclass(params, spec, g_power(params, opposite + total_a))
+        if top_l.lin / top_l.quad >= mu_f:
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "weights", [(1, 1, 1), (1, 1, 3), (1, 2, 2), (2, 2, 2), (2, 3, 4), (1, 2, 4), (3, 3, 6)]
+)
+def test_integer_slope_test_matches_fraction_slopes(weights):
+    params = WppParams(*weights)
+    a, b, c = params.weights()
+    patterns = ((PT1, PT2, PT3), (PT1, PT1, PT3), (PT1, PT2, PT2), (PT3, PT2, PT3))
+    seen = set()
+    for spec in (GeneratingSheafSpec(params.m), GeneratingSheafSpec(3 * params.m)):
+        for d1 in range(0, 4 * b + 1, b):
+            for d2 in range(0, 4 * c + 1, c):
+                for d3 in range(0, 4 * a + 1, a):
+                    for pts in patterns:
+                        for A in ((0, 0, 0), (2, -1, 5), (0, 0, -9)):
+                            datum = TypeIBundle(*A, d1, d2, d3, *pts)
+                            verdict = slope_oracle_stability(params, spec, datum)
+                            assert verdict == slope_stability_oracle(params, spec, datum), (
+                                weights, spec.E, datum)
+                            seen.add(verdict)
+    assert seen == {True, False}
+
+
+def _h_full_untruncated(params, spec, c1, lam, max_order):
+    """h_full with the chart correction multiplied out in full."""
+    vb, floor = h_vb_window(params, spec, c1, lam, max_order)
+    if not vb.coeffs:
+        return Series(("q",), {}, None), 0
+    correction = Series(("q",), {(0,): 1}, None)
+    for chart in (1, 2, 3):
+        g = chart_unit_series(params, chart, 4 * max_order + 6)
+        g = Series(("q",), dict(g.coeffs), None)
+        correction = correction * g * g
+    out = {}
+    for (e,), coeff in vb.coeffs.items():
+        for (n,), mult in correction.coeffs.items():
+            if e - n >= floor:
+                out[(e - n,)] = out.get((e - n,), 0) + coeff * mult
+    return Series(("q",), out, None), floor
+
+
+# (weights, E, c1, lambda, order) of the hseries requests of the benchmark's
+# moduli-mix streams, seeds 1 and 2, and its fixed P(2,2,2) case
+HSERIES_SLOTS = [
+    ((1, 1, 1), 1, 0, 0, 1), ((1, 1, 1), 2, 1, 0, 2), ((1, 1, 2), 2, -1, 0, 3),
+    ((1, 1, 3), 6, 2, 0, 1), ((1, 1, 4), 4, -2, 0, 2), ((1, 1, 5), 5, 0, 0, 1),
+    ((1, 1, 6), 12, 1, 0, 2), ((1, 1, 7), 7, -1, 0, 3), ((1, 1, 8), 16, 2, 0, 1),
+    ((1, 2, 2), 2, -3, 0, 1), ((1, 2, 2), 4, 3, 0, 3), ((1, 2, 3), 6, -2, 0, 2),
+    ((1, 2, 4), 8, 0, 0, 2), ((1, 2, 5), 20, 3, 0, 3), ((1, 2, 6), 12, 0, 0, 2),
+    ((1, 3, 3), 3, 2, 0, 2), ((1, 3, 3), 6, -2, 0, 3), ((1, 3, 4), 12, -3, 0, 1),
+    ((1, 3, 6), 6, 3, 0, 1), ((1, 4, 4), 4, 3, 0, 1), ((2, 2, 2), 2, 0, 0, 3),
+    ((2, 2, 2), 2, 1, 0, 3), ((2, 2, 3), 6, 1, 0, 3), ((2, 2, 4), 8, -1, 1, 1),
+    ((2, 2, 5), 20, -1, 0, 1), ((2, 2, 6), 12, -2, 1, 3), ((2, 3, 3), 12, -3, 0, 2),
+    ((2, 3, 4), 12, 2, 0, 2), ((2, 4, 4), 8, -3, 1, 2), ((3, 3, 3), 3, 0, 2, 3),
+    ((3, 3, 4), 12, 0, 0, 3),
+]
+
+
+@pytest.mark.parametrize("weights, E, c1, lam, order", HSERIES_SLOTS)
+def test_h_full_matches_untruncated_correction(weights, E, c1, lam, order):
+    params = WppParams(*weights)
+    spec = GeneratingSheafSpec(E)
+    expected = _h_full_untruncated(params, spec, c1, lam, order)
+    assert h_full(params, spec, c1, lam, order) == expected
+
+
+def test_psi_cache_is_keyed_on_residues():
+    params = WppParams(2, 2, 6)
+    spec = GeneratingSheafSpec(params.m)
+    _psi_sum.cache_clear()
+    for depth in (7, 40):
+        series, _ = h_vb_window(params, spec, 0, 0, depth)
+        assert series.coeffs
+    bound = sum(n ** 3 for n in (params.d12, params.d13, params.d23))
+    assert 0 < _psi_sum.cache_info().currsize <= bound
