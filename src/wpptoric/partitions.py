@@ -14,7 +14,7 @@ terms.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 from operator import add
 
 from .errors import InternalInconsistencyError, InvalidInputError
@@ -353,33 +353,79 @@ def specialize(series, assignment, result_vars=None):
 # colored partition generating functions
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _colored_counts(n, w1, w2, offset, max_order):
+def _row_sums(period, caps, trunc, grade, mono):
+    """Sum of q^grade x^mono over colored partitions, by a DP over rows.
+
+    A row of length L at row index l2 adds grade[r][L] to the grade and
+    mono[r][L] to the monomial, r = l2 mod period; both are sums over
+    the row's first L boxes, and a monomial is an integer code that adds
+    like an exponent vector.  F_r(cap) sums over the partition tails that
+    start at a row index = r (mod period) and have rows of length <= cap:
+
+        F_r(cap) = F_r(cap - 1) + q^grade x^mono F_(r+1)(cap),  F_r(0) = 1.
+
+    The tails from r run through every residue back to r, so F_0(cap) is
+    B / (1 - q^G x^M), where B collects the F_j(cap - 1) along one turn of
+    rows of length cap and (G, M) sums that turn; F_(period-1), ..., F_1
+    follow from F_0.  A turn must raise the grade (G >= 1), or the
+    coefficients would be infinite.  Returns F_0(caps) as levels[s] =
+    {monomial: count} for every grade s <= trunc.
+    """
+
+    def add_shifted(target, source, g, m):
+        # target += q^g x^m source, cut at the grade trunc
+        for s in range(trunc + 1 - g):
+            dest = target[s + g]
+            for k, c in source[s].items():
+                k += m
+                dest[k] = dest.get(k, 0) + c
+
+    # tails[r] holds F_r(cap - 1) and is turned into F_r(cap) in place
+    tails = [[{0: 1}] + [{} for _ in range(trunc)] for _ in range(period)]
+    for cap in range(1, caps + 1):
+        turn = tails[0]
+        g, m = grade[0][cap], mono[0][cap]
+        for r in range(1, period):
+            if g > trunc:
+                break
+            add_shifted(turn, tails[r], g, m)
+            g += grade[r][cap]
+            m += mono[r][cap]
+        if g == 0:
+            raise InternalInconsistencyError("a turn of rows adds no grade: infinite coefficients")
+        # level by level upwards: turn /= 1 - q^g x^m
+        add_shifted(turn, turn, g, m)
+        for r in range(period - 1, 0, -1):
+            add_shifted(tails[r], tails[(r + 1) % period], grade[r][cap], mono[r][cap])
+    return tails[0]
+
+
+@lru_cache(maxsize=32)
+def _colored_vectors(n, w1, w2, offset, max_order):
     """Color-count vector -> number of partitions with <= max_order boxes.
 
-    Walks the prefix tree of row lengths, whose nodes are exactly the
-    partitions: a child appends row l2 with length at most that of row
-    l2 - 1, and lengthening row l2 to L adds the box of color
-    offset + l2*w2 + (L-1)*w1.  One count vector is updated in place and
-    restored on the way back.  Conjugation swaps w1 and w2, so callers
-    pass them sorted.
+    The row DP graded by size, with the color-count vector coded in base
+    max_order + 1 (no count exceeds the size).  Row colors repeat with
+    the row index mod n / gcd(w2, n).  Conjugation swaps w1 and w2, so
+    callers pass them sorted.
     """
-    counts = [0] * n
-    out = {tuple(counts): 1}
-
-    def grow(l2, cap, room):
-        base = offset + l2 * w2
-        longest = min(cap, room)
-        for length in range(1, longest + 1):
-            counts[(base + (length - 1) * w1) % n] += 1
-            key = tuple(counts)
-            out[key] = out.get(key, 0) + 1
-            if room > length:
-                grow(l2 + 1, length, room - length)
-        for l1 in range(longest):
-            counts[(base + l1 * w1) % n] -= 1
-
-    grow(0, max_order, max_order)
+    period = n // gcd(w2, n)
+    base = max_order + 1
+    sizes = [range(max_order + 1)] * period
+    codes = []
+    for r in range(period):
+        code = [0]
+        for l1 in range(max_order):
+            code.append(code[-1] + base ** ((offset + r * w2 + l1 * w1) % n))
+        codes.append(code)
+    out = {}
+    for level in _row_sums(period, max_order, max_order, sizes, codes):
+        for code, count in level.items():
+            digits = []
+            for _ in range(n):
+                code, digit = divmod(code, base)
+                digits.append(digit)
+            out[tuple(digits)] = count
     return out
 
 
@@ -398,7 +444,48 @@ def colored_series(spec, max_order, vars=None):
     if vars is None:
         vars = tuple(f"q{l}" for l in range(n))
     w1, w2 = sorted((spec.w1, spec.w2))
-    return Series(vars, _colored_counts(n, w1, w2, spec.offset, max_order), max_order)
+    return Series(vars, _colored_vectors(n, w1, w2, spec.offset, max_order), max_order)
+
+
+@lru_cache(maxsize=32)
+def _color_zero_counts(n, w1, w2, max_order):
+    """Numbers of partitions with k <= max_order boxes of color 0, offset 0.
+
+    The row DP graded by color-0 boxes.  Row 0 of length L holds
+    ceil(L / p) of them, p = n / gcd(w1, n), so no row is longer than
+    p * max_order; and every turn of n / gcd(w2, n) rows starts one row
+    at a box of color 0.  Conjugation swaps w1 and w2, so callers pass
+    them sorted.
+    """
+    period = n // gcd(w2, n)
+    caps = n // gcd(w1, n) * max_order
+    zeros = []
+    for r in range(period):
+        count = [0]
+        for l1 in range(caps):
+            count.append(count[-1] + ((r * w2 + l1 * w1) % n == 0))
+        zeros.append(count)
+    levels = _row_sums(period, caps, max_order, zeros, [[0] * (caps + 1)] * period)
+    return tuple(level.get(0, 0) for level in levels)
+
+
+def color_zero_series(spec, max_order):
+    """Partitions counted by their boxes of color 0, exact through q^max_order.
+
+    Equals colored_series with every other color sent to 1, without a
+    bound on the number of boxes.  The coloring must have offset 0: with
+    another offset a coefficient can be infinite.
+
+    >>> color_zero_series(ColoringSpec(7, 1, 1), 1).coeffs
+    {(0,): 1, (1,): 1429}
+    """
+    if max_order < 0:
+        raise InvalidInputError("max_order must be nonnegative")
+    if spec.offset:
+        raise InvalidInputError("color-0 counts need a coloring with offset 0")
+    w1, w2 = sorted((spec.w1, spec.w2))
+    counts = _color_zero_counts(spec.modulus, w1, w2, max_order)
+    return Series(("q",), {(k,): c for k, c in enumerate(counts)}, max_order)
 
 
 def chart_variables(params):
@@ -504,30 +591,35 @@ def balanced_rhs(k, max_order):
         j += 1
 
     # The full-cycle exponent is Q(n) = (n1^2 + n_{k-1}^2 +
-    # sum (n_i - n_{i+1})^2)/2, so any term of total degree <= N has
-    # |n_1| <= isqrt(2N) and steps |n_{i+1} - n_i| <= isqrt(2N).
+    # sum (n_i - n_{i+1})^2)/2, half the squared steps of the walk
+    # 0, n1, ..., n_{k-1}, 0.  The walk is extended one step at a time
+    # and a prefix is dropped once its squared steps exceed 2N.
     theta_terms = {}
-    if k == 1:
-        theta_terms[(0,) * k] = 1
-    else:
-        bound = k * (isqrt(2 * max_order) + 1)
-        from itertools import product as iproduct
+    limit = 2 * max_order
 
-        for n in iproduct(range(-bound, bound + 1), repeat=k - 1):
+    def extend(n, squares):
+        last = n[-1] if n else 0
+        if len(n) == k - 1:
+            if squares + last * last > limit:
+                return
             q_form = sum(x * x for x in n) - sum(n[i] * n[i + 1] for i in range(k - 2))
-            if q_form > max_order:
-                continue
             exps = [q_form] * k
             for r in range(1, k):
                 exps[r] += n[r - 1]
             if sum(exps) > max_order:
-                continue
+                return
             if any(e < 0 for e in exps):
                 raise InternalInconsistencyError(
                     f"negative theta exponent at n={n}: {exps}"
                 )
             key = tuple(exps)
             theta_terms[key] = theta_terms.get(key, 0) + 1
+            return
+        reach = isqrt(limit - squares)
+        for x in range(last - reach, last + reach + 1):
+            extend(n + (x,), squares + (x - last) ** 2)
+
+    extend((), 0)
     return prefactor * Series(vars, theta_terms, max_order)
 
 

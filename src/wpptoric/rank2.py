@@ -26,10 +26,8 @@ from .hilbert import (
 )
 from .inertia import _root, sectors, tch_rank2_closed_form
 from .kgroup import g_power, rank2_typeI_class
-from .partitions import Series, chart_series, color_zero_specialization
-from .sheaf_model import TypeIBundle
-
-STANDARD_POINTS = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(1), Fraction(1)))
+from .partitions import Series, chart_spec, color_zero_series
+from .sheaf_model import STANDARD_POINTS, TypeIBundle
 
 
 @dataclass(frozen=True)
@@ -321,31 +319,28 @@ def h_vb_window(params, spec, c1, lam, depth):
 
 
 def chart_unit_series(params, chart, max_order):
-    """Chart generating function specialized to the color-0 grading."""
-    return color_zero_specialization(chart_series(params, chart, 0, max_order))
+    """Chart generating function in the color-0 grading, exact through q^max_order."""
+    return color_zero_series(chart_spec(params, chart), max_order)
 
 
-def h_full(params, spec, c1, lam, max_order, chart_source_order=None):
+def h_full(params, spec, c1, lam, max_order):
     """Product of the specialized series with the squared chart series.
 
     The chart factors count rank-1 data on the three open charts, in
     the color-0 grading (an interpretation: the product formula holds at
     the level of classes and does not name a specialization).  The
     result is reported on the top max_order exponents of the rank-2
-    factor; `chart_source_order` controls how far the chart colorings
-    are enumerated before specializing (folded colors need extra room).
+    factor, where it is exact.
     Returns (series, floor_exponent).
     """
     vb, floor = h_vb_window(params, spec, c1, lam, max_order)
     if not vb.coeffs:
         return Series(("q",), {}, None), 0
-    if chart_source_order is None:
-        chart_source_order = 4 * max_order + 6
     # vb lives in [floor, floor + max_order], so only correction
     # exponents n <= max_order reach the window
     correction = Series(("q",), {(0,): 1}, max_order)
     for chart in (1, 2, 3):
-        g = chart_unit_series(params, chart, chart_source_order).truncate(max_order)
+        g = chart_unit_series(params, chart, max_order)
         correction = correction * g * g
     out = {}
     for (e,), coeff in vb.coeffs.items():

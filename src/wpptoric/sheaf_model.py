@@ -71,6 +71,11 @@ def normalize_point(point):
     raise InvalidInputError("a point of the projective line cannot be (0, 0)")
 
 
+# (1:0), (0:1), (1:1), normalized; TypeIBundle keeps them as they are
+_ONE, _ZERO = Fraction(1), Fraction(0)
+STANDARD_POINTS = ((_ONE, _ZERO), (_ZERO, _ONE), (_ONE, _ONE))
+
+
 @dataclass(frozen=True)
 class Rank1Sheaf:
     """Reflexive hull label (A, B, C) and one cokernel partition per chart."""
@@ -93,15 +98,17 @@ class TypeIBundle:
     D1: int
     D2: int
     D3: int
-    p1: tuple = (Fraction(1), Fraction(0))
-    p2: tuple = (Fraction(0), Fraction(1))
-    p3: tuple = (Fraction(1), Fraction(1))
+    p1: tuple = STANDARD_POINTS[0]
+    p2: tuple = STANDARD_POINTS[1]
+    p3: tuple = STANDARD_POINTS[2]
 
     def __post_init__(self):
         if min(self.D1, self.D2, self.D3) < 0:
             raise InvalidInputError("widths must be nonnegative")
-        for name in ("p1", "p2", "p3"):
-            object.__setattr__(self, name, normalize_point(getattr(self, name)))
+        for name, standard in zip(("p1", "p2", "p3"), STANDARD_POINTS):
+            point = getattr(self, name)
+            if point is not standard:
+                object.__setattr__(self, name, normalize_point(point))
 
     def validate(self, params):
         if self.D1 % params.b or self.D2 % params.c or self.D3 % params.a:

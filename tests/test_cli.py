@@ -93,6 +93,33 @@ def test_hseries(capsys):
     assert [r for r in records if r["record"] == "check"][0]["ok"] is True
 
 
+def _h_full_terms(records):
+    return {r["monomial"].get("q", 0): r["coeff"]
+            for r in records if r["record"] == "term" and r["series"] == "h_full"}
+
+
+@pytest.mark.parametrize("argv, exponent, coeff", [
+    # chart 3 of P(1,3,4) has a partition with 5 boxes of color 0 and more
+    # than 26 boxes in all, so a 4 order + 6 box cut printed 2180548 here
+    (["--abc", "1", "3", "4", "--E", "12", "--c1", "0", "--max", "10", "--order", "5",
+      "--check"], 87, 2180550),
+    (["--abc", "1", "1", "7", "--E", "7", "--c1", "-1", "--max", "14", "--order", "3"],
+     39, 54218328),
+])
+def test_hseries_exact_chart_factors(capsys, argv, exponent, coeff):
+    code, records, _ = run(capsys, "hseries", *argv)
+    assert code == 0
+    assert _h_full_terms(records)[exponent] == coeff
+
+
+def test_hseries_high_order_is_fast(capsys):
+    start = time.perf_counter()
+    code, records, _ = run(capsys, "hseries", "--abc", "1", "1", "2", "--E", "2", "--c1", "0",
+                           "--max", "10", "--order", "13")
+    assert time.perf_counter() - start < 5
+    assert code == 0 and _h_full_terms(records)
+
+
 def test_kclass_rank1_with_check(capsys):
     code, records, _ = run(
         capsys, "kclass", "--abc", "1", "1", "2", "--ABC", "0", "0", "0",

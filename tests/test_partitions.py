@@ -10,12 +10,15 @@ from wpptoric.partitions import (
     ColoringSpec,
     Partition,
     Series,
+    _color_zero_counts,
+    _colored_vectors,
     balanced_rhs,
     balanced_spec,
     chart_series,
     chart_spec,
     chart_variables,
     color_count,
+    color_zero_series,
     color_zero_specialization,
     colored_series,
     enumerate_partitions,
@@ -166,12 +169,12 @@ def test_balanced_rhs_degenerate_k1():
     assert balanced_rhs(1, 6).coeffs == eta_inv_pow(1, 6).coeffs
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
 def test_balanced_identity(k):
-    order = 8
-    brute = colored_series(balanced_spec(k), order)
-    rhs = balanced_rhs(k, order)
-    assert brute == rhs
+    for order in range(9):
+        brute = colored_series(balanced_spec(k), order)
+        rhs = balanced_rhs(k, order)
+        assert brute == rhs, order
 
 
 def test_balanced_k2_q0q1_coefficient():
@@ -306,3 +309,14 @@ def test_colored_series_cache_is_not_aliased():
 def test_colored_series_rejects_negative_order():
     with pytest.raises(InvalidInputError):
         colored_series(ColoringSpec(2, 1, 1), -1)
+
+
+def test_row_dp_caches_are_bounded():
+    _color_zero_counts.cache_clear()
+    _colored_vectors.cache_clear()
+    for order in range(1, 41):
+        color_zero_series(ColoringSpec(4, 1, 3), order)
+        colored_series(ColoringSpec(2, 1, 1), order)
+    for cached in (_color_zero_counts, _colored_vectors):
+        info = cached.cache_info()
+        assert info.maxsize is not None and 0 < info.currsize <= info.maxsize < 40

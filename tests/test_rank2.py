@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -11,7 +12,16 @@ from wpptoric.hilbert import (
 )
 from wpptoric.inertia import sectors
 from wpptoric.kgroup import WppParams, g_power, rank2_typeI_class
-from wpptoric.partitions import Series, eta_inv_pow
+from wpptoric.partitions import (
+    ColoringSpec,
+    Series,
+    balanced_rhs,
+    balanced_spec,
+    chart_spec,
+    color_zero_series,
+    color_zero_specialization,
+    eta_inv_pow,
+)
 from wpptoric.rank2 import (
     STANDARD_POINTS,
     StableTriple,
@@ -269,15 +279,45 @@ def test_integer_slope_test_matches_fraction_slopes(weights):
     assert seen == {True, False}
 
 
+def color_zero_walk(spec, max_zeros):
+    """(counts, largest) over the partitions with <= max_zeros boxes of color 0.
+
+    counts[k] is the number with k boxes of color 0, and largest the
+    most boxes any of them has.  Walks the prefix tree of rows box by box
+    and drops a branch at its (max_zeros + 1)-th box of color 0.  With
+    offset 0 the walk ends: adding boxes never removes one of color 0,
+    row 0 has one in every period of its colors, and every n-th row
+    starts with one.
+    """
+    counts = [1] + [0] * max_zeros
+    largest = 0
+
+    def grow(l2, cap, zeros, size):
+        nonlocal largest
+        length = 0
+        while length < cap:
+            if spec.color(length, l2) == 0:
+                zeros += 1
+                if zeros > max_zeros:
+                    return
+            length += 1
+            counts[zeros] += 1
+            largest = max(largest, size + length)
+            grow(l2 + 1, length, zeros, size + length)
+
+    grow(0, float("inf"), 0, 0)
+    return counts, largest
+
+
 def _h_full_untruncated(params, spec, c1, lam, max_order):
-    """h_full with the chart correction multiplied out in full."""
+    """h_full with walked chart factors and the correction multiplied out in full."""
     vb, floor = h_vb_window(params, spec, c1, lam, max_order)
     if not vb.coeffs:
         return Series(("q",), {}, None), 0
     correction = Series(("q",), {(0,): 1}, None)
     for chart in (1, 2, 3):
-        g = chart_unit_series(params, chart, 4 * max_order + 6)
-        g = Series(("q",), dict(g.coeffs), None)
+        counts, _ = color_zero_walk(chart_spec(params, chart), max_order)
+        g = Series(("q",), {(k,): c for k, c in enumerate(counts)}, None)
         correction = correction * g * g
     out = {}
     for (e,), coeff in vb.coeffs.items():
@@ -285,6 +325,52 @@ def _h_full_untruncated(params, spec, c1, lam, max_order):
             if e - n >= floor:
                 out[(e - n,)] = out.get((e - n,), 0) + coeff * mult
     return Series(("q",), out, None), floor
+
+
+CHART_COLORINGS = sorted({
+    (s.modulus, s.w1, s.w2)
+    for weights in combinations_with_replacement(range(1, 5), 3)
+    for s in (chart_spec(WppParams(*weights), chart) for chart in (1, 2, 3))
+})
+
+
+@pytest.mark.parametrize("n, w1, w2", CHART_COLORINGS)
+def test_color_zero_series_matches_walk_on_charts(n, w1, w2):
+    spec = ColoringSpec(n, w1, w2)
+    counts, _ = color_zero_walk(spec, 5)
+    for order in range(6):
+        series = color_zero_series(spec, order)
+        assert series.coeffs == {(k,): c for k, c in enumerate(counts[:order + 1])}
+        assert series.truncation == order
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_color_zero_series_matches_walk_on_steps_11(n):
+    spec = ColoringSpec(n, 1, 1)
+    counts, _ = color_zero_walk(spec, 2)
+    assert color_zero_series(spec, 2).coeffs == {(k,): c for k, c in enumerate(counts)}
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_color_zero_series_matches_balanced_rhs(k):
+    # every partition with <= 3 boxes of color 0 has at most `largest`
+    # boxes, so the total-degree cut of the closed form loses none of them
+    order = 3
+    _, largest = color_zero_walk(balanced_spec(k), order)
+    folded = color_zero_specialization(balanced_rhs(k, largest))
+    expected = {(e,): folded.coefficient((e,)) for e in range(order + 1)}
+    assert color_zero_series(balanced_spec(k), order).coeffs == expected
+
+
+def test_color_zero_series_known_values():
+    # the mod-4 colorings of chart 3 of P(1,3,4) and chart 1 of P(4,1,1)
+    assert color_zero_series(ColoringSpec(4, 1, 3), 5).coefficient((5,)) == 2160
+    assert color_zero_series(ColoringSpec(4, 1, 1), 7).coefficient((7,)) == 17283
+
+
+def test_color_zero_series_rejects_offset():
+    with pytest.raises(InvalidInputError):
+        color_zero_series(ColoringSpec(2, 1, 1, 1), 3)
 
 
 # (weights, E, c1, lambda, order) of the hseries requests of the benchmark's

@@ -12,6 +12,7 @@ from wpptoric.kgroup import (
 )
 from wpptoric.partitions import Partition, partitions_of_size
 from wpptoric.sheaf_model import (
+    STANDARD_POINTS,
     Rank1Sheaf,
     TypeIBundle,
     Window,
@@ -48,6 +49,18 @@ def test_normalize_point():
     assert normalize_point((0, -3)) == (0, 1)
     with pytest.raises(InvalidInputError):
         normalize_point((0, 0))
+
+
+def test_type_i_points_normalized_once():
+    default = TypeIBundle(0, 0, 0, 1, 1, 1)
+    assert all(p is q for p, q in zip((default.p1, default.p2, default.p3), STANDARD_POINTS))
+    assert STANDARD_POINTS == ((1, 0), (0, 1), (1, 1))
+    # a point given in another form is still normalized, and (0, 0) refused
+    datum = TypeIBundle(0, 0, 0, 1, 1, 1, (2, 4), (0, -3), (Fraction(1, 2), 1))
+    assert (datum.p1, datum.p2, datum.p3) == ((1, 2), (0, 1), (1, 2))
+    for points in (((0, 0), PT2, PT3), (PT1, PT2, (0, 0))):
+        with pytest.raises(InvalidInputError):
+            TypeIBundle(0, 0, 0, 1, 1, 1, *points)
 
 
 def test_window_policy():
