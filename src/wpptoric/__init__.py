@@ -6,4 +6,4 @@ paired with an independent brute-force oracle, and the test suite
 enforces their agreement.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -35,7 +35,7 @@ from .hilbert import (
     hilb_top_E,
     rank2_constant_term,
 )
-from .inertia import sectors, tch_of_kclass
+from .inertia import tch_of_kclass
 from .kgroup import WppParams, line_bundle_class, rank1_class, rank2_typeI_class
 from .partitions import (
     Partition,

@@ -2,14 +2,18 @@
 
 Rational scalars are ``fractions.Fraction`` (arbitrary precision, stored
 in lowest terms with positive denominator).  A cyclotomic number of
-order n lives in Q(zeta_n) = Q[x]/(Phi_n) and is stored by its phi(n)
-power-basis coordinates.  Working modulo the cyclotomic polynomial
-Phi_n, rather than modulo x^n - 1, keeps the ring a field, so every
-nonzero element is invertible.
+order n lives in Q(zeta_n) = Q[x]/(Phi_n) and is stored as phi(n)
+integer power-basis numerators over one positive denominator, with no
+common factor left among them, so each value of a given order has one
+representation.  Phi_n is monic with integer coefficients, so reducing
+modulo Phi_n needs no division and integer numerators stay integers.
 
+The library needs only the ring operations (+, -, *), equality and the
+embedding between orders; field division lives with the tests' oracles.
 Mixed-order operations embed both operands into Q(zeta_lcm) via
-zeta_n -> zeta_N^(N/n).  Results are not demoted to smaller orders;
-`as_rational` is the only change of representation offered.
+zeta_n -> zeta_N^(N/n); a rational operand is a constant in every
+order and is never embedded.  Results are not demoted to smaller
+orders; `as_rational` is the only change of representation offered.
 """
 
 from fractions import Fraction
@@ -31,18 +35,6 @@ def poly_trim(p):
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    return poly_trim([
-        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-        for i in range(n)
-    ])
-
-
-def poly_sub(p, q):
-    return poly_add(p, [-c for c in q])
 
 
 def poly_mul(p, q):
@@ -80,24 +72,6 @@ def poly_mod(p, q):
     return poly_divmod(p, q)[1]
 
 
-def poly_ext_gcd(p, q):
-    """Extended Euclid in Q[x]: returns (g, s, t) with s*p + t*q = g."""
-    r0, r1 = poly_trim([Fraction(c) for c in p]), poly_trim([Fraction(c) for c in q])
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        quo, rem = poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, poly_sub(s0, poly_mul(quo, s1))
-        t0, t1 = t1, poly_sub(t0, poly_mul(quo, t1))
-    if r0:
-        inv = 1 / r0[-1]  # normalise gcd to be monic
-        r0 = [c * inv for c in r0]
-        s0 = [c * inv for c in s0]
-        t0 = [c * inv for c in t0]
-    return r0, s0, t0
-
-
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials and Euler's totient
 # ---------------------------------------------------------------------------
@@ -116,12 +90,26 @@ def euler_phi(n):
     return result
 
 
-@lru_cache(maxsize=None)
+def _squarefree_sign(k):
+    """The Moebius function: (-1)^(number of primes) for squarefree k, else 0."""
+    sign, p = 1, 2
+    while p * p <= k:
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if k > 1 else sign
+
+
+@lru_cache(maxsize=256)
 def cyclotomic_poly(n):
     """The n-th cyclotomic polynomial Phi_n as an integer coefficient tuple.
 
-    Computed by dividing x^n - 1 by the product of Phi_d over the proper
-    divisors d of n.
+    Phi_n is the product of (x^d - 1)^mu(n/d) over the divisors d of n:
+    the factors with mu = 1 are multiplied out first, then each factor
+    with mu = -1 is divided out exactly, in integers.
 
     >>> cyclotomic_poly(1)
     (-1, 1)
@@ -130,51 +118,130 @@ def cyclotomic_poly(n):
     """
     if n < 1:
         raise InvalidInputError("cyclotomic order must be positive")
-    xn_minus_1 = [-1] + [0] * (n - 1) + [1]
-    divisor = [1]
-    for d in range(1, n):
-        if n % d == 0:
-            divisor = poly_mul(divisor, list(cyclotomic_poly(d)))
-    quo, rem = poly_divmod(xn_minus_1, divisor)
-    assert not rem
-    return tuple(int(c) for c in quo)
+    signs = [(d, _squarefree_sign(n // d)) for d in range(1, n + 1) if n % d == 0]
+    out = [1]
+    for d, sign in signs:
+        if sign == 1:  # times x^d - 1
+            out = [(out[i - d] if i >= d else 0) - (out[i] if i < len(out) else 0)
+                   for i in range(len(out) + d)]
+    for d, sign in signs:
+        if sign == -1:  # the exact quotient q of p = q (x^d - 1): p_i = q_(i-d) - q_i
+            quo = []
+            for i in range(len(out) - d):
+                quo.append((quo[i - d] if i >= d else 0) - out[i])
+            out = quo
+    return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
+def _reducer(n):
+    """(phi(n), tail) with x^phi(n) = sum of c x^j over (j, c) in tail, mod Phi_n."""
+    phi_n = cyclotomic_poly(n)
+    return len(phi_n) - 1, tuple((j, -c) for j, c in enumerate(phi_n[:-1]) if c)
+
+
+def _reduce(n, nums):
+    """The phi(n) integer coordinates of sum nums[i] x^i modulo Phi_n.
+
+    Phi_n is monic, so each coefficient above degree phi(n) - 1 is pushed
+    down through the tail of Phi_n without any division.
+    """
+    phi, tail = _reducer(n)
+    rem = list(nums)
+    if len(rem) <= phi:
+        rem.extend([0] * (phi - len(rem)))
+        return rem
+    for i in range(len(rem) - 1, phi - 1, -1):
+        c = rem[i]
+        if c:
+            base = i - phi
+            for j, t in tail:
+                rem[base + j] += c * t
+    del rem[phi:]
+    return rem
+
+
+@lru_cache(maxsize=1024)
 def _zeta_power_basis(n, e):
-    """Coordinates of zeta_n^e in the power basis of Q(zeta_n)."""
+    """Integer coordinates of zeta_n^e in the power basis of Q(zeta_n)."""
     e %= n
-    phi = euler_phi(n)
-    if e < phi:
-        coords = [Fraction(0)] * phi
-        coords[e] = Fraction(1)
-        return tuple(coords)
-    rem = poly_mod([0] * e + [1], list(cyclotomic_poly(n)))
-    return tuple(rem[i] if i < len(rem) else Fraction(0) for i in range(phi))
+    return tuple(_reduce(n, [0] * e + [1]))
 
 
 # ---------------------------------------------------------------------------
 # cyclotomic numbers
 # ---------------------------------------------------------------------------
 
-class Cyclotomic:
-    """An element of Q(zeta_n) in power-basis coordinates modulo Phi_n."""
+def _lowest(nums, den):
+    """Integer numerators over den > 0, divided by their common factor."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return tuple(nums), den
+    return tuple(x // g for x in nums), den // g
 
-    __slots__ = ("order", "coeffs")
+
+def _canonical(order, nums, den):
+    """A Cyclotomic from phi(order) integer numerators over den > 0."""
+    out = object.__new__(Cyclotomic)
+    out.order = order
+    out.nums, out.den = _lowest(nums, den)
+    return out
+
+
+def _rational(q):
+    """The rational q as a Cyclotomic of order 1."""
+    return _canonical(1, [q.numerator], q.denominator)
+
+
+def _operand(other):
+    """A Cyclotomic for a Cyclotomic or rational operand, None for anything else."""
+    if isinstance(other, Cyclotomic):
+        return other
+    if isinstance(other, (int, Fraction)):
+        return _rational(other)
+    return None
+
+
+def _lift(c, N):
+    """The numerators of c at order N, for c.order | N."""
+    n = c.order
+    if n == N:
+        return c.nums
+    step = N // n
+    spread = [0] * ((len(c.nums) - 1) * step + 1)
+    spread[::step] = c.nums
+    return _reduce(N, spread)
+
+
+class Cyclotomic:
+    """An element of Q(zeta_n): integer power-basis numerators over one denominator.
+
+    `nums` holds phi(n) integers and `den` a positive integer with
+    gcd(den, *nums) = 1; the value is sum nums[i] zeta_n^i / den.
+    """
+
+    __slots__ = ("order", "nums", "den")
 
     def __init__(self, order, coeffs):
-        phi = euler_phi(order)
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) > phi:
-            rem = poly_mod(coeffs, list(cyclotomic_poly(order)))
-            coeffs = list(rem)
-        coeffs += [Fraction(0)] * (phi - len(coeffs))
+        coeffs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
+        den = lcm(1, *(c.denominator for c in coeffs))
+        nums = _reduce(order, [c.numerator * (den // c.denominator) for c in coeffs])
         self.order = order
-        self.coeffs = tuple(coeffs)
+        self.nums, self.den = _lowest(nums, den)
 
     @staticmethod
     def from_rational(q):
-        return Cyclotomic(1, [Fraction(q)])
+        return _rational(Fraction(q))
+
+    @staticmethod
+    def from_integers(order, nums, den=1):
+        """sum nums[i] zeta_order^i / den, for integers nums of any length and den > 0."""
+        return _canonical(order, _reduce(order, nums), den)
+
+    @property
+    def coeffs(self):
+        """The power-basis coordinates as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def embed(self, target_order):
         """Image in Q(zeta_N) for order | N, via zeta_n -> zeta_N^(N/n)."""
@@ -183,81 +250,68 @@ class Cyclotomic:
             raise InvalidInputError(f"order {n} does not divide {N}")
         if N == n:
             return self
-        step = N // n
-        phi = euler_phi(N)
-        out = [Fraction(0)] * phi
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            for i, b in enumerate(_zeta_power_basis(N, k * step)):
-                out[i] += c * b
-        return Cyclotomic(N, out)
+        return _canonical(N, _lift(self, N), self.den)
 
     def _pair(self, other):
-        if not isinstance(other, Cyclotomic):
-            other = Cyclotomic.from_rational(other)
-        n = lcm(self.order, other.order)
-        return self.embed(n), other.embed(n), n
+        """(order, numerators of self, numerators of other) at a common order."""
+        n, m = self.order, other.order
+        if n == m:
+            return n, self.nums, other.nums
+        N = lcm(n, m)
+        return N, _lift(self, N), _lift(other, N)
 
     def __add__(self, other):
-        a, b, n = self._pair(other)
-        return Cyclotomic(n, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        n, a, b = self._pair(other)
+        da, db = self.den, other.den
+        if da == db:
+            return _canonical(n, [x + y for x, y in zip(a, b)], da)
+        return _canonical(n, [x * db + y * da for x, y in zip(a, b)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, [-c for c in self.coeffs])
+        return _canonical(self.order, [-x for x in self.nums], self.den)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Cyclotomic) else Cyclotomic.from_rational(-Fraction(other)))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        a, b, n = self._pair(other)
-        prod = poly_mul(list(a.coeffs), list(b.coeffs))
-        return Cyclotomic(n, prod)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        if other.order == 1 or self.order == 1:
+            scalar, vector = (other, self) if other.order == 1 else (self, other)
+            s = scalar.nums[0]
+            return _canonical(vector.order, [x * s for x in vector.nums],
+                              scalar.den * vector.den)
+        n, a, b = self._pair(other)
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        return _canonical(n, _reduce(n, prod), self.den * other.den)
 
     __rmul__ = __mul__
 
-    def inverse(self):
-        """Multiplicative inverse, via extended Euclid against Phi_n."""
-        if self.is_zero():
-            raise InvalidInputError("division by zero in a cyclotomic field")
-        g, s, _ = poly_ext_gcd(list(self.coeffs), list(cyclotomic_poly(self.order)))
-        # Phi_n is irreducible over Q, so the gcd with a nonzero residue is 1.
-        assert g == [Fraction(1)]
-        return Cyclotomic(self.order, s)
-
-    def __truediv__(self, other):
-        if not isinstance(other, Cyclotomic):
-            other = Cyclotomic.from_rational(other)
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return Cyclotomic.from_rational(other) / self
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = Cyclotomic(1, [1])
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def __eq__(self, other):
-        if not isinstance(other, (Cyclotomic, int, Fraction)):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        a, b, _ = self._pair(other)
-        return a.coeffs == b.coeffs
+        if self.order == other.order:
+            return self.nums == other.nums and self.den == other.den
+        _, a, b = self._pair(other)
+        da, db = self.den, other.den
+        return all(x * db == y * da for x, y in zip(a, b))
 
     __hash__ = None  # cross-order equality makes a consistent hash awkward
 
@@ -278,7 +332,7 @@ def zeta_pow(n, k):
     """
     if n < 1:
         raise InvalidInputError("order must be positive")
-    return Cyclotomic(n, _zeta_power_basis(n, k % n))
+    return _canonical(n, _zeta_power_basis(n, k % n), 1)
 
 
 def as_rational(a):
@@ -289,6 +343,6 @@ def as_rational(a):
     """
     if isinstance(a, (int, Fraction)):
         return Fraction(a)
-    if all(c == 0 for c in a.coeffs[1:]):
-        return a.coeffs[0]
-    return None
+    if any(a.nums[1:]):
+        return None
+    return Fraction(a.nums[0], a.den)

@@ -12,14 +12,17 @@ isomorphism, so exact coefficientwise comparison of the images is a
 complete equality test.
 
 The coefficients on the sector f = p/n live in Q(zeta_n), and they are
-stored there, at order n = f.denominator; only `ChernVector.to_records`
-writes them in the order-lcm(a,b,c) field, so that every sector's
-record uses one basis.
+stored there, at order n = f.denominator, and written there by
+`ChernVector.to_records`: each record names its order.  The character
+of a K-class is folded in integers, over the common denominator of its
+coefficients, and divided by k! once, as the denominator of the
+degree-k coefficient.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import factorial, lcm
 
 from .errors import InvalidInputError
 from .exact_arith import Cyclotomic, zeta_pow
@@ -33,6 +36,13 @@ class Sector:
     kind: str  # "2dim" | "1dim" | "0dim"
     which: tuple  # () | (i, j) with i < j | (i,)
 
+    def __post_init__(self):
+        # sectors key every ChernVector; hashing the Fraction f each time is costly
+        object.__setattr__(self, "_hash", hash((self.f, self.kind, self.which)))
+
+    def __hash__(self):
+        return self._hash
+
     @property
     def dim(self):
         return 2 - KIND_RANK[self.kind]
@@ -41,6 +51,7 @@ class Sector:
         return (self.f, KIND_RANK[self.kind], self.which)
 
 
+@lru_cache(maxsize=128)
 def sectors(params):
     """Canonically ordered sectors of the inertia stack.
 
@@ -80,10 +91,7 @@ def _at_order(value, n):
         return Cyclotomic(n, [value])
     if value.order == n:
         return value
-    if n % value.order:
-        raise InvalidInputError(f"order {value.order} does not divide {n}")
-    # the sum lives at order lcm(value.order, n) = n
-    return value + Cyclotomic(n, [])
+    return value.embed(n)
 
 
 class ChernVector:
@@ -129,12 +137,11 @@ class ChernVector:
     __hash__ = None
 
     def to_records(self):
-        """JSON-ready records, every coefficient in the order-lcm(a,b,c) field."""
-        m = self.params.m
+        """JSON-ready records, every coefficient at its sector's order f.denominator."""
         records = []
         for sector in self.sector_list():
             coeffs = [
-                [m, [[x.numerator, x.denominator] for x in c.embed(m).coeffs]]
+                [c.order, [[x.numerator, x.denominator] for x in c.coeffs]]
                 for c in self.entries[sector]
             ]
             records.append({
@@ -155,20 +162,31 @@ def tch_of_kclass(kclass):
 
     On the sector f = p/n, g maps to w e^(-x) with w = zeta_n^(-p),
     truncated at the sector dimension, so the degree-k coefficient of
-    sum_e c_e g^e is (1/k!) sum_e c_e (-e)^k w^e: a vector of rationals
-    indexed by e mod n, folded into one element of Q(zeta_n).
+    sum_e c_e g^e is (1/k!) sum_e c_e (-e)^k w^e.  With L the common
+    denominator of the c_e, the integers L c_e (-e)^k are summed by
+    e mod n, the sums are placed at the exponents -p e mod n and reduced
+    modulo Phi_n, and L k! becomes the denominator.
     """
     params = kclass.params
+    den = lcm(*(c.denominator for c in kclass.coeffs))
+    terms = [(e, c.numerator * (den // c.denominator))
+             for e, c in enumerate(kclass.coeffs) if c]
+    moments = {}  # (n, k) -> sums of c_e (-e)^k over the residues e mod n
     entries = {}
     for sector in sectors(params):
         n, p = sector.f.denominator, sector.f.numerator
         entry = []
         for k in range(sector.dim + 1):
-            folded = [Fraction(0)] * n
-            for e, coeff in enumerate(kclass.coeffs):
-                if coeff:
-                    folded[-p * e % n] += coeff * (-e) ** k
-            entry.append(Cyclotomic(n, [x / factorial(k) for x in folded]))
+            sums = moments.get((n, k))
+            if sums is None:
+                sums = [0] * n
+                for e, c in terms:
+                    sums[e % n] += c * (-e) ** k
+                moments[(n, k)] = sums
+            folded = [0] * n
+            for s, x in enumerate(sums):
+                folded[-p * s % n] = x
+            entry.append(Cyclotomic.from_integers(n, folded, den * factorial(k)))
         entries[sector] = entry
     return ChernVector(params, entries)
 

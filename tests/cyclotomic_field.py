@@ -1,0 +1,60 @@
+"""Field division in Q(zeta_n), for the oracles of the tests.
+
+The library's `Cyclotomic` offers only the ring operations.  The
+references that need a quotient (the cyclotomic `psi_E` and `hilb_top`
+oracles) invert here, by extended Euclid against Phi_n in Q[x].
+"""
+
+from fractions import Fraction
+
+from wpptoric.errors import InvalidInputError
+from wpptoric.exact_arith import Cyclotomic, cyclotomic_poly, poly_divmod, poly_mul, poly_trim
+
+
+def _poly_sub(p, q):
+    n = max(len(p), len(q))
+    p, q = list(p) + [0] * (n - len(p)), list(q) + [0] * (n - len(q))
+    return poly_trim([x - y for x, y in zip(p, q)])
+
+
+def poly_ext_gcd(p, q):
+    """Extended Euclid in Q[x]: returns (g, s, t) with s*p + t*q = g, g monic."""
+    r0, r1 = poly_trim([Fraction(c) for c in p]), poly_trim([Fraction(c) for c in q])
+    s0, s1 = [Fraction(1)], []
+    t0, t1 = [], [Fraction(1)]
+    while r1:
+        quo, rem = poly_divmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _poly_sub(s0, poly_mul(quo, s1))
+        t0, t1 = t1, _poly_sub(t0, poly_mul(quo, t1))
+    if r0:
+        inv = 1 / r0[-1]
+        r0 = [c * inv for c in r0]
+        s0 = [c * inv for c in s0]
+        t0 = [c * inv for c in t0]
+    return r0, s0, t0
+
+
+def inverse(a):
+    """Multiplicative inverse of a nonzero Cyclotomic (or rational)."""
+    if not isinstance(a, Cyclotomic):
+        a = Cyclotomic.from_rational(a)
+    if a.is_zero():
+        raise InvalidInputError("division by zero in a cyclotomic field")
+    g, s, _ = poly_ext_gcd(a.coeffs, cyclotomic_poly(a.order))
+    # Phi_n is irreducible over Q, so the gcd with a nonzero residue is 1.
+    assert g == [Fraction(1)]
+    return Cyclotomic(a.order, s)
+
+
+def power(a, e):
+    """a**e by repeated squaring; a negative e inverts first."""
+    if e < 0:
+        return power(inverse(a), -e)
+    result = Cyclotomic.from_rational(1)
+    while e:
+        if e & 1:
+            result = result * a
+        a = a * a
+        e >>= 1
+    return result

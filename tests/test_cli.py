@@ -1,11 +1,15 @@
 import json
 import time
+from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
+import wpptoric
 from wpptoric import cli
 from wpptoric.cli import main
+from wpptoric.exact_arith import euler_phi
 
 
 def run(capsys, *argv):
@@ -138,6 +142,34 @@ def test_kclass_rank2_with_check(capsys):
     )
     assert code == 0
     assert [r for r in records if r["record"] == "check"][0]["ok"] is True
+
+
+def test_kclass_large_coprime_weights_are_fast(capsys):
+    # every entry was once written in the order-lcm field: phi(33263) = 30240
+    # coordinates per coefficient, 21 s and 268 MB
+    start = time.perf_counter()
+    code, records, _ = run(capsys, "kclass", "--abc", "29", "31", "37", "--ABC", "0", "0", "0",
+                           "--check")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert [r for r in records if r["record"] == "check"][0]["ok"] is True
+
+
+def test_kclass_chern_records_at_sector_order(capsys):
+    code, records, _ = run(capsys, "kclass", "--abc", "5", "7", "9", "--ABC", "0", "0", "0")
+    assert code == 0
+    assert records[0]["version"] == wpptoric.__version__
+    chern = [r for r in records if r["record"] == "chern"]
+    assert {Fraction(*r["f"]).denominator for r in chern} == {1, 3, 5, 7, 9}
+    for r in chern:
+        n = r["f"][1]
+        assert all(order == n and len(coords) == euler_phi(n) for order, coords in r["coeffs"])
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    with (Path(__file__).resolve().parents[1] / "pyproject.toml").open("rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == wpptoric.__version__
 
 
 def test_glue_demos(capsys):

@@ -1,16 +1,21 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclotomic_field import inverse, power
 from wpptoric.errors import InvalidInputError
 from wpptoric.exact_arith import (
     Cyclotomic,
+    _reducer,
+    _zeta_power_basis,
     as_rational,
     cyclotomic_poly,
     euler_phi,
     poly_divmod,
+    poly_mod,
     poly_mul,
     zeta_pow,
 )
@@ -49,15 +54,15 @@ def test_zeta_pow_basics():
 
 def test_root_of_unity_products():
     assert zeta_pow(3, 1) * zeta_pow(3, 2) == 1
-    assert zeta_pow(5, 3) ** 5 == 1
+    assert power(zeta_pow(5, 3), 5) == 1
     assert zeta_pow(12, 7) == zeta_pow(12, 19)
 
 
 def test_inverse_examples():
-    assert Cyclotomic.from_rational(-1).inverse() == -1
+    assert inverse(Cyclotomic.from_rational(-1)) == -1
     # 1/(1 - zeta_3) = (2 + zeta_3)/3, by extended Euclid on x^2+x+1
     z3 = zeta_pow(3, 1)
-    inv = (1 - z3 + 0 * z3).inverse()
+    inv = inverse(1 - z3 + 0 * z3)
     assert inv == (2 + z3) * Fraction(1, 3)
     assert inv * (1 + (-1) * z3) == 1
 
@@ -79,7 +84,7 @@ def test_as_rational():
 
 def test_division_by_zero_is_invalid_input():
     with pytest.raises(InvalidInputError):
-        Cyclotomic(3, [0]).inverse()
+        inverse(Cyclotomic(3, [0]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 9, 12, 15, 16, 20, 24])
@@ -111,7 +116,7 @@ def cyclotomic_elements(draw):
 def test_inverse_roundtrip(a):
     if a.is_zero():
         return
-    assert a * a.inverse() == 1
+    assert a * inverse(a) == 1
 
 
 @given(cyclotomic_elements(), cyclotomic_elements(), cyclotomic_elements())
@@ -131,3 +136,52 @@ def test_poly_divmod_exactness():
     recomposed = recomposed + [Fraction(0)] * (len(p) - len(recomposed))
     for i, c in enumerate(p):
         assert recomposed[i] + (rem[i] if i < len(rem) else 0) == c
+
+
+def test_integer_numerators_are_canonical():
+    a = Cyclotomic(3, [Fraction(2, 4), Fraction(-3, 6)])
+    assert (a.nums, a.den) == ((1, -1), 2)
+    # 2 x^2 = -2 - 2x modulo x^2 + x + 1
+    b = Cyclotomic(3, [0, 0, 2])
+    assert (b.nums, b.den) == ((-2, -2), 1)
+    zero = Cyclotomic(4, [Fraction(1, 3), 0, Fraction(1, 3)])  # (1 + x^2)/3 = 0
+    assert (zero.nums, zero.den) == ((0, 0), 1)
+    root = Cyclotomic.from_integers(6, [3, 3, 3], 6)  # (1 + x + x^2)/2 = x
+    assert (root.nums, root.den) == ((0, 1), 1)
+
+
+@given(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 18, 24, 30]),
+       st.lists(st.fractions(min_value=-7, max_value=7, max_denominator=9), max_size=70))
+@settings(max_examples=150, deadline=None)
+def test_division_free_reduction_matches_poly_mod(n, coords):
+    value = Cyclotomic(n, coords)
+    expected = poly_mod(coords, list(cyclotomic_poly(n)))
+    expected += [Fraction(0)] * (euler_phi(n) - len(expected))
+    assert value.coeffs == tuple(expected)
+    assert value.den > 0 and gcd(value.den, *value.nums) == 1
+
+
+@given(cyclotomic_elements(), st.sampled_from([1, 2, 3, 4, 5, 6]))
+@settings(max_examples=100, deadline=None)
+def test_embed_is_a_sum_of_roots(a, k):
+    target = a.order * k
+    expected = Cyclotomic(target, [])
+    for i, c in enumerate(a.coeffs):
+        expected = expected + c * zeta_pow(target, i * k)
+    embedded = a.embed(target)
+    assert embedded.order == target
+    assert (embedded.nums, embedded.den) == (expected.nums, expected.den)
+    assert embedded == a
+
+
+@pytest.mark.parametrize("cached, calls", [
+    (cyclotomic_poly, [(n,) for n in range(1, 400)]),
+    (_reducer, [(n,) for n in range(1, 400)]),
+    (_zeta_power_basis, [(n, e) for n in range(1, 80) for e in range(n)]),
+], ids=["cyclotomic_poly", "reducer", "zeta_power_basis"])
+def test_cyclotomic_caches_are_bounded(cached, calls):
+    cached.cache_clear()
+    for args in calls:
+        cached(*args)
+    info = cached.cache_info()
+    assert info.maxsize is not None and 0 < info.currsize <= info.maxsize < len(calls)

@@ -6,6 +6,7 @@ from math import gcd, lcm
 
 import pytest
 
+from cyclotomic_field import inverse
 from wpptoric.errors import InvalidInputError
 from wpptoric.exact_arith import Cyclotomic, as_rational, zeta_pow
 from wpptoric.hilbert import (
@@ -53,7 +54,7 @@ def _phi_E_at_root(E, n, k):
 @lru_cache(maxsize=None)
 def _inv_one_minus_root(n, k):
     """1/(1 - zeta_n^k), by extended Euclid in Q(zeta_n)."""
-    return 1 / (1 - zeta_pow(n, k))
+    return inverse(1 - zeta_pow(n, k))
 
 
 def psi_E_oracle(E, m1, m2, m3, n):

@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 import pytest
 
 from wpptoric.errors import InvalidInputError
-from wpptoric.exact_arith import Cyclotomic, zeta_pow
+from wpptoric.exact_arith import Cyclotomic, cyclotomic_poly, poly_mod, zeta_pow
 from wpptoric.inertia import ChernVector, Sector, sectors, tch_of_kclass, tch_rank2_closed_form
 from wpptoric.kgroup import (
     WppParams,
@@ -39,6 +41,44 @@ def tch_oracle(kclass):
             ]
         out[sector] = acc
     return out
+
+
+def tch_fraction_fold(kclass):
+    """The character by a Fraction fold, reduced modulo Phi_n by division.
+
+    The degree-k coefficient on the sector f = p/n is the vector
+    sum_e c_e (-e)^k / k! at the exponents -p e mod n, reduced by
+    `poly_mod`; the fast path folds the same sums in integers.
+    """
+    params = kclass.params
+    entries = {}
+    for sector in sectors(params):
+        n, p = sector.f.denominator, sector.f.numerator
+        entry = []
+        for k in range(sector.dim + 1):
+            folded = [Fraction(0)] * n
+            for e, coeff in enumerate(kclass.coeffs):
+                if coeff:
+                    folded[-p * e % n] += coeff * (-e) ** k
+            folded = [x / factorial(k) for x in folded]
+            entry.append(Cyclotomic(n, poly_mod(folded, list(cyclotomic_poly(n)))))
+        entries[sector] = entry
+    return ChernVector(params, entries)
+
+
+def lcm_records(chern):
+    """`ChernVector.to_records` as it was: every entry in the order-lcm(a,b,c) field."""
+    m = chern.params.m
+    return [
+        {
+            "f": [sector.f.numerator, sector.f.denominator],
+            "kind": sector.kind,
+            "which": list(sector.which),
+            "coeffs": [[m, [[x.numerator, x.denominator] for x in c.embed(m).coeffs]]
+                       for c in chern.entries[sector]],
+        }
+        for sector in chern.sector_list()
+    ]
 
 
 def _assert_matches_oracle(kclass):
@@ -224,3 +264,48 @@ def test_chern_vector_coerces_to_sector_order():
         assert all(c.order == sector.f.denominator for c in coeffs)
     with pytest.raises(InvalidInputError):
         ChernVector(params, {sectors(params)[0]: [zeta_pow(4, 1), 0, 0]})
+
+
+def _seeded_kclasses(seed):
+    """Random weights <= 12 with integer and Fraction Laurent coefficients."""
+    rng = random.Random(seed)
+    params = WppParams(*(rng.randint(1, 12) for _ in range(3)))
+    integral = {rng.randint(-40, 40): rng.randint(-9, 9) for _ in range(5)}
+    rational = {rng.randint(-40, 40): Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                for _ in range(4)}
+    return params, [kclass_from_laurent(params, integral),
+                    kclass_from_laurent(params, rational),
+                    kclass_from_laurent(params, {**integral, **rational})]
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_integer_fold_matches_fraction_fold(seed):
+    params, kclasses = _seeded_kclasses(seed)
+    for kclass in kclasses:
+        # same-order equality compares the canonical numerators and denominator
+        assert tch_of_kclass(kclass) == tch_fraction_fold(kclass), (params, kclass)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_natural_order_records_embed_to_lcm_records(seed):
+    params, kclasses = _seeded_kclasses(seed)
+    m = params.m
+    for kclass in kclasses:
+        chern = tch_of_kclass(kclass)
+        records = chern.to_records()
+        for record, old in zip(records, lcm_records(chern), strict=True):
+            lifted = []
+            for order, coords in record["coeffs"]:
+                assert order == record["f"][1]
+                value = Cyclotomic(order, [Fraction(num, den) for num, den in coords])
+                lifted.append([m, [[x.numerator, x.denominator]
+                                   for x in value.embed(m).coeffs]])
+            assert {**record, "coeffs": lifted} == old
+
+
+def test_sectors_cache_is_bounded():
+    sectors.cache_clear()
+    for weights in product(range(1, 7), repeat=3):
+        sectors(WppParams(*weights))
+    info = sectors.cache_info()
+    assert info.maxsize is not None and 0 < info.currsize <= info.maxsize < 216
