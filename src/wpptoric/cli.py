@@ -276,7 +276,9 @@ def cmd_kclass(args, out):
         raise InvalidInputError("--points needs --widths")
     if args.partitions is not None and args.widths is not None:
         raise InvalidInputError("--partitions and --widths exclude each other")
-    points = _parse_points(args.points) if args.points is not None else None
+    if args.widths is not None:
+        points = _parse_points(args.points) if args.points is not None else ()
+        datum = TypeIBundle(A, B, C, *args.widths, *points).validate(params)
     if args.partitions is not None:
         lams = [_parse_partition(p) for p in args.partitions.split(";")]
         if len(lams) != 3:
@@ -285,8 +287,6 @@ def cmd_kclass(args, out):
               "widths": args.widths, "points": args.points}
     _meta(out, "kclass", config)
     if args.widths is not None:
-        datum = (TypeIBundle(A, B, C, *args.widths, *points) if points
-                 else TypeIBundle(A, B, C, *args.widths))
         sheaf = datum
         kclass = rank2_typeI_class(params, datum)
     elif args.partitions is not None:

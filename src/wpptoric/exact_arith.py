@@ -49,29 +49,6 @@ def poly_mul(p, q):
     return poly_trim(out)
 
 
-def poly_divmod(p, q):
-    """Quotient and remainder in Q[x]; q must be nonzero."""
-    q = poly_trim(q)
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in p]
-    rem = poly_trim(rem)
-    lead = Fraction(q[-1])
-    quo = [Fraction(0)] * max(0, len(rem) - len(q) + 1)
-    while len(rem) >= len(q):
-        shift = len(rem) - len(q)
-        factor = rem[-1] / lead
-        quo[shift] = factor
-        for i, c in enumerate(q):
-            rem[shift + i] -= factor * c
-        rem = poly_trim(rem)
-    return poly_trim(quo), rem
-
-
-def poly_mod(p, q):
-    return poly_divmod(p, q)[1]
-
-
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials and Euler's totient
 # ---------------------------------------------------------------------------

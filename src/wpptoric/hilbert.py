@@ -107,7 +107,7 @@ def psi_E(E, m1, m2, m3, n):
 _ZERO_TOP = HilbTop(Fraction(0), Fraction(0))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def hilb_top(params, r):
     """Top two Hilbert coefficients of the r-th twist of O.
 
@@ -207,7 +207,7 @@ def hilb_top_E_of_kclass(params, spec, kclass):
     return _top_E(params, spec.E, *rank_and_twists(params, spec, kclass))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _monomial_count(params, s):
     """N(s): lattice points (i, j, k) >= 0 with ai + bj + ck = s."""
     a, b, c = params.weights()
@@ -262,7 +262,7 @@ def hilb_fit_oracle(params, r):
     return (quad, lin, const)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def width_free_bracket_12(params, E, c1, Ad):
     """Twelve times the terms of the rank-2 constant-term bracket free of
     the widths, an integer.

@@ -6,17 +6,22 @@ of the tautological line bundle O(-1).  Since P has constant term 1, g
 is already invertible in Q[g]/(P), so every class has a unique
 representative of degree < a + b + c.  Equality of classes is equality
 of those coefficient vectors.
+
+Every class built here is an integer Laurent polynomial in g.  The
+chart-i point class P/(1 - g^hat(i)) is the product of the two other
+factors of P, and a sheaf's class is one integer sum of cached
+representatives (`kclass_sum`), with no division and no object per term.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import InvalidInputError
-from .exact_arith import poly_divmod, poly_mul
-from .partitions import chart_spec, color_count
+from .exact_arith import poly_mul
+from .partitions import chart_spec, color_count, variable_relations
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,7 @@ class WppParams:
         return (self.a, self.b, self.c)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def relation_poly(params):
     """(1 - x^a)(1 - x^b)(1 - x^c) as an integer coefficient tuple."""
     out = [1]
@@ -82,7 +87,7 @@ def _scalar(value):
     return int(f) if f.denominator == 1 else f
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _relation_tail(params):
     """(j, P_j) for the nonzero terms of P below its leading one.
 
@@ -194,7 +199,7 @@ def kclass_scalar(params, value):
     return KClass(params, coeffs, reduce=False)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _period_nilpotent(params):
     """N = 1 - g^m and N^2, m = lcm(a,b,c).
 
@@ -204,7 +209,7 @@ def _period_nilpotent(params):
     return nil, nil * nil
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def g_power(params, e):
     """Canonical representative of g^e for any integer e.
 
@@ -216,36 +221,40 @@ def g_power(params, e):
     return KClass(params, [0] * r + [1]) * (1 - q * nil + q * (q - 1) // 2 * nil2)
 
 
-def kclass_from_laurent(params, terms):
-    """Class of a finite Laurent polynomial {exponent: coefficient} in g.
+def kclass_sum(params, pairs):
+    """Class of the sum of coeff * cls over the (coeff, cls) pairs.
 
-    Sums the cached canonical representatives of the powers, so no
-    reduction is needed.
+    The representatives are added into one list, so the sum builds one
+    KClass and needs no reduction.
     """
     out = [0] * params.degree
-    for e, coeff in terms.items():
+    for coeff, cls in pairs:
         if coeff:
-            for j, x in enumerate(g_power(params, e).coeffs):
+            for j, x in enumerate(cls.coeffs):
                 if x:
                     out[j] += coeff * x
-    return KClass(params, [_scalar(x) for x in out], reduce=False)
+    return KClass(params, map(_scalar, out), reduce=False)
 
 
-@lru_cache(maxsize=None)
+def kclass_from_laurent(params, terms):
+    """Class of a finite Laurent polynomial {exponent: coefficient} in g."""
+    return kclass_sum(params, ((c, g_power(params, e)) for e, c in terms.items() if c))
+
+
+@lru_cache(maxsize=1024)
 def structure_sheaf_point(params, i, j=0):
     """Class of the chart-i fixed point's structure sheaf, twisted by g^j.
 
-    Reduction of (1-g^a)(1-g^b)(1-g^c)/(1-g^hat(i)) * g^j; the division
-    is exact in Q[g].
+    P/(1 - g^hat(i)) is the product of the two other factors of P, so
+    the class is (1 - g^w')(1 - g^w'') g^j, a Laurent polynomial in g.
     """
     if i not in (1, 2, 3):
         raise InvalidInputError("chart index must be 1, 2 or 3")
-    w = params.hat(i)
-    denom = [0] * (w + 1)
-    denom[0], denom[w] = 1, -1
-    quo, rem = poly_divmod(list(relation_poly(params)), denom)
-    assert not rem
-    return KClass(params, quo) * g_power(params, j)
+    w1, w2 = (w for k, w in enumerate(params.weights(), 1) if k != i)
+    return kclass_sum(params, (
+        (sign, g_power(params, j + e))
+        for sign, e in ((1, 0), (-1, w1), (-1, w2), (1, w1 + w2))
+    ))
 
 
 def line_bundle_class(params, A, B, C):
@@ -253,15 +262,14 @@ def line_bundle_class(params, A, B, C):
     return g_power(params, A + B + C)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _rank1_chart_deficit(params, chart, offset, lam):
     """Sum of twisted point classes cut out by one chart's partition."""
-    total = kclass_scalar(params, 0)
     counts = color_count(lam, chart_spec(params, chart, offset))
-    for color, count in enumerate(counts):
-        if count:
-            total = total + count * structure_sheaf_point(params, chart, color)
-    return total
+    return kclass_sum(params, (
+        (count, structure_sheaf_point(params, chart, color))
+        for color, count in enumerate(counts) if count
+    ))
 
 
 def rank1_class(params, A, B, C, lam1, lam2, lam3):
@@ -275,10 +283,10 @@ def rank1_class(params, A, B, C, lam1, lam2, lam3):
     exponent modulo the chart weight.)
     """
     offset = A + B + C
-    total = line_bundle_class(params, A, B, C)
-    for chart, lam in ((1, lam1), (2, lam2), (3, lam3)):
-        total = total - _rank1_chart_deficit(params, chart, offset % params.hat(chart), lam)
-    return total
+    return kclass_sum(params, [(1, line_bundle_class(params, A, B, C))] + [
+        (-1, _rank1_chart_deficit(params, chart, offset % params.hat(chart), lam))
+        for chart, lam in ((1, lam1), (2, lam2), (3, lam3))
+    ])
 
 
 def rank2_typeI_class(params, datum):
@@ -309,32 +317,21 @@ def rank2_typeI_class(params, datum):
 
 
 def verify_relations(params):
-    """Check the identification rows among twisted point classes.
+    """Check the identification rows of `partitions.variable_relations`.
 
-    For every shift t the three full-cycle sums with step d agree, and
-    the pairwise sums with steps d12, d23, d13 agree; all of them reduce
-    to honest equalities of canonical representatives.
+    A variable p_j, q_j or r_j stands for the twisted point class
+    structure_sheaf_point(params, chart, j) of chart 1, 2 or 3; each
+    monomial of a row is summed as one class, and the row holds when
+    all its canonical representatives agree.
     """
-    a, b, c = params.weights()
-
-    def cycle(chart, modulus, step, shift):
-        out = kclass_scalar(params, 0)
-        for i in range(modulus // step):
-            out = out + structure_sheaf_point(params, chart, i * step + shift)
-        return out
-
-    d, d12, d13, d23 = params.d, params.d12, params.d13, params.d23
-    for t in range(d):
-        s1, s2, s3 = cycle(1, a, d, t), cycle(2, b, d, t), cycle(3, c, d, t)
-        if not (s1 == s2 == s3):
-            return False
-    for t in range(d12):
-        if cycle(1, a, d12, t) != cycle(2, b, d12, t):
-            return False
-    for t in range(d23):
-        if cycle(2, b, d23, t) != cycle(3, c, d23, t):
-            return False
-    for t in range(d13):
-        if cycle(1, a, d13, t) != cycle(3, c, d13, t):
+    for row in variable_relations(params):
+        sums = {
+            kclass_sum(params, (
+                (exp, structure_sheaf_point(params, "pqr".index(var[0]) + 1, int(var[1:])))
+                for var, exp in mono.items()
+            ))
+            for mono in row
+        }
+        if len(sums) != 1:
             return False
     return True

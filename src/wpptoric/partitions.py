@@ -56,7 +56,7 @@ class Partition:
         return f"Partition{self.rows}"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _partitions_of(n):
     """All row tuples of size n, sorted lexicographically."""
     if n == 0:

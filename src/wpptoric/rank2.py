@@ -56,7 +56,7 @@ def is_mu_stable(params, datum):
     return _strict_triangle(datum.D1, datum.D2, datum.D3)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _line_rank_twists(params, spec, e):
     """(rank, twist sum) of the line bundle class g^e."""
     return rank_and_twists(params, spec, g_power(params, e))
@@ -242,7 +242,7 @@ def _psi_bound(E, m1, n, weight_product):
     return best
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _bound_parts(params, E, c1):
     """(12 x the best width-free bracket over [A]_d, the character-sum bound)."""
     a, b, c = params.weights()

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InsufficientWindowError, InvalidInputError
-from .kgroup import g_power, kclass_scalar, line_bundle_class
+from .kgroup import g_power, kclass_scalar, kclass_sum, line_bundle_class
 from .partitions import Partition
 
 
@@ -429,11 +429,12 @@ def reflexive_check(fam):
 # devissage oracle for K-classes
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _point_class(params, chart, twist):
     """(1 - g^w')(1 - g^w'') g^twist built from the two other weights.
 
-    Deliberately not the division route the closed formulas use.
+    The oracle multiplies KClass objects where the closed forms sum
+    Laurent terms.
     """
     weights = {1: (params.b, params.c), 2: (params.a, params.c), 3: (params.a, params.b)}
     w1, w2 = weights[chart]
@@ -441,15 +442,14 @@ def _point_class(params, chart, twist):
     return (one - g_power(params, w1)) * (one - g_power(params, w2)) * g_power(params, twist)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _devissage_chart_deficit(params, chart, offset, lam):
     """Per-cell sum of twisted point classes over one chart's partition."""
     _, _, mod, step1, step2 = chart_data(params, chart)
-    total = kclass_scalar(params, 0)
-    for l1, l2 in lam.boxes():
-        twist = (offset + l1 * step1 + l2 * step2) % mod
-        total = total + _point_class(params, chart, twist)
-    return total
+    return kclass_sum(params, (
+        (1, _point_class(params, chart, (offset + l1 * step1 + l2 * step2) % mod))
+        for l1, l2 in lam.boxes()
+    ))
 
 
 def kclass_by_devissage(params, sheaf):
@@ -460,26 +460,25 @@ def kclass_by_devissage(params, sheaf):
     per cell; no per-color counting and no closed formula is used.
     """
     if isinstance(sheaf, Rank1Sheaf):
-        total = line_bundle_class(params, sheaf.A, sheaf.B, sheaf.C)
+        terms = [(1, line_bundle_class(params, sheaf.A, sheaf.B, sheaf.C))]
         offset = sheaf.A + sheaf.B + sheaf.C
         for chart in (1, 2, 3):
             _, _, mod, _, _ = chart_data(params, chart)
             _, _, lam = _rank1_chart_layout(params, sheaf, chart)
-            total = total - _devissage_chart_deficit(params, chart, offset % mod, lam)
-        return total
+            terms.append((-1, _devissage_chart_deficit(params, chart, offset % mod, lam)))
+        return kclass_sum(params, terms)
     datum = sheaf.validate(params)
-    total = line_bundle_class(params, datum.A1, datum.A2, datum.A3)
-    total = total + line_bundle_class(
-        params, datum.A1 + datum.D1, datum.A2 + datum.D2, datum.A3 + datum.D3
-    )
+    terms = [(1, line_bundle_class(params, datum.A1, datum.A2, datum.A3)),
+             (1, line_bundle_class(params, datum.A1 + datum.D1, datum.A2 + datum.D2,
+                                   datum.A3 + datum.D3))]
     offset = datum.A1 + datum.A2 + datum.A3
     for chart in (1, 2, 3):
         _, _, mod, step1, step2 = chart_data(params, chart)
         _, _, (w1, w2), (pt1, pt2) = _typeI_chart_layout(params, datum, chart)
         if pt1 == pt2:
             continue
-        for u in range(w1):
-            for v in range(w2):
-                twist = (offset + u * step1 + v * step2) % mod
-                total = total - _point_class(params, chart, twist)
-    return total
+        terms.append((-1, kclass_sum(params, (
+            (1, _point_class(params, chart, (offset + u * step1 + v * step2) % mod))
+            for u in range(w1) for v in range(w2)
+        ))))
+    return kclass_sum(params, terms)

@@ -1,14 +1,40 @@
-"""Field division in Q(zeta_n), for the oracles of the tests.
+"""Division in Q[x] and in Q(zeta_n), for the oracles of the tests.
 
-The library's `Cyclotomic` offers only the ring operations.  The
-references that need a quotient (the cyclotomic `psi_E` and `hilb_top`
-oracles) invert here, by extended Euclid against Phi_n in Q[x].
+The library divides nowhere: `Cyclotomic` offers only the ring
+operations, K-classes and cyclotomic numbers are reduced without
+division, and the point class is a product.  The references that need
+a quotient live here: `poly_divmod`/`poly_mod` (the division routes of
+the point class, K-class reduction and the Chern fold), and the
+inverse behind the cyclotomic `psi_E` and `hilb_top` oracles, by
+extended Euclid against Phi_n in Q[x].
 """
 
 from fractions import Fraction
 
 from wpptoric.errors import InvalidInputError
-from wpptoric.exact_arith import Cyclotomic, cyclotomic_poly, poly_divmod, poly_mul, poly_trim
+from wpptoric.exact_arith import Cyclotomic, cyclotomic_poly, poly_mul, poly_trim
+
+
+def poly_divmod(p, q):
+    """Quotient and remainder in Q[x]; q must be nonzero."""
+    q = poly_trim(q)
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = poly_trim([Fraction(c) for c in p])
+    lead = Fraction(q[-1])
+    quo = [Fraction(0)] * max(0, len(rem) - len(q) + 1)
+    while len(rem) >= len(q):
+        shift = len(rem) - len(q)
+        factor = rem[-1] / lead
+        quo[shift] = factor
+        for i, c in enumerate(q):
+            rem[shift + i] -= factor * c
+        rem = poly_trim(rem)
+    return poly_trim(quo), rem
+
+
+def poly_mod(p, q):
+    return poly_divmod(p, q)[1]
 
 
 def _poly_sub(p, q):

@@ -283,9 +283,16 @@ def test_kclass_large_negative_twist(capsys):
     ("--partitions", "a,b;;"),
     ("--points", "1:x;0:1;1:1"),
     ("--points", ""),
+    ("--points", "0:0;0:1;1:1"),
+    ("--widths", "-1 2 1"),
+    ("--widths", "1 1 1"),  # c = 2 does not divide D2
 ])
 def test_malformed_kclass_flags(capsys, flag, value):
-    argv = ["kclass", "--abc", "1", "1", "2", "--ABC", "0", "0", "0", flag, value]
+    argv = ["kclass", "--abc", "1", "1", "2", "--ABC", "0", "0", "0"]
+    if flag == "--widths":
+        argv += [flag, *value.split()]
+    else:
+        argv += [flag, value]
     if flag == "--points":
         argv += ["--widths", "1", "2", "1"]
     code = main(argv)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclotomic_field import inverse, power
+from cyclotomic_field import inverse, poly_divmod, poly_mod, power
 from wpptoric.errors import InvalidInputError
 from wpptoric.exact_arith import (
     Cyclotomic,
@@ -14,8 +14,6 @@ from wpptoric.exact_arith import (
     as_rational,
     cyclotomic_poly,
     euler_phi,
-    poly_divmod,
-    poly_mod,
     poly_mul,
     zeta_pow,
 )

@@ -5,8 +5,9 @@ from math import factorial
 
 import pytest
 
+from cyclotomic_field import poly_mod
 from wpptoric.errors import InvalidInputError
-from wpptoric.exact_arith import Cyclotomic, cyclotomic_poly, poly_mod, zeta_pow
+from wpptoric.exact_arith import Cyclotomic, cyclotomic_poly, zeta_pow
 from wpptoric.inertia import ChernVector, Sector, sectors, tch_of_kclass, tch_rank2_closed_form
 from wpptoric.kgroup import (
     WppParams,

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclotomic_field import poly_divmod, poly_mod
+from wpptoric import kgroup
 from wpptoric.errors import InvalidInputError
-from wpptoric.exact_arith import poly_mod
 from wpptoric.kgroup import (
     KClass,
     WppParams,
@@ -16,6 +17,7 @@ from wpptoric.kgroup import (
     g_power,
     kclass_from_laurent,
     kclass_scalar,
+    kclass_sum,
     line_bundle_class,
     rank1_class,
     rank2_typeI_class,
@@ -23,7 +25,7 @@ from wpptoric.kgroup import (
     structure_sheaf_point,
     verify_relations,
 )
-from wpptoric.partitions import Partition
+from wpptoric.partitions import Partition, chart_spec, color_count, variable_relations
 
 P111 = WppParams(1, 1, 1)
 P112 = WppParams(1, 1, 2)
@@ -221,3 +223,72 @@ def test_rank2_class_huge_widths():
     datum = FakeTypeI((0, 0, -10**6), (3 * 10**6, 4 * 10**6, 2 * 10**6), DISTINCT)
     assert rank2_typeI_class(params, datum) == rank2_class_oracle(params, datum)
 
+
+def point_by_division(params, i, j):
+    """The chart-i point class as the quotient P / (1 - g^hat(i)), twisted by g^j."""
+    w = params.hat(i)
+    quo, rem = poly_divmod(list(relation_poly(params)), [1] + [0] * (w - 1) + [-1])
+    assert not rem
+    return KClass(params, quo) * g_power(params, j)
+
+
+def test_structure_sheaf_point_matches_division():
+    for weights in combinations_with_replacement(range(1, 7), 3):
+        params = WppParams(*weights)
+        for i in (1, 2, 3):
+            for j in range(-2 * params.m, 2 * params.m + 1):
+                fast = structure_sheaf_point(params, i, j)
+                assert fast == point_by_division(params, i, j), (weights, i, j)
+                assert all(type(x) is int for x in fast.coeffs)
+
+
+def rank1_class_by_add_chain(params, A, B, C, lam1, lam2, lam3):
+    """The rank-1 class as one KClass subtraction per color, over divided point classes."""
+    offset = A + B + C
+    total = g_power(params, offset)
+    for chart, lam in ((1, lam1), (2, lam2), (3, lam3)):
+        spec = chart_spec(params, chart, offset % params.hat(chart))
+        for color, count in enumerate(color_count(lam, spec)):
+            if count:
+                total = total - count * point_by_division(params, chart, color)
+    return total
+
+
+def test_rank1_class_matches_add_chain():
+    rng = random.Random(23)
+    for weights in combinations_with_replacement(range(1, 7), 3):
+        params = WppParams(*weights)
+        for _ in range(6):
+            ABC = [rng.randint(-30, 30) for _ in range(3)]
+            lams = [Partition(tuple(sorted((rng.randint(1, 4) for _ in range(rng.randint(0, 3))),
+                                           reverse=True)))
+                    for _ in range(3)]
+            fast = rank1_class(params, *ABC, *lams)
+            assert fast == rank1_class_by_add_chain(params, *ABC, *lams), (weights, ABC, lams)
+            assert all(type(x) is int for x in fast.coeffs)
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1), (2, 2, 2), (2, 3, 4), (6, 4, 2)])
+def test_verify_relations_sees_a_perturbed_row(monkeypatch, weights):
+    params = WppParams(*weights)
+    rows = variable_relations(params)
+    for k in range(len(rows)):
+        perturbed = [[dict(mono) for mono in row] for row in rows]
+        var = next(iter(perturbed[k][0]))
+        perturbed[k][0][var] += 1
+        monkeypatch.setattr(kgroup, "variable_relations", lambda _, rows=perturbed: rows)
+        assert not verify_relations(params), (weights, k)
+
+
+def test_kclass_sum_keeps_integers_integral():
+    one, g = kclass_scalar(P234, 1), g_power(P234, 1)
+    halves = kclass_sum(P234, [(Fraction(1, 2), one), (Fraction(3, 2), g),
+                               (Fraction(1, 2), one), (Fraction(1, 2), g)])
+    assert halves == one + 2 * g
+    assert all(type(x) is int for x in halves.coeffs)
+    third = kclass_sum(P234, [(Fraction(1, 3), one), (2, g)])
+    assert third.coeffs[:2] == (Fraction(1, 3), 2) and type(third.coeffs[1]) is int
+    frac_class = KClass(P234, [Fraction(2, 3), Fraction(4, 3)])
+    tripled = kclass_sum(P234, [(3, frac_class)])
+    assert tripled.coeffs[:2] == (2, 4) and all(type(x) is int for x in tripled.coeffs)
+    assert kclass_sum(P234, []) == kclass_scalar(P234, 0)
