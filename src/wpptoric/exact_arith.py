@@ -22,8 +22,6 @@ from math import gcd, lcm
 
 from .errors import InvalidInputError
 
-Rational = Fraction  # arbitrary-precision rationals, lowest terms, den > 0
-
 
 # ---------------------------------------------------------------------------
 # dense polynomials over Q, coefficient lists in increasing degree
@@ -117,24 +115,24 @@ def _reducer(n):
     return len(phi_n) - 1, tuple((j, -c) for j, c in enumerate(phi_n[:-1]) if c)
 
 
-def _reduce(n, nums):
-    """The phi(n) integer coordinates of sum nums[i] x^i modulo Phi_n.
+def reduce_by_tail(nums, deg, tail):
+    """The deg low coordinates of sum nums[i] x^i, reduced without division.
 
-    Phi_n is monic, so each coefficient above degree phi(n) - 1 is pushed
-    down through the tail of Phi_n without any division.
+    The relation x^deg = sum of t x^j over (j, t) in tail is monic, so
+    each coefficient at degree deg or above is pushed down through the
+    tail from the top, and integers stay integers.
     """
-    phi, tail = _reducer(n)
     rem = list(nums)
-    if len(rem) <= phi:
-        rem.extend([0] * (phi - len(rem)))
+    if len(rem) <= deg:
+        rem.extend([0] * (deg - len(rem)))
         return rem
-    for i in range(len(rem) - 1, phi - 1, -1):
+    for i in range(len(rem) - 1, deg - 1, -1):
         c = rem[i]
         if c:
-            base = i - phi
+            base = i - deg
             for j, t in tail:
                 rem[base + j] += c * t
-    del rem[phi:]
+    del rem[deg:]
     return rem
 
 
@@ -142,7 +140,7 @@ def _reduce(n, nums):
 def _zeta_power_basis(n, e):
     """Integer coordinates of zeta_n^e in the power basis of Q(zeta_n)."""
     e %= n
-    return tuple(_reduce(n, [0] * e + [1]))
+    return tuple(reduce_by_tail([0] * e + [1], *_reducer(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +185,7 @@ def _lift(c, N):
     step = N // n
     spread = [0] * ((len(c.nums) - 1) * step + 1)
     spread[::step] = c.nums
-    return _reduce(N, spread)
+    return reduce_by_tail(spread, *_reducer(N))
 
 
 class Cyclotomic:
@@ -202,7 +200,8 @@ class Cyclotomic:
     def __init__(self, order, coeffs):
         coeffs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
         den = lcm(1, *(c.denominator for c in coeffs))
-        nums = _reduce(order, [c.numerator * (den // c.denominator) for c in coeffs])
+        nums = reduce_by_tail([c.numerator * (den // c.denominator) for c in coeffs],
+                              *_reducer(order))
         self.order = order
         self.nums, self.den = _lowest(nums, den)
 
@@ -213,7 +212,7 @@ class Cyclotomic:
     @staticmethod
     def from_integers(order, nums, den=1):
         """sum nums[i] zeta_order^i / den, for integers nums of any length and den > 0."""
-        return _canonical(order, _reduce(order, nums), den)
+        return _canonical(order, reduce_by_tail(nums, *_reducer(order)), den)
 
     @property
     def coeffs(self):
@@ -273,7 +272,7 @@ class Cyclotomic:
             if x:
                 for j, y in enumerate(b):
                     prod[i + j] += x * y
-        return _canonical(n, _reduce(n, prod), self.den * other.den)
+        return _canonical(n, reduce_by_tail(prod, *_reducer(n)), self.den * other.den)
 
     __rmul__ = __mul__
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import InvalidInputError
-from .exact_arith import poly_mul
+from .exact_arith import poly_mul, reduce_by_tail
 from .partitions import chart_spec, color_count, variable_relations
 
 
@@ -99,23 +99,9 @@ def _relation_tail(params):
 
 
 def _reduce(params, coeffs):
-    """Canonical representative, by division-free reduction from the top.
-
-    Each coefficient f at degree i >= deg P becomes f * P_j at degree
-    i - deg P + j; no division happens, so integers stay integers.
-    """
-    deg = params.degree
-    rem = list(coeffs)
-    if len(rem) < deg:
-        rem.extend([0] * (deg - len(rem)))
-    tail = _relation_tail(params)
-    for i in range(len(rem) - 1, deg - 1, -1):
-        f = rem[i]
-        if f:
-            base = i - deg
-            for j, p in tail:
-                rem[base + j] += f * p
-    return tuple(_scalar(x) for x in rem[:deg])
+    """Canonical representative, by division-free reduction modulo P."""
+    rem = reduce_by_tail(coeffs, params.degree, _relation_tail(params))
+    return tuple(_scalar(x) for x in rem)
 
 
 class KClass:

@@ -15,9 +15,10 @@ Fixed-point enumeration normalizes the three points to (1:0), (0:1),
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 
 from .errors import InternalInconsistencyError, InvalidInputError
-from .exact_arith import Cyclotomic, as_rational
+from .exact_arith import as_rational
 from .hilbert import (
     psi_E,
     rank2_constant_term,
@@ -27,7 +28,7 @@ from .hilbert import (
 from .inertia import _root, sectors, tch_rank2_closed_form
 from .kgroup import g_power, rank2_typeI_class
 from .partitions import Series, chart_spec, color_zero_series
-from .sheaf_model import STANDARD_POINTS, TypeIBundle
+from .sheaf_model import STANDARD_POINTS, TypeIBundle  # noqa: F401 (re-exported)
 
 
 @dataclass(frozen=True)
@@ -123,10 +124,6 @@ def enumerate_stable_triples(params, c1, lam, max_sum, min_sum=3):
             yield StableTriple(A, *widths)
 
 
-def _standard_datum(A, widths):
-    return TypeIBundle(0, 0, A, *widths, *STANDARD_POINTS)
-
-
 def refined_key(params, chern):
     """Canonical hashable key of the codegree-0 character entries.
 
@@ -147,12 +144,6 @@ def refined_key(params, chern):
     return tuple(key)
 
 
-def _matches(value, target):
-    if isinstance(target, Cyclotomic):
-        return value == target
-    return value == Cyclotomic.from_rational(target)
-
-
 def enumerate_refined_solutions(params, alpha, beta, max_sum):
     """Solutions (A, widths, character) of the refined constraints.
 
@@ -165,28 +156,20 @@ def enumerate_refined_solutions(params, alpha, beta, max_sum):
     beta0 = beta.get(Fraction(0))
     if beta0 is None:
         raise InvalidInputError("beta must constrain the untwisted sector f = 0")
-    beta0 = as_rational(beta0) if isinstance(beta0, Cyclotomic) else Fraction(beta0)
+    beta0 = as_rational(beta0)
     if beta0 is None or beta0.denominator != 1:
         raise InvalidInputError("the f = 0 component of beta must be an integer")
     beta0 = int(beta0)
-    sector_list = sectors(params)
+    checks = []  # (sector, codegree, target)
+    for sector in sectors(params):
+        if sector.kind == "2dim" and alpha.get(sector.f) is not None:
+            checks.append((sector, 2, alpha[sector.f]))
+        if sector.kind in ("2dim", "1dim") and beta.get(sector.f) is not None:
+            checks.append((sector, 1, beta[sector.f]))
     for widths in _admissible_widths(params, beta0, range(3, max_sum + 1)):
         A = -(beta0 + sum(widths)) // 2
-        datum = _standard_datum(A, widths)
-        chern = tch_rank2_closed_form(params, datum)
-        ok = True
-        for sector in sector_list:
-            if sector.kind == "2dim":
-                target = alpha.get(sector.f)
-                if target is not None and not _matches(chern.codegree(sector, 2), target):
-                    ok = False
-                    break
-            if sector.kind in ("2dim", "1dim"):
-                target = beta.get(sector.f)
-                if target is not None and not _matches(chern.codegree(sector, 1), target):
-                    ok = False
-                    break
-        if ok:
+        chern = tch_rank2_closed_form(params, TypeIBundle(0, 0, A, *widths))
+        if all(chern.codegree(sector, k) == target for sector, k, target in checks):
             yield (A, widths, chern)
 
 
@@ -273,48 +256,42 @@ def _constant_term_upper_bound(params, spec, c1, total):
 def h_vb_window(params, spec, c1, lam, depth):
     """The specialized series, complete on its top `depth` exponents.
 
-    Finds the largest constant term over all stable data (the upper
-    bound at total width s decreases linearly, so the search below some
-    width is futile), then enumerates every triple whose exponent can
-    still reach the window [top - depth, top].
+    Every width is a multiple of d, so a stable datum has total s = 0
+    (mod d), and A = -(c1 + s)/2 = lam (mod d) forces d | c1 + 2 lam.
+    Conversely, when d divides c1 + 2 lam, widths 2m with one weight
+    added to one of them give strict triangles with s/d of either
+    parity, so a stable datum exists and the window is nonempty.
+
+    One upward pass over total widths keeps every constant term and
+    stops at the first total whose upper bound is below the running top
+    minus `depth`: the bound decreases strictly in the total and the top
+    only rises, so no exponent at or above the final floor is missed.
     Returns (series, floor_exponent).
+
+    >>> from wpptoric.hilbert import GeneratingSheafSpec
+    >>> from wpptoric.kgroup import WppParams
+    >>> series, floor = h_vb_window(WppParams(4, 6, 12), GeneratingSheafSpec(12), 1, 0, 5)
+    >>> series.coeffs, floor
+    ({}, 0)
     """
     spec.validate(params)
-    values = {}
-
-    def values_at(total):
-        if total not in values:
-            values[total] = [
-                rank2_constant_term(params, spec, c1, lam, *t.widths)
-                for t in enumerate_stable_triples(params, c1, lam, total, min_sum=total)
-            ]
-        return values[total]
-
+    if (c1 + 2 * lam) % params.d:
+        return Series(("q",), {}, None), 0
+    found = []
     top = None
-    total = 3
-    while True:
-        found = values_at(total)
-        if found:
-            best = max(found)
-            if top is None or best > top:
-                top = best
-        if top is not None and _constant_term_upper_bound(params, spec, c1, total) < top:
+    for total in count(3):
+        if top is not None and _constant_term_upper_bound(params, spec, c1, total) < top - depth:
             break
-        total += 1
-        if total > 4 * (abs(c1) + depth + params.m + 10):
-            if top is None:
-                return Series(("q",), {}, None), 0
-            break
+        for t in enumerate_stable_triples(params, c1, lam, total, min_sum=total):
+            value = rank2_constant_term(params, spec, c1, lam, *t.widths)
+            found.append(value)
+            if top is None or value > top:
+                top = value
     floor = top - depth
     coeffs = {}
-    total = 3
-    while _constant_term_upper_bound(params, spec, c1, total) >= floor or total <= sum(
-        (3, params.a, params.b, params.c)
-    ):
-        for value in values_at(total):
-            if value >= floor:
-                coeffs[(value,)] = coeffs.get((value,), 0) + 1
-        total += 1
+    for value in found:
+        if value >= floor:
+            coeffs[(value,)] = coeffs.get((value,), 0) + 1
     return Series(("q",), coeffs, None), floor
 
 

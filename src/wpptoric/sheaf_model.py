@@ -292,14 +292,14 @@ def _overlap_profile(fam, direction, coord, outer, fixed_slot, ranges, twists):
     return profile
 
 
-def check_gluing(params, f1, f2, f3, collect_diagnostics=True):
+def check_gluing(params, f1, f2, f3):
     """Verify the three overlap conditions on a triple of chart families.
 
     For every overlap line index, both sides are computed as multisets
     of doubly-graded dimensions (the two finite cyclic gradings of the
     overlap), including the character twists; the verdict is their
     equality for all indices the windows cover past stabilization.
-    Returns (ok, diagnostics).
+    Returns (ok, diagnostics), with the first eight mismatches.
     """
     a, b, c = params.weights()
     diagnostics = []
@@ -331,7 +331,7 @@ def check_gluing(params, f1, f2, f3, collect_diagnostics=True):
                 )
                 if lhs != rhs:
                     ok = False
-                    if collect_diagnostics and len(diagnostics) < 8:
+                    if len(diagnostics) < 8:
                         diagnostics.append({
                             "equation": name,
                             "outer": j,

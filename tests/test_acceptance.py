@@ -12,6 +12,7 @@ from math import lcm
 
 import pytest
 
+from partition_enumeration import partitions_of_size
 from wpptoric.hilbert import (
     GeneratingSheafSpec,
     chi_oracle,
@@ -35,7 +36,6 @@ from wpptoric.partitions import (
     eta_inv_pow,
     g_series,
     one_cc_closed_form,
-    partitions_of_size,
     reference_113_report,
     specialize,
     theta3,

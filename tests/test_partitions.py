@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from partition_enumeration import enumerate_partitions, partitions_of_size
 from wpptoric.errors import InvalidInputError
 from wpptoric.kgroup import WppParams
 from wpptoric.partitions import (
@@ -21,13 +22,11 @@ from wpptoric.partitions import (
     color_zero_series,
     color_zero_specialization,
     colored_series,
-    enumerate_partitions,
     eta_inv_pow,
     euler_char_degree,
     g_series,
     geometric_factor,
     one_cc_closed_form,
-    partitions_of_size,
     reference_113_report,
     specialize,
     su_k_character_proxy,

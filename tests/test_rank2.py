@@ -25,6 +25,7 @@ from wpptoric.partitions import (
 from wpptoric.rank2 import (
     STANDARD_POINTS,
     StableTriple,
+    _constant_term_upper_bound,
     chart_unit_series,
     enumerate_refined_solutions,
     enumerate_stable_triples,
@@ -219,6 +220,56 @@ def test_h_vb_window_empty_for_parity_obstruction():
     spec = GeneratingSheafSpec(2)
     series, _ = h_vb_window(P222, spec, 1, 0, 4)
     assert series.coeffs == {}
+
+
+WEIGHTS_UP_TO_4 = list(combinations_with_replacement(range(1, 5), 3))
+
+
+@pytest.mark.parametrize("weights", list(combinations_with_replacement(range(1, 7), 3)))
+def test_h_vb_window_empty_exactly_when_d_does_not_divide_c1_plus_2lam(weights):
+    params = WppParams(*weights)
+    spec = GeneratingSheafSpec(params.m)
+    for c1 in range(-4, 5):
+        for lam in range(params.d):
+            series, floor = h_vb_window(params, spec, c1, lam, 0)
+            if (c1 + 2 * lam) % params.d:
+                assert list(enumerate_stable_triples(params, c1, lam, 40)) == []
+                assert (series.coeffs, floor) == ({}, 0)
+            else:
+                assert series.coeffs, (c1, lam)
+
+
+@pytest.mark.parametrize("weights", WEIGHTS_UP_TO_4)
+def test_constant_term_upper_bound_holds_and_strictly_decreases(weights):
+    params = WppParams(*weights)
+    for spec in (GeneratingSheafSpec(params.m), GeneratingSheafSpec(2 * params.m)):
+        for c1 in range(-3, 4):
+            bounds = [_constant_term_upper_bound(params, spec, c1, s) for s in range(3, 31)]
+            assert all(x > y for x, y in zip(bounds, bounds[1:]))
+            for lam in range(params.d):
+                for t in enumerate_stable_triples(params, c1, lam, 30):
+                    value = rank2_constant_term(params, spec, c1, lam, *t.widths)
+                    assert value <= bounds[sum(t.widths) - 3], (c1, lam, t)
+
+
+@pytest.mark.parametrize("weights", WEIGHTS_UP_TO_4)
+def test_h_vb_window_matches_enumeration_to_the_proven_stop(weights):
+    params = WppParams(*weights)
+    for spec in (GeneratingSheafSpec(params.m), GeneratingSheafSpec(2 * params.m)):
+        for c1 in range(-3, 4):
+            for lam in range(params.d):
+                if (c1 + 2 * lam) % params.d:
+                    continue
+                for depth in (0, 2, 5):
+                    window, floor = h_vb_window(params, spec, c1, lam, depth)
+                    # past T every total's bound, hence every exponent, is below the floor
+                    T = 3
+                    while _constant_term_upper_bound(params, spec, c1, T) >= floor:
+                        T += 1
+                    wide = h_vb_specialized(params, spec, c1, lam, T)
+                    cut = {k: v for k, v in wide.coeffs.items() if k[0] >= floor}
+                    assert window.coeffs == cut, (spec.E, c1, lam, depth)
+                    assert max(e for (e,) in cut) == floor + depth
 
 
 def test_chart_unit_series_plane():

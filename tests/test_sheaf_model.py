@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from partition_enumeration import partitions_of_size
 from wpptoric.errors import InsufficientWindowError, InvalidInputError
 from wpptoric.kgroup import (
     WppParams,
@@ -10,7 +11,7 @@ from wpptoric.kgroup import (
     rank1_class,
     rank2_typeI_class,
 )
-from wpptoric.partitions import Partition, partitions_of_size
+from wpptoric.partitions import Partition
 from wpptoric.sheaf_model import (
     STANDARD_POINTS,
     Rank1Sheaf,
