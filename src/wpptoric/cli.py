@@ -205,7 +205,7 @@ def cmd_gseries(args, out):
         shown = series
     _series_records(out, shown, f"g[{args.specialize}]")
     if args.check:
-        merged = total_count_specialization(series)
+        merged = shown if args.specialize == "total" else total_count_specialization(series)
         reference = eta_inv_pow(3, args.order)
         ok = merged.coeffs == reference.coeffs
         out.emit({"record": "check", "name": "total-count-vs-partition-function",

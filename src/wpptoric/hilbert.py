@@ -301,8 +301,7 @@ def rank2_constant_term(params, spec, c1, lam, D1, D2, D3):
     """
     a, b, c = params.weights()
     E, d = spec.validate(params).E, params.d
-    if D1 % b or D2 % c or D3 % a:
-        raise InvalidInputError("widths must satisfy b | D1, c | D2, a | D3")
+    params.check_widths(D1, D2, D3)
     if min(D1, D2, D3) < 1:
         raise InvalidInputError("widths must be positive")
     total_d = D1 + D2 + D3

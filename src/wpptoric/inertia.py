@@ -3,7 +3,7 @@
 The connected components of the inertia stack are indexed by rationals
 f in [0, 1): the 2-dimensional ones by multiples of 1/d, the
 1-dimensional ones by multiples of 1/d_ij not already counted, and the
-0-dimensional ones by multiples of 1/hat(i) not counted before.  On a
+0-dimensional ones by multiples of 1/w_i not counted before.  On a
 sector the tautological class g acts as the root of unity e^(-2 pi i f)
 times exp(-x) truncated at the sector dimension; extending that map
 multiplicatively gives a ring map from the K-group to the direct sum of
@@ -65,13 +65,11 @@ def sectors(params):
     one = {}
     for pair, dij in pair_gcds.items():
         one[pair] = {Fraction(l, dij) for l in range(dij)} - two
-    chart_pairs = {1: ((1, 2), (1, 3)), 2: ((1, 2), (2, 3)), 3: ((1, 3), (2, 3))}
     zero = {}
     for i in (1, 2, 3):
-        used = set(two)
-        for pair in chart_pairs[i]:
-            used |= one[pair]
-        zero[i] = {Fraction(l, params.hat(i)) for l in range(params.hat(i))} - used
+        used = set(two).union(*(fs for pair, fs in one.items() if i in pair))
+        w = params.chart(i)[0]
+        zero[i] = {Fraction(l, w) for l in range(w)} - used
     out = [Sector(f, "2dim", ()) for f in two]
     for pair, fs in one.items():
         out.extend(Sector(f, "1dim", pair) for f in fs)
@@ -198,12 +196,10 @@ def tch_rank2_closed_form(params, datum):
     b | D1, c | D2, a | D3 and the normalization A1 = A2 = 0; the whole
     character is then a function of A = A3 and the widths.
     """
-    a, b, c = params.weights()
-    if datum.D1 % b or datum.D2 % c or datum.D3 % a:
-        raise InvalidInputError("widths must satisfy b | D1, c | D2, a | D3")
+    params.check_widths(datum.D1, datum.D2, datum.D3)
     if min(datum.D1, datum.D2, datum.D3) <= 0:
         raise InvalidInputError("closed form needs strictly positive widths")
-    if datum.p1 == datum.p2 or datum.p2 == datum.p3 or datum.p3 == datum.p1:
+    if not datum.points_distinct():
         raise InvalidInputError("closed form needs mutually distinct points")
     if datum.A1 != 0 or datum.A2 != 0:
         raise InvalidInputError("closed form is stated for A1 = A2 = 0")

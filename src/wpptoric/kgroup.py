@@ -8,7 +8,7 @@ representative of degree < a + b + c.  Equality of classes is equality
 of those coefficient vectors.
 
 Every class built here is an integer Laurent polynomial in g.  The
-chart-i point class P/(1 - g^hat(i)) is the product of the two other
+chart-i point class P/(1 - g^w_i) is the product of the two other
 factors of P, and a sheaf's class is one integer sum of cached
 representatives (`kclass_sum`), with no division and no object per term.
 """
@@ -26,46 +26,46 @@ from .partitions import chart_spec, color_count, variable_relations
 
 @dataclass(frozen=True)
 class WppParams:
-    """Weights of the stack, with their gcd/lcm bookkeeping."""
+    """Weights of the stack, with their gcd/lcm bookkeeping.
+
+    The one chart convention lives here: chart i is [C^2/mu_(w_i)] and
+    its two steps are the other weights in cyclic order, so `chart(i)`
+    is (w_i, w_(i+1), w_(i+2)) with indices mod 3.  Everything derived
+    from (a, b, c), the hash included, is computed once; equality is on
+    (a, b, c).
+    """
 
     a: int
     b: int
     c: int
 
     def __post_init__(self):
-        if min(self.a, self.b, self.c) < 1:
+        a, b, c = self.a, self.b, self.c
+        if min(a, b, c) < 1:
             raise InvalidInputError("weights must be positive integers")
+        for name, value in (
+            ("d", gcd(a, b, c)), ("d12", gcd(a, b)), ("d13", gcd(a, c)),
+            ("d23", gcd(b, c)), ("m", lcm(a, b, c)), ("degree", a + b + c),
+            ("_charts", ((a, b, c), (b, c, a), (c, a, b))), ("_hash", hash((a, b, c))),
+        ):
+            object.__setattr__(self, name, value)
 
-    @property
-    def d(self):
-        return gcd(self.a, self.b, self.c)
-
-    @property
-    def d12(self):
-        return gcd(self.a, self.b)
-
-    @property
-    def d13(self):
-        return gcd(self.a, self.c)
-
-    @property
-    def d23(self):
-        return gcd(self.b, self.c)
-
-    @property
-    def m(self):
-        return lcm(self.a, self.b, self.c)
-
-    @property
-    def degree(self):
-        return self.a + self.b + self.c
-
-    def hat(self, i):
-        """Weight attached to chart i: 1 -> a, 2 -> b, 3 -> c."""
-        return {1: self.a, 2: self.b, 3: self.c}[i]
+    def __hash__(self):
+        return self._hash
 
     def weights(self):
         return (self.a, self.b, self.c)
+
+    def chart(self, i):
+        """(w_i, w_(i+1), w_(i+2)): chart i's modulus, then its two steps."""
+        if i not in (1, 2, 3):
+            raise InvalidInputError("chart must be 1, 2 or 3")
+        return self._charts[i - 1]
+
+    def check_widths(self, D1, D2, D3):
+        """Width k of a rank-2 datum must be a multiple of w_(k+1)."""
+        if any(D % self.chart(k)[1] for k, D in enumerate((D1, D2, D3), 1)):
+            raise InvalidInputError("widths must satisfy b | D1, c | D2, a | D3")
 
 
 @lru_cache(maxsize=128)
@@ -231,12 +231,10 @@ def kclass_from_laurent(params, terms):
 def structure_sheaf_point(params, i, j=0):
     """Class of the chart-i fixed point's structure sheaf, twisted by g^j.
 
-    P/(1 - g^hat(i)) is the product of the two other factors of P, so
+    P/(1 - g^w_i) is the product of the two other factors of P, so
     the class is (1 - g^w')(1 - g^w'') g^j, a Laurent polynomial in g.
     """
-    if i not in (1, 2, 3):
-        raise InvalidInputError("chart index must be 1, 2 or 3")
-    w1, w2 = (w for k, w in enumerate(params.weights(), 1) if k != i)
+    _, w1, w2 = params.chart(i)
     return kclass_sum(params, (
         (sign, g_power(params, j + e))
         for sign, e in ((1, 0), (-1, w1), (-1, w2), (1, w1 + w2))
@@ -270,7 +268,7 @@ def rank1_class(params, A, B, C, lam1, lam2, lam3):
     """
     offset = A + B + C
     return kclass_sum(params, [(1, line_bundle_class(params, A, B, C))] + [
-        (-1, _rank1_chart_deficit(params, chart, offset % params.hat(chart), lam))
+        (-1, _rank1_chart_deficit(params, chart, offset % params.chart(chart)[0], lam))
         for chart, lam in ((1, lam1), (2, lam2), (3, lam3))
     ])
 
@@ -283,9 +281,7 @@ def rank2_typeI_class(params, datum):
     is g^(A1+A2+A3) (1 + g^(D1+D2+D3) - sum (1 - g^Di)(1 - g^Dj)), the
     sum over the pairs of distinct points.
     """
-    a, b, c = params.weights()
-    if datum.D1 % b or datum.D2 % c or datum.D3 % a:
-        raise InvalidInputError("widths must satisfy b | D1, c | D2, a | D3")
+    params.check_widths(datum.D1, datum.D2, datum.D3)
     shift = datum.A1 + datum.A2 + datum.A3
     terms = Counter((shift, shift + datum.D1 + datum.D2 + datum.D3))
     pairs = (

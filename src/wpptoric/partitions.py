@@ -91,18 +91,13 @@ def color_count(partition, spec):
 def chart_spec(params, chart, offset=0):
     """The box coloring of the given affine chart (1, 2 or 3).
 
-    Chart 1 colors mod a with steps (b, c), chart 2 mod b with steps
-    (c, a), chart 3 mod c with steps (a, b).  For generating functions
-    with first Chern class beta the offset is -beta.
+    Chart i colors mod w_i with steps (w_(i+1), w_(i+2)), as
+    `WppParams.chart` lists them: chart 1 mod a with steps (b, c),
+    chart 2 mod b with steps (c, a), chart 3 mod c with steps (a, b).
+    For generating functions with first Chern class beta the offset is
+    -beta.
     """
-    a, b, c = params.a, params.b, params.c
-    if chart == 1:
-        return ColoringSpec(a, b, c, offset)
-    if chart == 2:
-        return ColoringSpec(b, c, a, offset)
-    if chart == 3:
-        return ColoringSpec(c, a, b, offset)
-    raise InvalidInputError("chart must be 1, 2 or 3")
+    return ColoringSpec(*params.chart(chart), offset)
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +455,6 @@ def chart_variables(params):
     )
 
 
-def _chart_letter(chart):
-    return {1: "p", 2: "q", 3: "r"}[chart]
-
-
 def chart_series(params, chart, beta, max_order):
     """Generating function of one chart's colored partitions.
 
@@ -471,8 +462,7 @@ def chart_series(params, chart, beta, max_order):
     variable per color of the chart's cyclic group.
     """
     spec = chart_spec(params, chart, -beta)
-    letter = _chart_letter(chart)
-    vars = tuple(f"{letter}{l}" for l in range(spec.modulus))
+    vars = tuple(f"{'pqr'[chart - 1]}{l}" for l in range(spec.modulus))
     return colored_series(spec, max_order, vars)
 
 

@@ -50,9 +50,7 @@ def _strict_triangle(d1, d2, d3):
 def is_mu_stable(params, datum):
     """Stability of a type-I datum: positive widths, distinct points, triangles."""
     datum.validate(params)
-    if min(datum.D1, datum.D2, datum.D3) <= 0:
-        return False
-    if datum.p1 == datum.p2 or datum.p2 == datum.p3 or datum.p3 == datum.p1:
+    if min(datum.D1, datum.D2, datum.D3) <= 0 or not datum.points_distinct():
         return False
     return _strict_triangle(datum.D1, datum.D2, datum.D3)
 
@@ -76,9 +74,7 @@ def slope_oracle_stability(params, spec, datum):
     """
     datum.validate(params)
     spec.validate(params)
-    if min(datum.D1, datum.D2, datum.D3) <= 0:
-        return False
-    if datum.p1 == datum.p2 or datum.p2 == datum.p3 or datum.p3 == datum.p1:
+    if min(datum.D1, datum.D2, datum.D3) <= 0 or not datum.points_distinct():
         return False
     rank_f, tw_f = rank_and_twists(params, spec, rank2_typeI_class(params, datum))
     total_a = datum.A1 + datum.A2 + datum.A3

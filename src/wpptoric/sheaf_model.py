@@ -3,7 +3,10 @@
 A toric sheaf on one chart is a lattice-indexed family of fine-graded
 vector spaces; here a family is stored as a finite window of multisets
 of fine weights, one multiset per box summand and lattice point.  The
-charts use the conventions
+charts follow `WppParams.chart`, the one source of this table: chart i
+has fine group Z_(w_i) and weight steps (w_(i+1), w_(i+2)), indices mod
+3, and its box and corner come from labels i and i + 1, label k split by
+w_(k+1):
 
     chart 1: box (i/b, j/c), fine group Z_a, weight steps (b, c),
     chart 2: box (j/c, k/a), fine group Z_b, weight steps (c, a),
@@ -25,18 +28,6 @@ from functools import lru_cache
 from .errors import InsufficientWindowError, InvalidInputError
 from .kgroup import g_power, kclass_scalar, kclass_sum, line_bundle_class
 from .partitions import Partition
-
-
-def chart_data(params, chart):
-    """(den1, den2, fine modulus, step1, step2) of a chart."""
-    a, b, c = params.weights()
-    if chart == 1:
-        return (b, c, a, b, c)
-    if chart == 2:
-        return (c, a, b, c, a)
-    if chart == 3:
-        return (a, b, c, a, b)
-    raise InvalidInputError("chart must be 1, 2 or 3")
 
 
 @dataclass(frozen=True)
@@ -111,9 +102,11 @@ class TypeIBundle:
                 object.__setattr__(self, name, normalize_point(point))
 
     def validate(self, params):
-        if self.D1 % params.b or self.D2 % params.c or self.D3 % params.a:
-            raise InvalidInputError("widths must satisfy b | D1, c | D2, a | D3")
+        params.check_widths(self.D1, self.D2, self.D3)
         return self
+
+    def points_distinct(self):
+        return len({self.p1, self.p2, self.p3}) == 3
 
 
 def minimal_halfwidth(params, sheaf):
@@ -159,7 +152,7 @@ class TruncatedSFamily:
         the last two window slices must agree after extrapolation, else
         the window is too small to contain the limit.
         """
-        _, _, mod, step1, step2 = chart_data(self.params, self.chart)
+        mod, step1, step2 = self.params.chart(self.chart)
         if direction == 1:
             edge, step = self.window.l1max, step1
             cell = lambda l: (box, l, coord)
@@ -194,18 +187,22 @@ def _staircase_cells(corner, lam, window):
                 yield (l1, l2)
 
 
+def _pair(triple, chart):
+    """Entries chart and chart + 1 of a triple indexed 1..3, cyclically."""
+    return triple[chart - 1], triple[chart % 3]
+
+
+def _box_and_corner(params, labels, chart):
+    """Box and lattice corner of a chart from its labels, label k split by w_(k+1)."""
+    splits = [_box_split(label, params.chart(k)[1]) for k, label in enumerate(labels, 1)]
+    (i, I), (j, J) = _pair(splits, chart)
+    return (i, j), (I, J)
+
+
 def _rank1_chart_layout(params, sheaf, chart):
     """Box, lattice corner and partition of one chart of a rank-1 sheaf."""
-    A, B, C = sheaf.A, sheaf.B, sheaf.C
-    a, b, c = params.weights()
-    i, I = _box_split(A, b)
-    j, J = _box_split(B, c)
-    k, K = _box_split(C, a)
-    if chart == 1:
-        return (i, j), (I, J), sheaf.lam1
-    if chart == 2:
-        return (j, k), (J, K), sheaf.lam2
-    return (k, i), (K, I), sheaf.lam3
+    box, corner = _box_and_corner(params, (sheaf.A, sheaf.B, sheaf.C), chart)
+    return box, corner, (sheaf.lam1, sheaf.lam2, sheaf.lam3)[chart - 1]
 
 
 def rank1_sfamily(params, sheaf, chart, window=None, fine_shift=0):
@@ -222,7 +219,7 @@ def rank1_sfamily(params, sheaf, chart, window=None, fine_shift=0):
     elif not window.contains(needed):
         raise InvalidInputError(f"window too small; need {needed}")
     box, corner, lam = _rank1_chart_layout(params, sheaf, chart)
-    _, _, mod, step1, step2 = chart_data(params, chart)
+    mod, step1, step2 = params.chart(chart)
     offset = sheaf.A + sheaf.B + sheaf.C + fine_shift
     dims = {}
     for l1, l2 in _staircase_cells(corner, lam, window):
@@ -233,15 +230,9 @@ def rank1_sfamily(params, sheaf, chart, window=None, fine_shift=0):
 
 def _typeI_chart_layout(params, datum, chart):
     """Box, corner, lattice widths and the corner-region point pair."""
-    a, b, c = params.weights()
-    i, I = _box_split(datum.A1, b)
-    j, J = _box_split(datum.A2, c)
-    k, K = _box_split(datum.A3, a)
-    if chart == 1:
-        return (i, j), (I, J), (datum.D1 // b, datum.D2 // c), (datum.p1, datum.p2)
-    if chart == 2:
-        return (j, k), (J, K), (datum.D2 // c, datum.D3 // a), (datum.p2, datum.p3)
-    return (k, i), (K, I), (datum.D3 // a, datum.D1 // b), (datum.p3, datum.p1)
+    box, corner = _box_and_corner(params, (datum.A1, datum.A2, datum.A3), chart)
+    widths = [D // params.chart(k)[1] for k, D in enumerate((datum.D1, datum.D2, datum.D3), 1)]
+    return box, corner, _pair(widths, chart), _pair((datum.p1, datum.p2, datum.p3), chart)
 
 
 def typeI_sfamily(params, datum, chart, window=None, fine_shift=0):
@@ -259,7 +250,7 @@ def typeI_sfamily(params, datum, chart, window=None, fine_shift=0):
     elif not window.contains(needed):
         raise InvalidInputError(f"window too small; need {needed}")
     box, corner, (w1, w2), (pt1, pt2) = _typeI_chart_layout(params, datum, chart)
-    _, _, mod, step1, step2 = chart_data(params, chart)
+    mod, step1, step2 = params.chart(chart)
     offset = datum.A1 + datum.A2 + datum.A3 + fine_shift
     dims = {}
     for l1 in range(max(window.l1min, corner[0]), window.l1max + 1):
@@ -300,34 +291,33 @@ def check_gluing(params, f1, f2, f3):
     overlap), including the character twists; the verdict is their
     equality for all indices the windows cover past stabilization.
     Returns (ok, diagnostics), with the first eight mismatches.
+
+    Equation st glues chart s to chart t = s + 1 across the outer index
+    j mod w_u, u = t + 1; its grades are (mod w_s, mod w_t), listed in
+    chart order, so "31" keys are (mod a, mod c).
     """
-    a, b, c = params.weights()
+    fams = (f1, f2, f3)
     diagnostics = []
-    equations = (
-        # (name, left family, left dir, left outer range/den, left twist,
-        #        right family, right dir, right twist, step factor)
-        ("12", f1, b, lambda i, l: ((l - i) % a, i % b),
-               f2, a, lambda i, l, j, ell: ((i + j + ell * c) % a, (l - i - j - ell * c) % b),
-               c),
-        ("23", f2, c, lambda i, l: ((l - i) % b, i % c),
-               f3, b, lambda i, l, j, ell: ((i + j + ell * a) % b, (l - i - j - ell * a) % c),
-               a),
-        ("31", f3, a, lambda i, l: (i % a, (l - i) % c),
-               f1, c, lambda i, l, j, ell: ((l - i - j - ell * b) % a, (i + j + ell * b) % c),
-               b),
-    )
     ok = True
-    for name, left, lrange, ltwist, right, rrange, rtwist, jrange in equations:
+    for s, t, u in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        name = f"{s}{t}"
+        left, right = fams[s - 1], fams[t - 1]
+        ws, wt, wu = params.chart(s)
+
+        def grade(x, y):
+            return (y % wt, x % ws) if s > t else (x % ws, y % wt)
+
         lo = max(left.window.l2min, right.window.l1min)
         hi = min(left.window.l2max, right.window.l1max)
         if lo > hi:
             raise InsufficientWindowError(f"no overlap range for equation {name}")
-        for j in range(jrange):
+        for j in range(wu):
             for ell in range(lo, hi + 1):
-                lhs = _overlap_profile(left, 1, ell, j, 2, lrange, ltwist)
+                lhs = _overlap_profile(left, 1, ell, j, 2, wt, lambda i, l: grade(l - i, i))
+                shift = j + ell * wu
                 rhs = _overlap_profile(
-                    right, 2, ell, j, 1, rrange,
-                    lambda i, l: rtwist(i, l, j, ell),
+                    right, 2, ell, j, 1, ws,
+                    lambda i, l: grade(i + shift, l - i - shift),
                 )
                 if lhs != rhs:
                     ok = False
@@ -372,7 +362,7 @@ def torsion_free_check(fam):
     """Multiplication maps are injective: weight multisets nest, shifted."""
     if not coherence_check(fam):
         return False
-    _, _, mod, step1, step2 = chart_data(fam.params, fam.chart)
+    mod, step1, step2 = fam.params.chart(fam.chart)
     w = fam.window
     for (box, l1, l2), weights in fam.dims.items():
         for dl1, dl2, step in ((1, 0, step1), (0, 1, step2)):
@@ -436,8 +426,7 @@ def _point_class(params, chart, twist):
     The oracle multiplies KClass objects where the closed forms sum
     Laurent terms.
     """
-    weights = {1: (params.b, params.c), 2: (params.a, params.c), 3: (params.a, params.b)}
-    w1, w2 = weights[chart]
+    _, w1, w2 = params.chart(chart)
     one = kclass_scalar(params, 1)
     return (one - g_power(params, w1)) * (one - g_power(params, w2)) * g_power(params, twist)
 
@@ -445,7 +434,7 @@ def _point_class(params, chart, twist):
 @lru_cache(maxsize=1024)
 def _devissage_chart_deficit(params, chart, offset, lam):
     """Per-cell sum of twisted point classes over one chart's partition."""
-    _, _, mod, step1, step2 = chart_data(params, chart)
+    mod, step1, step2 = params.chart(chart)
     return kclass_sum(params, (
         (1, _point_class(params, chart, (offset + l1 * step1 + l2 * step2) % mod))
         for l1, l2 in lam.boxes()
@@ -462,10 +451,9 @@ def kclass_by_devissage(params, sheaf):
     if isinstance(sheaf, Rank1Sheaf):
         terms = [(1, line_bundle_class(params, sheaf.A, sheaf.B, sheaf.C))]
         offset = sheaf.A + sheaf.B + sheaf.C
-        for chart in (1, 2, 3):
-            _, _, mod, _, _ = chart_data(params, chart)
-            _, _, lam = _rank1_chart_layout(params, sheaf, chart)
-            terms.append((-1, _devissage_chart_deficit(params, chart, offset % mod, lam)))
+        for chart, lam in ((1, sheaf.lam1), (2, sheaf.lam2), (3, sheaf.lam3)):
+            modulus = params.chart(chart)[0]
+            terms.append((-1, _devissage_chart_deficit(params, chart, offset % modulus, lam)))
         return kclass_sum(params, terms)
     datum = sheaf.validate(params)
     terms = [(1, line_bundle_class(params, datum.A1, datum.A2, datum.A3)),
@@ -473,7 +461,7 @@ def kclass_by_devissage(params, sheaf):
                                    datum.A3 + datum.D3))]
     offset = datum.A1 + datum.A2 + datum.A3
     for chart in (1, 2, 3):
-        _, _, mod, step1, step2 = chart_data(params, chart)
+        mod, step1, step2 = params.chart(chart)
         _, _, (w1, w2), (pt1, pt2) = _typeI_chart_layout(params, datum, chart)
         if pt1 == pt2:
             continue

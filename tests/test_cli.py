@@ -186,6 +186,54 @@ def test_glue_demos(capsys):
     assert cases["matched-data"] is True and cases["mutated-width"] is False
 
 
+_MATCHED = '{"case": "matched-data", "pass": true, "record": "glue"}'
+_BEHAVED = '{"demo_behaved": true, "record": "verdict"}'
+
+# full stdout after the meta line, diagnostics included, so that a
+# reordered diagnostic key or equation shows up
+_GLUE_PINS = {
+    ("1 1 2", "rank1"):
+        '{"case": "mutated-hull-label", "diagnostics": [{"equation": "23", '
+        '"lhs": [[[0, 0], 1]], "line": 1, "outer": 0, "rhs": []}], "pass": false, '
+        '"record": "glue"}',
+    ("1 1 2", "rank2"):
+        '{"case": "mutated-width", "diagnostics": [{"equation": "23", '
+        '"lhs": [[[0, 1], 2]], "line": 0, "outer": 0, "rhs": [[[0, 1], 1]]}], '
+        '"pass": false, "record": "glue"}',
+    ("2 3 5", "rank1"):
+        '{"case": "mutated-hull-label", "diagnostics": [{"equation": "23", '
+        '"lhs": [], "line": 1, "outer": 0, "rhs": [[[0, 0], 1]]}, {"equation": "23", '
+        '"lhs": [], "line": 2, "outer": 0, "rhs": [[[2, 0], 1]]}], "pass": false, '
+        '"record": "glue"}',
+    ("2 3 5", "rank2"):
+        '{"case": "mutated-width", "diagnostics": [{"equation": "23", '
+        '"lhs": [[[1, 1], 2]], "line": 0, "outer": 1, "rhs": [[[1, 1], 1]]}], '
+        '"pass": false, "record": "glue"}',
+    ("2 2 4", "rank1"):
+        '{"case": "mutated-hull-label", "diagnostics": [{"equation": "23", '
+        '"lhs": [], "line": 1, "outer": 0, "rhs": [[[1, 0], 1]]}, {"equation": "23", '
+        '"lhs": [], "line": 2, "outer": 0, "rhs": [[[1, 0], 1]]}], "pass": false, '
+        '"record": "glue"}',
+    ("2 2 4", "rank2"):
+        '{"case": "mutated-width", "diagnostics": [{"equation": "23", '
+        '"lhs": [[[1, 1], 2]], "line": 0, "outer": 1, "rhs": [[[1, 1], 1]]}], '
+        '"pass": false, "record": "glue"}',
+}
+
+
+@pytest.mark.parametrize("abc, demo", sorted(_GLUE_PINS))
+def test_glue_demo_stdout_pinned(capsys, abc, demo):
+    code = main(["glue", "--abc", *abc.split(), "--demo", demo])
+    out = capsys.readouterr().out
+    meta = (
+        f'{{"command": "glue", "config": {{"abc": [{abc.replace(" ", ", ")}], '
+        f'"demo": "{demo}"}}, "record": "meta", "tool": "wpptoric", '
+        f'"version": "{wpptoric.__version__}"}}'
+    )
+    assert code == 0
+    assert out == "\n".join((meta, _MATCHED, _GLUE_PINS[(abc, demo)], _BEHAVED)) + "\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["hilb", "--abc", "1", "1", "1", "--E", "-2", "--check"],
     ["hilb", "--abc", "1", "1", "1", "--E", "0", "--check"],

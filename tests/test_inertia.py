@@ -16,6 +16,7 @@ from wpptoric.kgroup import (
     kclass_scalar,
     rank2_typeI_class,
 )
+from wpptoric.sheaf_model import TypeIBundle
 
 
 def tch_oracle(kclass):
@@ -97,11 +98,8 @@ P2 = (Fraction(0), Fraction(1))
 P3 = (Fraction(1), Fraction(1))
 
 
-class FakeTypeI:
-    def __init__(self, A, D, points=(P1, P2, P3)):
-        self.A1, self.A2, self.A3 = A
-        self.D1, self.D2, self.D3 = D
-        self.p1, self.p2, self.p3 = points
+def type_i(A, D, points=(P1, P2, P3)):
+    return TypeIBundle(*A, *D, *points)
 
 
 def test_sectors_small_cases():
@@ -128,10 +126,10 @@ def test_sector_partition_is_disjoint_and_complete(weights):
     out = sectors(params)
     fs = [s.f for s in out]
     assert len(set(fs)) == len(fs)  # pairwise disjoint index sets
-    # every l/hat(i) appears in exactly one sector class
+    # every l/w_i appears in exactly one sector class
     for i in (1, 2, 3):
-        for l in range(params.hat(i)):
-            f = Fraction(l, params.hat(i))
+        for l in range(params.chart(i)[0]):
+            f = Fraction(l, params.chart(i)[0])
             assert any(s.f == f for s in out)
     # counts: d two-dim, (dij - d) per pair
     assert sum(1 for s in out if s.kind == "2dim") == params.d
@@ -183,7 +181,7 @@ def test_tch_ring_map_kills_relation():
 
 def test_closed_form_first_display_entries():
     params = WppParams(1, 1, 1)
-    datum = FakeTypeI((0, 0, -1), (2, 1, 1))
+    datum = type_i((0, 0, -1), (2, 1, 1))
     chv = tch_rank2_closed_form(params, datum)
     sector = sectors(params)[0]
     A, sum_d = -1, 4
@@ -194,7 +192,7 @@ def test_closed_form_first_display_entries():
 
 def test_closed_form_zero_dim_sector_112():
     params = WppParams(1, 1, 2)
-    datum = FakeTypeI((0, 0, 3), (1, 2, 1))
+    datum = type_i((0, 0, 3), (1, 2, 1))
     chv = tch_rank2_closed_form(params, datum)
     zd = sectors(params)[1]
     # (-1)^A ((-1)^D1 + (-1)^D3)
@@ -204,11 +202,11 @@ def test_closed_form_zero_dim_sector_112():
 def test_closed_form_guards():
     params = WppParams(1, 1, 2)
     with pytest.raises(InvalidInputError):
-        tch_rank2_closed_form(params, FakeTypeI((0, 0, 0), (1, 1, 1)))  # c | D2
+        tch_rank2_closed_form(params, type_i((0, 0, 0), (1, 1, 1)))  # c | D2
     with pytest.raises(InvalidInputError):
-        tch_rank2_closed_form(params, FakeTypeI((1, 0, 0), (1, 2, 1)))  # A1 != 0
+        tch_rank2_closed_form(params, type_i((1, 0, 0), (1, 2, 1)))  # A1 != 0
     with pytest.raises(InvalidInputError):
-        tch_rank2_closed_form(params, FakeTypeI((0, 0, 0), (1, 2, 1), (P1, P1, P3)))
+        tch_rank2_closed_form(params, type_i((0, 0, 0), (1, 2, 1), (P1, P1, P3)))
 
 
 def _admissible_data(params, dmax, a_values):
@@ -217,7 +215,7 @@ def _admissible_data(params, dmax, a_values):
         for d2 in range(c, dmax + 1, c):
             for d3 in range(a, dmax + 1, a):
                 for A in a_values:
-                    yield FakeTypeI((0, 0, A), (d1, d2, d3))
+                    yield type_i((0, 0, A), (d1, d2, d3))
 
 
 @pytest.mark.parametrize(
@@ -252,7 +250,7 @@ def test_tch_matches_power_table_oracle_on_rank2_classes():
         params = WppParams(*weights)
         a, b, c = weights
         for A, widths in ((-2, (b, c, a)), (3, (2 * b, c, 2 * a)), (0, (b, 2 * c, 3 * a))):
-            _assert_matches_oracle(rank2_typeI_class(params, FakeTypeI((0, 0, A), widths)))
+            _assert_matches_oracle(rank2_typeI_class(params, type_i((0, 0, A), widths)))
 
 
 def test_chern_vector_coerces_to_sector_order():

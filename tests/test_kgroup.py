@@ -51,6 +51,30 @@ def test_params_divisibility_chain():
     assert p.m % p.a == 0 and p.m % p.b == 0 and p.m % p.c == 0
 
 
+def test_chart_convention():
+    # chart i is (w_i, w_(i+1), w_(i+2)): the modulus, then the two steps
+    p = WppParams(2, 3, 5)
+    assert [p.chart(i) for i in (1, 2, 3)] == [(2, 3, 5), (3, 5, 2), (5, 2, 3)]
+    for bad in (0, 4):
+        with pytest.raises(InvalidInputError, match="chart must be 1, 2 or 3"):
+            p.chart(bad)
+
+
+def test_params_equality_and_hash_on_weights():
+    p = WppParams(2, 3, 5)
+    assert p == WppParams(2, 3, 5) and hash(p) == hash(WppParams(2, 3, 5))
+    assert p != WppParams(3, 2, 5)
+    assert repr(p) == "WppParams(a=2, b=3, c=5)"
+
+
+def test_width_check_reads_the_chart_steps():
+    p = WppParams(2, 3, 5)
+    p.check_widths(3, 5, 2)
+    for widths in ((2, 5, 2), (3, 3, 2), (3, 5, 3)):
+        with pytest.raises(InvalidInputError, match=r"b \| D1, c \| D2, a \| D3"):
+            p.check_widths(*widths)
+
+
 def test_from_laurent_examples():
     k = kclass_from_laurent(P111, {3: 1})
     assert k.to_triples() == [(0, 1, 1), (1, -3, 1), (2, 3, 1)]
@@ -77,7 +101,7 @@ def test_structure_sheaf_point_examples():
 @pytest.mark.parametrize("i", [1, 2, 3])
 def test_point_class_periodicity(p, i):
     k = structure_sheaf_point(p, i, 0)
-    assert k * g_power(p, p.hat(i)) == k
+    assert k * g_power(p, p.chart(i)[0]) == k
 
 
 def test_line_bundle_tensor_law():
@@ -225,8 +249,8 @@ def test_rank2_class_huge_widths():
 
 
 def point_by_division(params, i, j):
-    """The chart-i point class as the quotient P / (1 - g^hat(i)), twisted by g^j."""
-    w = params.hat(i)
+    """The chart-i point class as the quotient P / (1 - g^w_i), twisted by g^j."""
+    w = params.chart(i)[0]
     quo, rem = poly_divmod(list(relation_poly(params)), [1] + [0] * (w - 1) + [-1])
     assert not rem
     return KClass(params, quo) * g_power(params, j)
@@ -247,7 +271,7 @@ def rank1_class_by_add_chain(params, A, B, C, lam1, lam2, lam3):
     offset = A + B + C
     total = g_power(params, offset)
     for chart, lam in ((1, lam1), (2, lam2), (3, lam3)):
-        spec = chart_spec(params, chart, offset % params.hat(chart))
+        spec = chart_spec(params, chart, offset % params.chart(chart)[0])
         for color, count in enumerate(color_count(lam, spec)):
             if count:
                 total = total - count * point_by_division(params, chart, color)

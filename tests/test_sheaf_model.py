@@ -208,6 +208,25 @@ def test_rank2_gluing_and_mutations():
     assert not ok
 
 
+def test_gluing_diagnostic_grades_in_chart_order():
+    # equation 31 lists its grades as (mod a, mod c), like 12 and 23 list theirs
+    params = WppParams(2, 3, 5)
+    sheaf = Rank1Sheaf(1, 0, 1)
+    ok, diag = check_gluing(params, *families(params, sheaf, shifts=(1, 0, 0)))
+    assert not ok
+    assert [d["equation"] for d in diag] == ["12"] * 4 + ["31"] * 4
+    assert diag[4:] == [
+        {"equation": "31", "outer": 1, "line": line, "lhs": [((1, g), 1)], "rhs": [((0, g), 1)]}
+        for line, g in enumerate((1, 4, 2, 0))
+    ]
+
+
+def test_points_distinct():
+    assert TypeIBundle(0, 0, 0, 1, 1, 1).points_distinct()
+    for points in ((PT1, PT1, PT3), (PT1, PT2, PT2), (PT3, PT2, (2, 2))):
+        assert not TypeIBundle(0, 0, 0, 1, 1, 1, *points).points_distinct()
+
+
 def test_rank2_gluing_matched_point_patterns():
     # the same type-I datum generates all three charts, so any point
     # pattern glues; the pattern only shows up in corner regions
