@@ -2,8 +2,9 @@
 
 Every command prints JSON lines: one leading metadata record echoing
 the configuration, then one record per result row.  `--pretty` switches
-to human-readable tables.  Exit codes: 0 success, 1 usage or invalid
-input, 2 oracle mismatch under --check, 3 internal inconsistency.
+to human-readable tables.  Exit codes: 0 success, 1 usage, invalid
+input or an output pipe closed by its reader, 2 oracle mismatch under
+--check, 3 internal inconsistency.
 
 Default truncation orders can be overridden with the environment
 variables WPPTORIC_ORDER (default 6) and WPPTORIC_MAX (default 10).
@@ -39,10 +40,11 @@ from .inertia import tch_of_kclass
 from .kgroup import WppParams, line_bundle_class, rank1_class, rank2_typeI_class
 from .partitions import (
     Partition,
-    color_zero_specialization,
     eta_inv_pow,
     g_series,
+    g_series_fold,
     reference_113_report,
+    specialize,
     total_count_specialization,
 )
 from .rank2 import (
@@ -196,16 +198,19 @@ def cmd_gseries(args, out):
     _require_nonnegative(args, "order")
     _meta(out, "gseries", {"abc": args.abc, "beta": args.beta,
                            "order": args.order, "specialize": args.specialize})
-    series = g_series(params, args.beta, args.order)
-    if args.specialize == "color0":
-        shown = color_zero_specialization(series)
-    elif args.specialize == "total":
-        shown = total_count_specialization(series)
+    if args.specialize == "none":
+        shown = g_series(params, args.beta, args.order)
     else:
-        shown = series
+        # folded chart by chart; t counts the boxes of nonzero color
+        fold = g_series_fold(params, args.beta, args.order,
+                             "t" if args.specialize == "color0" else "q")
+        shown = specialize(fold, {"q": "q", "t": 1})
     _series_records(out, shown, f"g[{args.specialize}]")
     if args.check:
-        merged = shown if args.specialize == "total" else total_count_specialization(series)
+        if args.specialize == "none":
+            merged = total_count_specialization(shown)
+        else:
+            merged = specialize(fold, {"q": "q", "t": "q"})
         reference = eta_inv_pow(3, args.order)
         ok = merged.coeffs == reference.coeffs
         out.emit({"record": "check", "name": "total-count-vs-partition-function",
@@ -431,7 +436,7 @@ def _run(argv):
     return EXIT_OK
 
 
-def main(argv=None):
+def _exit_code(argv):
     try:
         return _run(argv)
     except _OracleMismatch as exc:
@@ -442,6 +447,18 @@ def main(argv=None):
         return EXIT_INCONSISTENT
     except InvalidInputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+
+
+def main(argv=None):
+    try:
+        code = _exit_code(argv)
+        sys.stdout.flush()  # a reader that closed early shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (`| head`); as the Python docs advise,
+        # point stdout at devnull so that the flush at exit stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
 
 

@@ -48,22 +48,8 @@ def poly_mul(p, q):
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic polynomials and Euler's totient
+# cyclotomic polynomials
 # ---------------------------------------------------------------------------
-
-def euler_phi(n):
-    """Euler's totient."""
-    result, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
 
 def _squarefree_sign(k):
     """The Moebius function: (-1)^(number of primes) for squarefree k, else 0."""
@@ -206,10 +192,6 @@ class Cyclotomic:
         self.nums, self.den = _lowest(nums, den)
 
     @staticmethod
-    def from_rational(q):
-        return _rational(Fraction(q))
-
-    @staticmethod
     def from_integers(order, nums, den=1):
         """sum nums[i] zeta_order^i / den, for integers nums of any length and den > 0."""
         return _canonical(order, reduce_by_tail(nums, *_reducer(order)), den)
@@ -275,9 +257,6 @@ class Cyclotomic:
         return _canonical(n, reduce_by_tail(prod, *_reducer(n)), self.den * other.den)
 
     __rmul__ = __mul__
-
-    def is_zero(self):
-        return not any(self.nums)
 
     def __eq__(self, other):
         other = _operand(other)

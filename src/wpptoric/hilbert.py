@@ -179,19 +179,24 @@ def hilb_top_E(params, spec, r):
     return _top_E(params, E, 1, _twist_window_sum(params, E, r))
 
 
-def rank_and_twists(params, spec, kclass):
+def rank_and_twists(params, spec, terms):
     """The two integers behind hilb_top_E_of_kclass: rank and twist sum.
 
-    The rank is the sum of the coefficients of the canonical
-    representative, the twist sum that of coeff * _twist_window_sum
-    over its powers g^e = [O(-e)].  The modified slope lin/quad is
-    twists * d / (rank * E * m).
+    `terms` are (exponent, coeff) pairs of any Laurent representative
+    of a class: the sum of coeff * g^e, g^e = [O(-e)].  The rank is the
+    sum of the coefficients, the twist sum that of coeff *
+    _twist_window_sum(-e).  Both descend to the K-group: the relation
+    P(g) g^j has coefficients summing to P(1) = 0, all its exponents lie
+    in one residue class mod d, where _twist_window_sum is affine, and
+    the alternating sum of an affine function over the eight corners of
+    (1 - g^a)(1 - g^b)(1 - g^c) vanishes.  The modified slope lin/quad
+    is twists * d / (rank * E * m).
     """
     E = spec.E
     _check_E(params, E)
     rank = 0
     twists = 0
-    for e, coeff in enumerate(kclass.coeffs):
+    for e, coeff in terms:
         if coeff:
             rank += coeff
             twists += coeff * _twist_window_sum(params, E, -e)
@@ -204,7 +209,7 @@ def hilb_top_E_of_kclass(params, spec, kclass):
     The canonical representative writes the class as a sum of powers
     g^e = [O(-e)], and the Hilbert coefficients are additive.
     """
-    return _top_E(params, spec.E, *rank_and_twists(params, spec, kclass))
+    return _top_E(params, spec.E, *rank_and_twists(params, spec, enumerate(kclass.coeffs)))
 
 
 @lru_cache(maxsize=4096)

@@ -13,7 +13,6 @@ factors of P, and a sheaf's class is one integer sum of cached
 representatives (`kclass_sum`), with no division and no object per term.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -154,9 +153,6 @@ class KClass:
 
     __rmul__ = __mul__
 
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
     def __eq__(self, other):
         return (
             isinstance(other, KClass)
@@ -273,29 +269,35 @@ def rank1_class(params, A, B, C, lam1, lam2, lam3):
     ])
 
 
-def rank2_typeI_class(params, datum):
-    """Class of a rank-2 bundle with one box summand per chart.
+def rank2_typeI_laurent(params, datum):
+    """Laurent polynomial {exponent: coeff} in g of a rank-2 type-I bundle.
 
     `datum` carries integers A1, A2, A3, widths D1, D2, D3 with
-    b | D1, c | D2, a | D3, and normalized points p1, p2, p3.  The class
-    is g^(A1+A2+A3) (1 + g^(D1+D2+D3) - sum (1 - g^Di)(1 - g^Dj)), the
-    sum over the pairs of distinct points.
+    b | D1, c | D2, a | D3, and normalized points p1, p2, p3.  The
+    polynomial is g^(A1+A2+A3) (1 + g^(D1+D2+D3) - sum (1 - g^Di)
+    (1 - g^Dj)), the sum over the pairs of distinct points; exponents
+    may be negative, and a coefficient may be 0.
     """
     params.check_widths(datum.D1, datum.D2, datum.D3)
-    shift = datum.A1 + datum.A2 + datum.A3
-    terms = Counter((shift, shift + datum.D1 + datum.D2 + datum.D3))
-    pairs = (
+    # (exponent above the shift, coeff) before like terms are collected
+    pairs = [(0, 1), (datum.D1 + datum.D2 + datum.D3, 1)]
+    for di, dj, coincide in (
         (datum.D1, datum.D2, datum.p1 == datum.p2),
         (datum.D2, datum.D3, datum.p2 == datum.p3),
         (datum.D3, datum.D1, datum.p3 == datum.p1),
-    )
-    for di, dj, coincide in pairs:
+    ):
         if not coincide:
-            terms[shift] -= 1
-            terms[shift + di] += 1
-            terms[shift + dj] += 1
-            terms[shift + di + dj] -= 1
-    return kclass_from_laurent(params, terms)
+            pairs += ((0, -1), (di, 1), (dj, 1), (di + dj, -1))
+    shift = datum.A1 + datum.A2 + datum.A3
+    terms = {}
+    for e, coeff in pairs:
+        terms[shift + e] = terms.get(shift + e, 0) + coeff
+    return terms
+
+
+def rank2_typeI_class(params, datum):
+    """Class of a rank-2 bundle with one box summand per chart (`rank2_typeI_laurent`)."""
+    return kclass_from_laurent(params, rank2_typeI_laurent(params, datum))
 
 
 def verify_relations(params):

@@ -5,7 +5,9 @@ box at column l1 of row l2 carries color (offset + l1*w1 + l2*w2) mod n.
 Generating functions over colored partitions are sparse `Series` in one
 formal variable per color.  Variable relations among the three charts
 of a weighted projective plane are never imposed on stored series; the
-example identities are checked after explicit specialization.
+example identities are checked after explicit specialization.  A
+specialization that keeps only color-0 and other-color box counts is
+taken chart by chart (`g_series_fold`), before the product.
 
 All fractional series prefactors (q^(1/6) and friends) are dropped:
 every stored exponent is an integer and comparisons align lowest-order
@@ -492,6 +494,11 @@ def total_count_specialization(series, target="q"):
     return specialize(series, {v: target for v in series.vars})
 
 
+def _is_color_zero(var):
+    """True for the index-0 variable of a letter block (p0, q0, r0)."""
+    return var[len(var.rstrip("0123456789")):] == "0"
+
+
 def color_zero_specialization(series, target="q"):
     """Track only the index-0 variable of each letter block.
 
@@ -500,12 +507,25 @@ def color_zero_specialization(series, target="q"):
     classes: the twisted point sheaves with nonzero twist have
     vanishing holomorphic Euler characteristic.
     """
-    assignment = {}
-    for v in series.vars:
-        head = v.rstrip("0123456789")
-        idx = v[len(head):]
-        assignment[v] = target if idx == "0" else 1
-    return specialize(series, assignment)
+    return specialize(series, {v: target if _is_color_zero(v) else 1 for v in series.vars})
+
+
+def g_series_fold(params, beta, max_order, others):
+    """g_series with its color-0 variables sent to q and the others to `others`.
+
+    `others` is "t" (the color-0 grading, with t counting the other
+    boxes) or "q" (the total box count).  Each chart series is folded
+    on its own and the three (q, t) factors are multiplied under the
+    cut of g_series, at most max_order boxes in all, so the multicolor
+    product is never built.
+    """
+    vars = ("q", "t")
+    result = Series.one(vars, max_order)
+    for chart in (1, 2, 3):
+        factor = chart_series(params, chart, beta, max_order)
+        assignment = {v: "q" if _is_color_zero(v) else others for v in factor.vars}
+        result = result * specialize(factor, assignment, vars)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -583,13 +603,20 @@ def balanced_rhs(k, max_order):
 def eta_inv_pow(r, max_order):
     """prod_{n>0} (1 - q^n)^(-r), fractional eta prefactor dropped.
 
+    Each factor 1/(1 - q^n) is a running sum with step n over an
+    integer list, applied r times.
+
     >>> eta_inv_pow(1, 4).coeffs[(4,)]
     5
     """
-    out = Series.one(("q",), max_order)
+    if r < 0:
+        raise InvalidInputError("negative series powers are not supported")
+    coeffs = [1] + [0] * max_order
     for n in range(1, max_order + 1):
-        out = out * geometric_factor(("q",), (n,), max_order, power=r)
-    return out
+        for _ in range(r):
+            for k in range(n, max_order + 1):
+                coeffs[k] += coeffs[k - n]
+    return Series(("q",), {(k,): c for k, c in enumerate(coeffs)}, max_order)
 
 
 def theta3(max_order, scale=1):
@@ -703,16 +730,6 @@ def variable_relations(params):
     for t in range(d13):
         rows.append([monomial("p", a, d13, t), monomial("r", c, d13, t)])
     return rows
-
-
-def euler_char_degree(monomial):
-    """Total exponent of the index-0 variables of a relation monomial.
-
-    Twisted point classes have holomorphic Euler characteristic zero, so
-    this is the Euler characteristic of the 0-dimensional class the
-    monomial stands for.
-    """
-    return sum(e for v, e in monomial.items() if v[1:] == "0")
 
 
 # ---------------------------------------------------------------------------

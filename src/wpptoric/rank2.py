@@ -26,7 +26,7 @@ from .hilbert import (
     width_free_bracket_12,
 )
 from .inertia import _root, sectors, tch_rank2_closed_form
-from .kgroup import g_power, rank2_typeI_class
+from .kgroup import rank2_typeI_laurent
 from .partitions import Series, chart_spec, color_zero_series
 from .sheaf_model import STANDARD_POINTS, TypeIBundle  # noqa: F401 (re-exported)
 
@@ -55,12 +55,6 @@ def is_mu_stable(params, datum):
     return _strict_triangle(datum.D1, datum.D2, datum.D3)
 
 
-@lru_cache(maxsize=1024)
-def _line_rank_twists(params, spec, e):
-    """(rank, twist sum) of the line bundle class g^e."""
-    return rank_and_twists(params, spec, g_power(params, e))
-
-
 def slope_oracle_stability(params, spec, datum):
     """Stability decided by comparing modified slopes.
 
@@ -68,7 +62,10 @@ def slope_oracle_stability(params, spec, datum):
     the three distinguished sub-line-bundles (twists by the opposite
     pairs of widths); stable means every sub-line-bundle has strictly
     smaller slope, the widths are positive and the points distinct.
-    The slope of a class is twists * d / (rank * E * m), so with
+    Rank and twist sum are read from the Laurent polynomial of the
+    class, each line bundle being the single term g^e: they descend to
+    the K-group (`rank_and_twists`), so no canonical representative is
+    built.  The slope of a class is twists * d / (rank * E * m), so with
     positive ranks the test mu_l >= mu_f is the integer comparison
     twists_l * rank_f >= twists_f * rank_l.
     """
@@ -76,10 +73,10 @@ def slope_oracle_stability(params, spec, datum):
     spec.validate(params)
     if min(datum.D1, datum.D2, datum.D3) <= 0 or not datum.points_distinct():
         return False
-    rank_f, tw_f = rank_and_twists(params, spec, rank2_typeI_class(params, datum))
+    rank_f, tw_f = rank_and_twists(params, spec, rank2_typeI_laurent(params, datum).items())
     total_a = datum.A1 + datum.A2 + datum.A3
     for opposite in (datum.D2 + datum.D3, datum.D1 + datum.D3, datum.D1 + datum.D2):
-        rank_l, tw_l = _line_rank_twists(params, spec, opposite + total_a)
+        rank_l, tw_l = rank_and_twists(params, spec, ((opposite + total_a, 1),))
         if min(rank_f, rank_l) <= 0:
             raise InternalInconsistencyError(f"ranks {rank_f}, {rank_l} must be positive")
         if tw_l * rank_f >= tw_f * rank_l:
@@ -169,6 +166,7 @@ def enumerate_refined_solutions(params, alpha, beta, max_sum):
             yield (A, widths, chern)
 
 
+# no caller in the package: the refined generating function the README lists
 def h_vb_refined(params, alpha, beta, max_sum):
     """Multiplicities of codegree-0 character keys over the solutions."""
     counts = {}

@@ -375,6 +375,7 @@ def torsion_free_check(fam):
     return True
 
 
+# no caller in the package: one of the sheaf predicates the README lists
 def reflexive_check(fam):
     """Intersection-of-filtrations dimension pattern, for rank <= 2.
 

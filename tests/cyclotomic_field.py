@@ -6,13 +6,34 @@ division, and the point class is a product.  The references that need
 a quotient live here: `poly_divmod`/`poly_mod` (the division routes of
 the point class, K-class reduction and the Chern fold), and the
 inverse behind the cyclotomic `psi_E` and `hilb_top` oracles, by
-extended Euclid against Phi_n in Q[x].
+extended Euclid against Phi_n in Q[x].  Euler's totient and rationals
+as cyclotomic numbers of order 1 serve the tests as well.
 """
 
 from fractions import Fraction
 
 from wpptoric.errors import InvalidInputError
 from wpptoric.exact_arith import Cyclotomic, cyclotomic_poly, poly_mul, poly_trim
+
+
+def euler_phi(n):
+    """Euler's totient."""
+    result, m, p = n, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            result -= result // p
+        p += 1
+    if m > 1:
+        result -= result // m
+    return result
+
+
+def rational(q):
+    """The rational q as a Cyclotomic of order 1."""
+    q = Fraction(q)
+    return Cyclotomic.from_integers(1, [q.numerator], q.denominator)
 
 
 def poly_divmod(p, q):
@@ -64,8 +85,8 @@ def poly_ext_gcd(p, q):
 def inverse(a):
     """Multiplicative inverse of a nonzero Cyclotomic (or rational)."""
     if not isinstance(a, Cyclotomic):
-        a = Cyclotomic.from_rational(a)
-    if a.is_zero():
+        a = rational(a)
+    if a == 0:
         raise InvalidInputError("division by zero in a cyclotomic field")
     g, s, _ = poly_ext_gcd(a.coeffs, cyclotomic_poly(a.order))
     # Phi_n is irreducible over Q, so the gcd with a nonzero residue is 1.
@@ -77,7 +98,7 @@ def power(a, e):
     """a**e by repeated squaring; a negative e inverts first."""
     if e < 0:
         return power(inverse(a), -e)
-    result = Cyclotomic.from_rational(1)
+    result = rational(1)
     while e:
         if e & 1:
             result = result * a

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -7,9 +10,11 @@ from pathlib import Path
 import pytest
 
 import wpptoric
-from wpptoric import cli
+from cyclotomic_field import euler_phi
+from wpptoric import cli, kgroup
 from wpptoric.cli import main
-from wpptoric.exact_arith import euler_phi
+
+PINS = Path(__file__).parent / "stdout_pins"
 
 
 def run(capsys, *argv):
@@ -232,6 +237,59 @@ def test_glue_demo_stdout_pinned(capsys, abc, demo):
     )
     assert code == 0
     assert out == "\n".join((meta, _MATCHED, _GLUE_PINS[(abc, demo)], _BEHAVED)) + "\n"
+
+
+@pytest.mark.parametrize("argv, pin", [
+    ("gseries --abc 1 1 1 --order 30 --specialize total", "gseries_111_order30_total.txt"),
+    ("gseries --abc 2 6 12 --beta -2 --order 7 --specialize color0 --check",
+     "gseries_2612_beta-2_order7_color0_check.txt"),
+    ("stable --abc 1 1 1 --c1 3 --max 27 --check", "stable_111_c1_3_max27_check.txt"),
+])
+def test_stdout_pinned(capsys, argv, pin):
+    # the whole stdout, so that the chart-by-chart folds and the
+    # Laurent-term slope oracle cannot change a byte of it
+    assert main(argv.split()) == 0
+    assert capsys.readouterr().out == (PINS / pin).read_text()
+
+
+@pytest.mark.parametrize("mode", ["total", "color0"])
+def test_specialized_gseries_never_builds_g_series(capsys, monkeypatch, mode):
+    def refuse(*args):
+        raise AssertionError("g_series built")
+
+    monkeypatch.setattr(cli, "g_series", refuse)
+    for abc in (["1", "1", "1"], ["2", "3", "5"]):
+        assert main(["gseries", "--abc", *abc, "--beta", "1", "--order", "6",
+                     "--specialize", mode, "--check"]) == 0
+    capsys.readouterr()
+
+
+def test_stable_check_leaves_g_power_alone(capsys):
+    before = kgroup.g_power.cache_info()
+    assert main(["stable", "--abc", "2", "3", "4", "--c1", "1", "--lambda", "1",
+                 "--max", "30", "--check"]) == 0
+    after = kgroup.g_power.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    out = capsys.readouterr().out
+    assert '"record": "triple"' in out and '"ok": true' in out
+
+
+def test_closed_pipe_exits_1_silently():
+    # far more output than a pipe buffer holds, so the writer is still
+    # running when the reader goes away after the first line; stdout is
+    # block-buffered, as it is by default
+    src = str(Path(wpptoric.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wpptoric.cli", "stable", "--abc", "1", "1", "1",
+         "--c1", "-1", "--max", "60"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert json.loads(proc.stdout.readline())["record"] == "meta"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclotomic_field import inverse, poly_divmod, poly_mod, power
+from cyclotomic_field import euler_phi, inverse, poly_divmod, poly_mod, power, rational
 from wpptoric.errors import InvalidInputError
 from wpptoric.exact_arith import (
     Cyclotomic,
@@ -13,7 +13,6 @@ from wpptoric.exact_arith import (
     _zeta_power_basis,
     as_rational,
     cyclotomic_poly,
-    euler_phi,
     poly_mul,
     zeta_pow,
 )
@@ -57,7 +56,7 @@ def test_root_of_unity_products():
 
 
 def test_inverse_examples():
-    assert inverse(Cyclotomic.from_rational(-1)) == -1
+    assert inverse(rational(-1)) == -1
     # 1/(1 - zeta_3) = (2 + zeta_3)/3, by extended Euclid on x^2+x+1
     z3 = zeta_pow(3, 1)
     inv = inverse(1 - z3 + 0 * z3)
@@ -74,7 +73,7 @@ def test_mixed_order_embedding():
 
 
 def test_as_rational():
-    assert as_rational(Cyclotomic.from_rational(Fraction(7, 2))) == Fraction(7, 2)
+    assert as_rational(rational(Fraction(7, 2))) == Fraction(7, 2)
     z3 = zeta_pow(3, 1)
     assert as_rational(z3 + z3 * z3) == -1
     assert as_rational(zeta_pow(4, 1)) is None
@@ -89,7 +88,7 @@ def test_division_by_zero_is_invalid_input():
 @pytest.mark.parametrize("m", range(-3, 8))
 def test_galois_sum(n, m):
     # sum_{k=1}^{n-1} zeta_n^{k m} = n*[n | m] - 1
-    total = Cyclotomic.from_rational(0)
+    total = rational(0)
     for k in range(1, n):
         total = total + zeta_pow(n, k * m)
     expected = (n if m % n == 0 else 0) - 1
@@ -112,7 +111,7 @@ def cyclotomic_elements(draw):
 @given(cyclotomic_elements())
 @settings(max_examples=150, deadline=None)
 def test_inverse_roundtrip(a):
-    if a.is_zero():
+    if a == 0:
         return
     assert a * inverse(a) == 1
 

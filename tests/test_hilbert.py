@@ -6,7 +6,7 @@ from math import gcd, lcm
 
 import pytest
 
-from cyclotomic_field import inverse
+from cyclotomic_field import inverse, rational
 from wpptoric.errors import InvalidInputError
 from wpptoric.exact_arith import Cyclotomic, as_rational, zeta_pow
 from wpptoric.hilbert import (
@@ -37,9 +37,9 @@ from wpptoric.kgroup import (
 def phi_E(E, x):
     """x + 2x^2 + ... + (E-1)x^(E-1), evaluated exactly."""
     if not isinstance(x, Cyclotomic):
-        x = Cyclotomic.from_rational(x)
-    total = Cyclotomic.from_rational(0)
-    power = Cyclotomic.from_rational(1)
+        x = rational(x)
+    total = rational(0)
+    power = rational(1)
     for u in range(1, E):
         power = power * x
         total = total + u * power
@@ -60,7 +60,7 @@ def _inv_one_minus_root(n, k):
 def psi_E_oracle(E, m1, m2, m3, n):
     """psi_E summed over k in Q(zeta_n), with one field inverse per term."""
     excluder = n // gcd(m1, n)
-    total = Cyclotomic.from_rational(0)
+    total = rational(0)
     for k in range(1, n):
         if k % excluder == 0:
             continue
@@ -82,7 +82,7 @@ def hilb_top_oracle(params, r):
     for (dij, khat), (wi, wj) in zip(
         ((params.d12, c), (params.d13, b), (params.d23, a)), ((a, b), (a, c), (b, c))
     ):
-        total = Cyclotomic.from_rational(0)
+        total = rational(0)
         for h in range(1, dij):
             if h % (dij // d) == 0:
                 continue

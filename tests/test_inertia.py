@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from cyclotomic_field import poly_mod
+from cyclotomic_field import poly_mod, rational
 from wpptoric.errors import InvalidInputError
 from wpptoric.exact_arith import Cyclotomic, cyclotomic_poly, zeta_pow
 from wpptoric.inertia import ChernVector, Sector, sectors, tch_of_kclass, tch_rank2_closed_form
@@ -161,7 +161,7 @@ def test_tch_multiplicativity():
     for sector in sectors(params):
         n = sector.dim + 1
         a, b = t1.entries[sector], t2.entries[sector]
-        prod = [Cyclotomic.from_rational(0) for _ in range(n)]
+        prod = [rational(0) for _ in range(n)]
         for i in range(n):
             for j in range(n - i):
                 prod[i + j] = prod[i + j] + a[i] * b[j]

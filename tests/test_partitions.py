@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
+from math import lcm
 
 import pytest
 
@@ -23,8 +24,8 @@ from wpptoric.partitions import (
     color_zero_specialization,
     colored_series,
     eta_inv_pow,
-    euler_char_degree,
     g_series,
+    g_series_fold,
     geometric_factor,
     one_cc_closed_form,
     reference_113_report,
@@ -206,6 +207,19 @@ def test_theta_series():
     assert conv.coefficient((2,)) == 22
 
 
+def test_eta_inv_pow_matches_product_of_geometric_factors():
+    # the running sums against the series product they replace
+    for r in range(5):
+        for order in range(16):
+            expected = Series.one(("q",), order)
+            for n in range(1, order + 1):
+                expected = expected * geometric_factor(("q",), (n,), order, power=r)
+            series = eta_inv_pow(r, order)
+            assert series == expected and series.truncation == order, (r, order)
+    with pytest.raises(InvalidInputError):
+        eta_inv_pow(-1, 3)
+
+
 def test_su3_proxy_is_hexagonal_theta():
     proxy = su_k_character_proxy(3, 12)
     lattice = {}
@@ -247,6 +261,16 @@ def test_one_cc_literal_display_disagrees():
     assert literal.coefficient((1, 1)) == 1
 
 
+def euler_char_degree(monomial):
+    """Total exponent of the index-0 variables of a relation monomial.
+
+    Twisted point classes have holomorphic Euler characteristic zero, so
+    this is the Euler characteristic of the 0-dimensional class the
+    monomial stands for.
+    """
+    return sum(e for v, e in monomial.items() if v[1:] == "0")
+
+
 def test_variable_relations_rows():
     p = WppParams(2, 2, 4)
     rows = variable_relations(p)
@@ -263,6 +287,37 @@ def test_color_zero_specialization_112():
     g = g_series(params, 0, 20)
     s = color_zero_specialization(g)
     assert [s.coefficient((e,)) for e in range(3)] == [1, 6, 22]
+
+
+_LCM_AT_MOST_12 = [w for w in combinations_with_replacement(range(1, 13), 3) if lcm(*w) <= 12]
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_chart_folds_match_the_folded_g_series(m):
+    # the multicolor product folded afterwards is the oracle of the
+    # chart-by-chart fold: (q, t) as a whole, and both printed modes
+    for weights in (w for w in _LCM_AT_MOST_12 if lcm(*w) == m):
+        params = WppParams(*weights)
+        for beta in range(-3, 4):
+            g = g_series(params, beta, 8)
+            kept = specialize(g, {v: "q" if v[1:] == "0" else "t" for v in g.vars},
+                              result_vars=("q", "t"))
+            fold = g_series_fold(params, beta, 8, "t")
+            assert fold == kept, (weights, beta)
+            assert specialize(fold, {"q": "q", "t": 1}) == color_zero_specialization(g)
+            total = g_series_fold(params, beta, 8, "q")
+            assert specialize(total, {"q": "q", "t": 1}) == total_count_specialization(g)
+
+
+@pytest.mark.parametrize("weights, beta", [((1, 2, 3), 1), ((2, 6, 12), -2), ((3, 3, 4), 2)])
+def test_chart_folds_at_every_low_order(weights, beta):
+    params = WppParams(*weights)
+    for order in range(9):
+        g = g_series(params, beta, order)
+        fold = g_series_fold(params, beta, order, "t")
+        assert specialize(fold, {"q": "q", "t": 1}) == color_zero_specialization(g)
+        assert specialize(fold, {"q": "q", "t": "q"}) == total_count_specialization(g)
+        assert total_count_specialization(g).coeffs == eta_inv_pow(3, order).coeffs
 
 
 def test_reference_113_report():

@@ -9,9 +9,10 @@ from wpptoric.hilbert import (
     _psi_sum,
     hilb_top_E_of_kclass,
     rank2_constant_term,
+    rank_and_twists,
 )
 from wpptoric.inertia import sectors
-from wpptoric.kgroup import WppParams, g_power, rank2_typeI_class
+from wpptoric.kgroup import WppParams, g_power, rank2_typeI_class, rank2_typeI_laurent
 from wpptoric.partitions import (
     ColoringSpec,
     Series,
@@ -328,6 +329,35 @@ def test_integer_slope_test_matches_fraction_slopes(weights):
                                 weights, spec.E, datum)
                             seen.add(verdict)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1), (2, 2, 2), (2, 2, 4), (1, 3, 3), (2, 3, 4), (4, 6, 12)])
+def test_rank_and_twists_of_laurent_terms_matches_canonical_class(weights):
+    # the functional descends through P, so any representative will do;
+    # the canonical class is the oracle
+    params = WppParams(*weights)
+    a, b, c = params.weights()
+    patterns = ((PT1, PT2, PT3), (PT1, PT1, PT3), (PT1, PT2, PT2), (PT3, PT3, PT3))
+    for spec in (GeneratingSheafSpec(params.m), GeneratingSheafSpec(2 * params.m)):
+        for d1 in range(0, 3 * b + 1, b):
+            for d2 in range(0, 3 * c + 1, c):
+                for d3 in range(0, 3 * a + 1, a):
+                    for pts in patterns:
+                        for A in ((0, 0, 0), (2, -1, 5), (0, 0, -31)):
+                            datum = TypeIBundle(*A, d1, d2, d3, *pts)
+                            terms = rank2_typeI_laurent(params, datum).items()
+                            canonical = enumerate(rank2_typeI_class(params, datum).coeffs)
+                            assert (rank_and_twists(params, spec, terms)
+                                    == rank_and_twists(params, spec, canonical)), (weights, datum)
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1), (2, 3, 5), (2, 2, 4), (4, 6, 12)])
+def test_rank_and_twists_of_a_single_power(weights):
+    params = WppParams(*weights)
+    spec = GeneratingSheafSpec(params.m)
+    for e in range(-200, 201):
+        assert (rank_and_twists(params, spec, ((e, 1),))
+                == rank_and_twists(params, spec, enumerate(g_power(params, e).coeffs))), e
 
 
 def color_zero_walk(spec, max_zeros):
