@@ -107,38 +107,69 @@ def psi_E(E, m1, m2, m3, n):
 _ZERO_TOP = HilbTop(Fraction(0), Fraction(0))
 
 
-@lru_cache(maxsize=8192)
-def hilb_top(params, r):
-    """Top two Hilbert coefficients of the r-th twist of O.
+@lru_cache(maxsize=4096)
+def _pair_sum(n, e, khat, r):
+    """sum_{j<n} j _root_sum(n, e, khat j - r), for residues khat, r mod n.
 
-    Vanishes identically unless d | r; otherwise the quadratic term is
-    d m^2/(2abc) and the linear term adds, to the untwisted part, one
-    Galois-stable root-of-unity sum per pair of weights: the sum of
-    zeta^(-hr)/(1 - zeta^(h khat)) over h = 1..d_ij-1 with d_ij/d not
-    dividing h, zeta the primitive d_ij-th root and khat the third
-    weight.  Expanding 1/(1-x) = -(1/n) sum_{j<n} j x^j turns it into
-    an integer sum over j.  The linear term is accumulated as one
-    integer over 2abc d12 d13 d23, since 2abc/(w_i w_j) = 2 khat.
-
-    >>> hilb_top(WppParams(1, 1, 1), 0)
-    HilbTop(quad=Fraction(1, 2), lin=Fraction(3, 2))
+    `_root_sum` depends on its exponent only mod n, so callers reduce
+    khat and r: a weight triple needs one entry per residue of r mod
+    each pairwise gcd, whatever the twists it is asked about.
     """
-    a, b, c = params.weights()
-    d, m = params.d, params.m
+    return sum(j * _root_sum(n, e, khat * j - r) for j in range(n))
+
+
+def hilb_lin_numerator(params, r):
+    """The linear Hilbert coefficient of the r-th twist of O as one integer L.
+
+    lin = m L / (2abc d12 d13 d23), and L = 0 unless d | r.  Besides
+    the untwisted part, L has one Galois-stable root-of-unity sum per
+    pair of weights: the sum of zeta^(-hr)/(1 - zeta^(h khat)) over
+    h = 1..d_ij-1 with d_ij/d not dividing h, zeta the primitive d_ij-th
+    root and khat the third weight.  Expanding 1/(1-x) = -(1/n)
+    sum_{j<n} j x^j turns it into an integer sum over j (`_pair_sum`),
+    and 2abc/(w_i w_j) = 2 khat puts every term over the one
+    denominator.
+    """
+    d = params.d
     if r % d:
-        return _ZERO_TOP
-    pair_data = ((params.d12, c), (params.d13, b), (params.d23, a))
+        return 0
     gcd_product = params.d12 * params.d13 * params.d23
-    lin = (2 * r + a + b + c) * d * gcd_product
-    for dij, khat in pair_data:
+    lin = (2 * r + params.degree) * d * gcd_product
+    for dij, khat in ((params.d12, params.c), (params.d13, params.b), (params.d23, params.a)):
         # the twist eigenvalue enters inverted relative to the residual
         # weight in the denominator; the monomial-counting oracle pins
         # this orientation (the same-sign variant fails already on
         # weights (1,3,3))
-        total = sum(j * _root_sum(dij, dij // d, khat * j - r) for j in range(dij))
-        lin -= 2 * khat * (gcd_product // dij) * total
-    two_abc = 2 * a * b * c
-    return HilbTop(Fraction(d * m * m, two_abc), Fraction(m * lin, two_abc * gcd_product))
+        lin -= 2 * khat * (gcd_product // dij) * _pair_sum(dij, dij // d, khat % dij, r % dij)
+    return lin
+
+
+def hilb_top_from_sums(params, count, lin_numerator):
+    """HilbTop of a sum of `count` twists r with d | r and L(r) summing to `lin_numerator`.
+
+    Each such twist adds d m^2/(2abc) to the quadratic term; the linear
+    term is m L/(2abc d12 d13 d23) (`hilb_lin_numerator`).
+    """
+    m = params.m
+    two_abc = 2 * params.a * params.b * params.c
+    gcd_product = params.d12 * params.d13 * params.d23
+    return HilbTop(Fraction(count * params.d * m * m, two_abc),
+                   Fraction(m * lin_numerator, two_abc * gcd_product))
+
+
+def hilb_top(params, r):
+    """Top two Hilbert coefficients of the r-th twist of O.
+
+    Vanishes identically unless d | r; otherwise the quadratic term is
+    d m^2/(2abc) and the linear term is m L/(2abc d12 d13 d23) with L
+    the integer `hilb_lin_numerator`.
+
+    >>> hilb_top(WppParams(1, 1, 1), 0)
+    HilbTop(quad=Fraction(1, 2), lin=Fraction(3, 2))
+    """
+    if r % params.d:
+        return _ZERO_TOP
+    return hilb_top_from_sums(params, 1, hilb_lin_numerator(params, r))
 
 
 def _check_E(params, E):

@@ -269,16 +269,15 @@ def rank1_class(params, A, B, C, lam1, lam2, lam3):
     ])
 
 
-def rank2_typeI_laurent(params, datum):
+def rank2_typeI_laurent(datum):
     """Laurent polynomial {exponent: coeff} in g of a rank-2 type-I bundle.
 
     `datum` carries integers A1, A2, A3, widths D1, D2, D3 with
-    b | D1, c | D2, a | D3, and normalized points p1, p2, p3.  The
-    polynomial is g^(A1+A2+A3) (1 + g^(D1+D2+D3) - sum (1 - g^Di)
-    (1 - g^Dj)), the sum over the pairs of distinct points; exponents
-    may be negative, and a coefficient may be 0.
+    b | D1, c | D2, a | D3 (the caller has checked them), and normalized
+    points p1, p2, p3.  The polynomial is g^(A1+A2+A3) (1 + g^(D1+D2+D3)
+    - sum (1 - g^Di) (1 - g^Dj)), the sum over the pairs of distinct
+    points; exponents may be negative, and a coefficient may be 0.
     """
-    params.check_widths(datum.D1, datum.D2, datum.D3)
     # (exponent above the shift, coeff) before like terms are collected
     pairs = [(0, 1), (datum.D1 + datum.D2 + datum.D3, 1)]
     for di, dj, coincide in (
@@ -297,7 +296,8 @@ def rank2_typeI_laurent(params, datum):
 
 def rank2_typeI_class(params, datum):
     """Class of a rank-2 bundle with one box summand per chart (`rank2_typeI_laurent`)."""
-    return kclass_from_laurent(params, rank2_typeI_laurent(params, datum))
+    params.check_widths(datum.D1, datum.D2, datum.D3)
+    return kclass_from_laurent(params, rank2_typeI_laurent(datum))
 
 
 def verify_relations(params):

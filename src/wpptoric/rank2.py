@@ -48,7 +48,10 @@ def _strict_triangle(d1, d2, d3):
 
 
 def is_mu_stable(params, datum):
-    """Stability of a type-I datum: positive widths, distinct points, triangles."""
+    """Stability of a type-I datum: positive widths, distinct points, triangles.
+
+    Validates the datum against `params` first.
+    """
     datum.validate(params)
     if min(datum.D1, datum.D2, datum.D3) <= 0 or not datum.points_distinct():
         return False
@@ -68,12 +71,14 @@ def slope_oracle_stability(params, spec, datum):
     built.  The slope of a class is twists * d / (rank * E * m), so with
     positive ranks the test mu_l >= mu_f is the integer comparison
     twists_l * rank_f >= twists_f * rank_l.
+
+    `datum` must be valid for `params` (`TypeIBundle.validate`, which
+    `is_mu_stable` runs); it is not checked again here.
     """
-    datum.validate(params)
     spec.validate(params)
     if min(datum.D1, datum.D2, datum.D3) <= 0 or not datum.points_distinct():
         return False
-    rank_f, tw_f = rank_and_twists(params, spec, rank2_typeI_laurent(params, datum).items())
+    rank_f, tw_f = rank_and_twists(params, spec, rank2_typeI_laurent(datum).items())
     total_a = datum.A1 + datum.A2 + datum.A3
     for opposite in (datum.D2 + datum.D3, datum.D1 + datum.D3, datum.D1 + datum.D2):
         rank_l, tw_l = rank_and_twists(params, spec, ((opposite + total_a, 1),))

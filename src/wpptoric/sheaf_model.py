@@ -106,7 +106,8 @@ class TypeIBundle:
         return self
 
     def points_distinct(self):
-        return len({self.p1, self.p2, self.p3}) == 3
+        # the points are normalized, so plain != decides
+        return self.p1 != self.p2 and self.p2 != self.p3 and self.p3 != self.p1
 
 
 def minimal_halfwidth(params, sheaf):

@@ -27,8 +27,15 @@ def test_every_library_cache_is_bounded():
 
 
 def test_hilb_top_stays_within_its_bound():
+    # the pair sums are cached by residue: one entry per residue r mod
+    # d_ij for each pair, however long the sweep over u < E
+    hilbert._pair_sum.cache_clear()
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["hilb", "--abc", "2", "3", "5", "--r", "7", "--E", "99990", "--check"])
-    assert code == 0
-    info = hilbert.hilb_top.cache_info()
-    assert info.currsize <= info.maxsize
+        assert code == 0
+        assert hilbert._pair_sum.cache_info().currsize <= 3
+        code = cli.main(["hilb", "--abc", "4", "12", "22", "--r", "-2", "--E", "264", "--check"])
+        assert code == 0
+    info = hilbert._pair_sum.cache_info()
+    assert info.currsize <= 3 + 4 + 2 + 2
+    assert info.maxsize <= 8192

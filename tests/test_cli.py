@@ -244,10 +244,14 @@ def test_glue_demo_stdout_pinned(capsys, abc, demo):
     ("gseries --abc 2 6 12 --beta -2 --order 7 --specialize color0 --check",
      "gseries_2612_beta-2_order7_color0_check.txt"),
     ("stable --abc 1 1 1 --c1 3 --max 27 --check", "stable_111_c1_3_max27_check.txt"),
+    ("hilb --abc 4 12 22 --r -2 --E 264 --check", "hilb_4_12_22_r-2_E264_check.txt"),
+    ("hilb --abc 6 20 24 --r 4 --E 240 --check", "hilb_6_20_24_r4_E240_check.txt"),
+    ("hilb --abc 4 6 10 --r 3 --E 60 --check", "hilb_4_6_10_r3_E60_check.txt"),
 ])
 def test_stdout_pinned(capsys, argv, pin):
-    # the whole stdout, so that the chart-by-chart folds and the
-    # Laurent-term slope oracle cannot change a byte of it
+    # the whole stdout, so that the chart-by-chart folds, the
+    # Laurent-term slope oracle and the integer Hilbert coefficients
+    # cannot change a byte of it
     assert main(argv.split()) == 0
     assert capsys.readouterr().out == (PINS / pin).read_text()
 
@@ -287,6 +291,26 @@ def test_closed_pipe_exits_1_silently():
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert json.loads(proc.stdout.readline())["record"] == "meta"
     proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
+def test_pipe_closed_before_any_output_exits_1_silently():
+    # the reader is gone before the first write, so all of stdout still
+    # sits in the buffer when main's flush fails; the flush at exit then
+    # finds it again and must go to devnull, not to the closed pipe
+    src = str(Path(wpptoric.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "wpptoric.cli", "hilb", "--abc", "1", "1", "1"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 1
     assert err == b""

@@ -13,11 +13,14 @@ from wpptoric.hilbert import (
     GeneratingSheafSpec,
     HilbTop,
     _psi_sum,
+    _root_sum,
     chi_oracle,
     hilb_fit_oracle,
+    hilb_lin_numerator,
     hilb_top,
     hilb_top_E,
     hilb_top_E_of_kclass,
+    hilb_top_from_sums,
     psi_E,
     rank2_constant_term,
 )
@@ -117,6 +120,43 @@ def test_hilb_top_matches_cyclotomic_oracle_large_pair_gcds():
         for r in range(-15, 16):
             top = hilb_top(params, r)
             assert (top.quad, top.lin) == hilb_top_oracle(params, r), (weights, r)
+
+
+def lin_numerator_per_twist(params, r):
+    """hilb_lin_numerator with each pair sum recomputed from the twist r itself."""
+    a, b, c = params.weights()
+    d = params.d
+    if r % d:
+        return 0
+    gcd_product = params.d12 * params.d13 * params.d23
+    lin = (2 * r + a + b + c) * d * gcd_product
+    for dij, khat in ((params.d12, c), (params.d13, b), (params.d23, a)):
+        total = sum(j * _root_sum(dij, dij // d, khat * j - r) for j in range(dij))
+        lin -= 2 * khat * (gcd_product // dij) * total
+    return lin
+
+
+def test_lin_numerator_matches_per_twist_formula():
+    # every sorted weight triple up to 12 and the pair-gcd-heavy bench
+    # triples, over six periods of twists: the pair sums are cached by
+    # residue, the oracle recomputes them for every r
+    triples = list(combinations_with_replacement(range(1, 13), 3))
+    for weights in triples + [(4, 12, 22), (6, 20, 24)]:
+        params = WppParams(*weights)
+        m = params.m
+        for r in range(-3 * m, 3 * m + 1):
+            assert hilb_lin_numerator(params, r) == lin_numerator_per_twist(params, r), (
+                weights, r)
+
+
+def test_hilb_top_from_sums_adds_twists():
+    params = WppParams(4, 12, 22)
+    twists = [r for r in range(-20, 21) if r % params.d == 0]
+    tops = [hilb_top(params, r) for r in twists]
+    total = hilb_top_from_sums(
+        params, len(twists), sum(hilb_lin_numerator(params, r) for r in twists))
+    assert total.quad == sum(t.quad for t in tops)
+    assert total.lin == sum(t.lin for t in tops)
 
 
 def test_psi_E_matches_cyclotomic_oracle():

@@ -345,7 +345,7 @@ def test_rank_and_twists_of_laurent_terms_matches_canonical_class(weights):
                     for pts in patterns:
                         for A in ((0, 0, 0), (2, -1, 5), (0, 0, -31)):
                             datum = TypeIBundle(*A, d1, d2, d3, *pts)
-                            terms = rank2_typeI_laurent(params, datum).items()
+                            terms = rank2_typeI_laurent(datum).items()
                             canonical = enumerate(rank2_typeI_class(params, datum).coeffs)
                             assert (rank_and_twists(params, spec, terms)
                                     == rank_and_twists(params, spec, canonical)), (weights, datum)
