@@ -255,13 +255,13 @@ def cmd_stable(args, out):
     lam = args.lam % params.d
     _meta(out, "stable", {"abc": args.abc, "c1": args.c1, "lambda": lam, "max": args.max})
     triples = list(enumerate_stable_triples(params, args.c1, lam, args.max))
-    for t in triples:
-        out.emit({"record": "triple", "A": t.A, "widths": list(t.widths)})
+    for A, widths in triples:
+        out.emit({"record": "triple", "A": A, "widths": list(widths)})
     if args.check:
         spec = GeneratingSheafSpec(params.m)
         ok = True
-        for t in triples:
-            datum = TypeIBundle(0, 0, t.A, *t.widths)
+        for A, widths in triples:
+            datum = TypeIBundle(0, 0, A, *widths)
             # is_mu_stable validates the datum, the slope oracle relies on it
             if not (is_mu_stable(params, datum)
                     and slope_oracle_stability(params, spec, datum)):

@@ -12,10 +12,8 @@ Fixed-point enumeration normalizes the three points to (1:0), (0:1),
 (1:1).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
 
 from .errors import InternalInconsistencyError, InvalidInputError
 from .exact_arith import as_rational
@@ -29,18 +27,6 @@ from .inertia import _root, sectors, tch_rank2_closed_form
 from .kgroup import rank2_typeI_laurent
 from .partitions import Series, chart_spec, color_zero_series
 from .sheaf_model import STANDARD_POINTS, TypeIBundle  # noqa: F401 (re-exported)
-
-
-@dataclass(frozen=True)
-class StableTriple:
-    A: int
-    D1: int
-    D2: int
-    D3: int
-
-    @property
-    def widths(self):
-        return (self.D1, self.D2, self.D3)
 
 
 def _strict_triangle(d1, d2, d3):
@@ -89,14 +75,14 @@ def slope_oracle_stability(params, spec, datum):
     return True
 
 
-def _admissible_widths(params, c1, totals):
+def _admissible_widths(params, c1, max_sum):
     """Positive divisible width triples with strict triangles and parity.
 
-    Only the totals in the range `totals` are enumerated.  Deterministic
-    order: by total width, then lexicographically.
+    Widths sum to at most `max_sum`.  Deterministic order: by total
+    width, then lexicographically.
     """
     a, b, c = params.weights()
-    for total in totals:
+    for total in range(3, max_sum + 1):
         if (c1 + total) % 2:
             continue
         for d1 in range(b, total - 1, b):
@@ -108,18 +94,18 @@ def _admissible_widths(params, c1, totals):
                     yield (d1, d2, d3)
 
 
-def enumerate_stable_triples(params, c1, lam, max_sum, min_sum=3):
-    """All (A; D1, D2, D3) with the stated divisibility, parity, congruence
-    and strict-triangle constraints, widths summing to between min_sum
-    and max_sum.
+def enumerate_stable_triples(params, c1, lam, max_sum):
+    """All (A, (D1, D2, D3)) with the stated divisibility, parity,
+    congruence and strict-triangle constraints, widths summing to at
+    most max_sum.
 
     Deterministic order: by total width, then lexicographically.
     """
     d = params.d
-    for widths in _admissible_widths(params, c1, range(min_sum, max_sum + 1)):
+    for widths in _admissible_widths(params, c1, max_sum):
         A = -(c1 + sum(widths)) // 2
         if (A - lam) % d == 0:
-            yield StableTriple(A, *widths)
+            yield (A, widths)
 
 
 def refined_key(params, chern):
@@ -164,7 +150,7 @@ def enumerate_refined_solutions(params, alpha, beta, max_sum):
             checks.append((sector, 2, alpha[sector.f]))
         if sector.kind in ("2dim", "1dim") and beta.get(sector.f) is not None:
             checks.append((sector, 1, beta[sector.f]))
-    for widths in _admissible_widths(params, beta0, range(3, max_sum + 1)):
+    for widths in _admissible_widths(params, beta0, max_sum):
         A = -(beta0 + sum(widths)) // 2
         chern = tch_rank2_closed_form(params, TypeIBundle(0, 0, A, *widths))
         if all(chern.codegree(sector, k) == target for sector, k, target in checks):
@@ -207,8 +193,8 @@ def h_vb_specialized(params, spec, c1, lam, max_sum):
     truncation knob is max_sum).
     """
     coeffs = {}
-    for triple in enumerate_stable_triples(params, c1, lam, max_sum):
-        key = (rank2_constant_term(params, spec, c1, lam, *triple.widths),)
+    for _, widths in enumerate_stable_triples(params, c1, lam, max_sum):
+        key = (rank2_constant_term(params, spec, c1, lam, *widths),)
         coeffs[key] = coeffs.get(key, 0) + 1
     return Series(("q",), coeffs, None)
 
@@ -237,19 +223,40 @@ def _bound_parts(params, E, c1):
     return best12, psi
 
 
-def _constant_term_upper_bound(params, spec, c1, total):
-    """Upper bound for the Hilbert constant term at fixed total width.
+def _form_bound(params, E, c1, q):
+    """Upper bound for the Hilbert constant term, strictly decreasing in q.
 
-    Writing the widths through the triangle substitution D1 = (y+z)/2
-    etc. with x, y, z >= 1, the quadratic part equals -(xy+yz+zx)/4 <=
-    -(2s-3)/4 at total width s; the remaining bracket terms are
-    maximized over the residue [A]_d and the character sums over their
-    residues.
+    With x = D2+D3-D1, y = D1+D3-D2, z = D1+D2-D3 the width terms of the
+    bracket are -q/4, q = xy + yz + zx; the other bracket terms are
+    maximized over [A]_d and the character sums over their residues.
     """
-    E = spec.E
     best12, psi = _bound_parts(params, E, c1)
     abc = params.a * params.b * params.c
-    return Fraction(E * (best12 - 3 * (2 * total - 3)), 12 * abc) + psi
+    return Fraction(E * (best12 - 3 * q), 12 * abc) + psi
+
+
+def _triangle_widths(params, c1, lam, low, high):
+    """Widths (D1, D2, D3) of the stable triples with low < q <= high.
+
+    x, y, z >= 1 of the parity of c1 (x + y + z = D1 + D2 + D3) give
+    D1 = (y+z)/2, D2 = (x+z)/2, D3 = (x+y)/2 with strict triangles, and
+    q = xy + z(x+y) bounds z.
+    """
+    a, b, c = params.weights()
+    s = 2 - c1 % 2
+    for x in range(s, high, 2):
+        for y in range(s, high, 2):
+            z_top = (high - x * y) // (x + y)
+            if z_top < s:
+                break
+            if (x + y) // 2 % a:
+                continue
+            z_low = max(s, (low - x * y) // (x + y) + 1)
+            for z in range(z_low + (z_low - s) % 2, z_top + 1, 2):
+                d1, d2 = (y + z) // 2, (x + z) // 2
+                if d1 % b or d2 % c or (-(c1 + x + y + z) // 2 - lam) % params.d:
+                    continue
+                yield d1, d2, (x + y) // 2
 
 
 def h_vb_window(params, spec, c1, lam, depth):
@@ -261,10 +268,10 @@ def h_vb_window(params, spec, c1, lam, depth):
     added to one of them give strict triangles with s/d of either
     parity, so a stable datum exists and the window is nonempty.
 
-    One upward pass over total widths keeps every constant term and
-    stops at the first total whose upper bound is below the running top
-    minus `depth`: the bound decreases strictly in the total and the top
-    only rises, so no exponent at or above the final floor is missed.
+    The scan keeps every constant term with q <= Q0 (see `_form_bound`),
+    doubling Q0 until the bound at Q0 + 1 is below the running top minus
+    `depth`: the bound decreases strictly in q and the top only rises,
+    so no exponent at or above the final floor is missed.
     Returns (series, floor_exponent).
 
     >>> from wpptoric.hilbert import GeneratingSheafSpec
@@ -277,26 +284,17 @@ def h_vb_window(params, spec, c1, lam, depth):
     if (c1 + 2 * lam) % params.d:
         return Series(("q",), {}, None), 0
     found = []
-    top = None
-    for total in count(3):
-        if top is not None and _constant_term_upper_bound(params, spec, c1, total) < top - depth:
-            break
-        for t in enumerate_stable_triples(params, c1, lam, total, min_sum=total):
-            value = rank2_constant_term(params, spec, c1, lam, *t.widths)
-            found.append(value)
-            if top is None or value > top:
-                top = value
-    floor = top - depth
+    low, high = 0, 3
+    while not found or _form_bound(params, spec.E, c1, low + 1) >= max(found) - depth:
+        for widths in _triangle_widths(params, c1, lam, low, high):
+            found.append(rank2_constant_term(params, spec, c1, lam, *widths))
+        low, high = high, 2 * high
+    floor = max(found) - depth
     coeffs = {}
     for value in found:
         if value >= floor:
             coeffs[(value,)] = coeffs.get((value,), 0) + 1
     return Series(("q",), coeffs, None), floor
-
-
-def chart_unit_series(params, chart, max_order):
-    """Chart generating function in the color-0 grading, exact through q^max_order."""
-    return color_zero_series(chart_spec(params, chart), max_order)
 
 
 def h_full(params, spec, c1, lam, max_order):
@@ -316,7 +314,7 @@ def h_full(params, spec, c1, lam, max_order):
     # exponents n <= max_order reach the window
     correction = Series(("q",), {(0,): 1}, max_order)
     for chart in (1, 2, 3):
-        g = chart_unit_series(params, chart, max_order)
+        g = color_zero_series(chart_spec(params, chart), max_order)
         correction = correction * g * g
     out = {}
     for (e,), coeff in vb.coeffs.items():

@@ -12,6 +12,7 @@ from math import lcm
 
 import pytest
 
+from class_numbers import three_hurwitz
 from partition_enumeration import partitions_of_size
 from wpptoric.hilbert import (
     GeneratingSheafSpec,
@@ -44,6 +45,7 @@ from wpptoric.partitions import (
 from wpptoric.rank2 import (
     STANDARD_POINTS,
     h_vb_specialized,
+    h_vb_window,
     is_mu_stable,
     slope_oracle_stability,
 )
@@ -309,3 +311,26 @@ def test_criterion_13_gluing_uniqueness():
         if passing != [(0, 0, 0)]:
             ok = False
     report(13, ok, "exactly one fine-weight assignment glues on the two stacky examples")
+
+
+def test_criterion_14_klyachko_class_numbers():
+    # Klyachko: 3 H(4 c2 - 1) stable toric rank-2 bundles on P^2 with c1 = -1;
+    # on P(d,d,d) with E = d and (c1 + 2 lam)/d odd the window reads the
+    # same numbers down from its top exponent
+    depth = 100
+    expected = [three_hurwitz(4 * k + 3) for k in range(depth + 1)]
+    ok = True
+    checked = 0
+    for d in (1, 2, 3):
+        params = WppParams(d, d, d)
+        for c1 in range(-3 * d, 3 * d):
+            for lam in range(d):
+                if (c1 + 2 * lam) % d or (c1 + 2 * lam) // d % 2 == 0:
+                    continue
+                window, floor = h_vb_window(params, GeneratingSheafSpec(d), c1, lam, depth)
+                top = floor + depth
+                if window.coeffs != {(top - k,): n for k, n in enumerate(expected)}:
+                    ok = False
+                checked += 1
+    report(14, ok, f"P(d,d,d) windows, d <= 3, equal 3H(4k+3) to depth {depth} "
+                   f"on {checked} (c1, lambda)")

@@ -129,6 +129,16 @@ def test_hseries_high_order_is_fast(capsys):
     assert code == 0 and _h_full_terms(records)
 
 
+def test_hseries_deep_window_is_fast(capsys):
+    # the window scan stops on the quadratic-form bound, not per total width
+    start = time.perf_counter()
+    code, records, _ = run(capsys, "hseries", "--abc", "1", "1", "1", "--E", "1", "--c1", "-1",
+                           "--max", "3", "--order", "200", "--check")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert [r["floor"] for r in records if r["record"] == "window"] == [-200]
+
+
 def test_kclass_rank1_with_check(capsys):
     code, records, _ = run(
         capsys, "kclass", "--abc", "1", "1", "2", "--ABC", "0", "0", "0",

@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from class_numbers import three_hurwitz
 from wpptoric.errors import InvalidInputError
 from wpptoric.hilbert import (
     GeneratingSheafSpec,
@@ -25,9 +26,7 @@ from wpptoric.partitions import (
 )
 from wpptoric.rank2 import (
     STANDARD_POINTS,
-    StableTriple,
-    _constant_term_upper_bound,
-    chart_unit_series,
+    _form_bound,
     enumerate_refined_solutions,
     enumerate_stable_triples,
     h_full,
@@ -77,9 +76,9 @@ def test_classifier_agrees_with_slope_oracle(weights):
 
 def test_enumerate_stable_triples_examples():
     assert list(enumerate_stable_triples(P111, 0, 0, 2)) == []
-    assert list(enumerate_stable_triples(P111, -1, 0, 3)) == [StableTriple(-1, 1, 1, 1)]
+    assert list(enumerate_stable_triples(P111, -1, 0, 3)) == [(-1, (1, 1, 1))]
     smallest_even = list(enumerate_stable_triples(P111, 0, 0, 6))
-    assert smallest_even == [StableTriple(-3, 2, 2, 2)]
+    assert smallest_even == [(-3, (2, 2, 2))]
     for bound in (4, 8, 12):
         assert list(enumerate_stable_triples(P222, 1, 0, bound)) == []
         assert list(enumerate_stable_triples(P222, 1, 1, bound)) == []
@@ -87,20 +86,9 @@ def test_enumerate_stable_triples_examples():
 
 def test_enumeration_is_deterministic_and_ordered():
     triples = list(enumerate_stable_triples(P111, -1, 0, 9))
-    totals = [sum(t.widths) for t in triples]
+    totals = [sum(widths) for _, widths in triples]
     assert totals == sorted(totals)
     assert triples == list(enumerate_stable_triples(P111, -1, 0, 9))
-
-
-@pytest.mark.parametrize("weights", [(1, 1, 1), (1, 1, 2), (2, 2, 2), (1, 2, 3), (2, 3, 4)])
-def test_enumeration_by_total_range(weights):
-    params = WppParams(*weights)
-    for c1, lam in ((0, 0), (-1, 0), (1, 1)):
-        full = list(enumerate_stable_triples(params, c1, lam % params.d, 24))
-        for lo in (3, 7, 12):
-            for hi in (lo, lo + 5, 24):
-                part = list(enumerate_stable_triples(params, c1, lam % params.d, hi, min_sum=lo))
-                assert part == [t for t in full if lo <= sum(t.widths) <= hi]
 
 
 def test_refined_keys_112():
@@ -240,17 +228,30 @@ def test_h_vb_window_empty_exactly_when_d_does_not_divide_c1_plus_2lam(weights):
                 assert series.coeffs, (c1, lam)
 
 
+def _constant_term_upper_bound(params, spec, c1, total):
+    """Upper bound for the Hilbert constant term at fixed total width.
+
+    x + y + z = total with x, y, z >= 1 gives Q = xy + yz + zx >=
+    2 total - 3, and the Q bound decreases strictly in Q.
+    """
+    return _form_bound(params, spec.E, c1, 2 * total - 3)
+
+
 @pytest.mark.parametrize("weights", WEIGHTS_UP_TO_4)
 def test_constant_term_upper_bound_holds_and_strictly_decreases(weights):
     params = WppParams(*weights)
     for spec in (GeneratingSheafSpec(params.m), GeneratingSheafSpec(2 * params.m)):
         for c1 in range(-3, 4):
+            # widths summing to at most 30 have Q <= 30^2 / 3
+            form_bounds = [_form_bound(params, spec.E, c1, q) for q in range(301)]
+            assert all(x > y for x, y in zip(form_bounds, form_bounds[1:]))
             bounds = [_constant_term_upper_bound(params, spec, c1, s) for s in range(3, 31)]
-            assert all(x > y for x, y in zip(bounds, bounds[1:]))
             for lam in range(params.d):
-                for t in enumerate_stable_triples(params, c1, lam, 30):
-                    value = rank2_constant_term(params, spec, c1, lam, *t.widths)
-                    assert value <= bounds[sum(t.widths) - 3], (c1, lam, t)
+                for A, (d1, d2, d3) in enumerate_stable_triples(params, c1, lam, 30):
+                    x, y, z = d2 + d3 - d1, d1 + d3 - d2, d1 + d2 - d3
+                    value = rank2_constant_term(params, spec, c1, lam, d1, d2, d3)
+                    assert value <= form_bounds[x * y + y * z + z * x], (c1, lam, A)
+                    assert value <= bounds[d1 + d2 + d3 - 3], (c1, lam, A)
 
 
 @pytest.mark.parametrize("weights", WEIGHTS_UP_TO_4)
@@ -274,8 +275,40 @@ def test_h_vb_window_matches_enumeration_to_the_proven_stop(weights):
 
 
 def test_chart_unit_series_plane():
-    g = chart_unit_series(P111, 1, 8)
+    g = color_zero_series(chart_spec(P111, 1), 8)
     assert g.coeffs == eta_inv_pow(1, 8).coeffs
+
+
+def test_three_hurwitz_known_values():
+    # H(3) = 1/3, H(27) = 4/3 and H(99) = 3 include forms a(x^2 + xy + y^2)
+    # and the imprimitive 3(x^2 + xy + 3y^2)
+    known = {3: 1, 7: 3, 11: 3, 15: 6, 23: 9, 27: 4, 47: 15, 71: 21, 99: 9}
+    assert {n: three_hurwitz(n) for n in known} == known
+
+
+def test_plane_window_counts_klyachko_class_numbers():
+    # 3 H(4 c2 - 1) stable toric rank-2 bundles on P^2 with c1 = -1, at q^(1 - c2)
+    window, floor = h_vb_window(P111, GeneratingSheafSpec(1), -1, 0, 400)
+    assert floor == -400
+    assert window.coeffs == {(1 - c2,): three_hurwitz(4 * c2 - 1) for c2 in range(1, 402)}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_gerbe_window_counts_klyachko_class_numbers(d):
+    # on P(d,d,d) with E = d and (c1 + 2 lam)/d odd the window reads
+    # 3H(3), 3H(7), ... down from its top exponent, as on the plane
+    params = WppParams(d, d, d)
+    checked = 0
+    for c1 in range(-3 * d, 3 * d):
+        for lam in range(d):
+            if (c1 + 2 * lam) % d or (c1 + 2 * lam) // d % 2 == 0:
+                continue
+            window, floor = h_vb_window(params, GeneratingSheafSpec(d), c1, lam, 11)
+            top = floor + 11
+            expected = {(top - k,): three_hurwitz(4 * k + 3) for k in range(12)}
+            assert window.coeffs == expected, (c1, lam)
+            checked += 1
+    assert checked == 3 * d
 
 
 def test_h_full_plane():
