@@ -62,8 +62,8 @@ class WppParams:
         return self._charts[i - 1]
 
     def check_widths(self, D1, D2, D3):
-        """Width k of a rank-2 datum must be a multiple of w_(k+1)."""
-        if any(D % self.chart(k)[1] for k, D in enumerate((D1, D2, D3), 1)):
+        """Width k of a rank-2 datum must be a multiple of w_(k+1), chart k's first step."""
+        if D1 % self.b or D2 % self.c or D3 % self.a:
             raise InvalidInputError("widths must satisfy b | D1, c | D2, a | D3")
 
 
@@ -196,11 +196,17 @@ def g_power(params, e):
     """Canonical representative of g^e for any integer e.
 
     With e = qm + r and 0 <= r < m, g^(qm) = (1 - N)^q = 1 - qN +
-    q(q-1)/2 N^2 for every integer q, since N^3 = 0.
+    q(q-1)/2 N^2 for every integer q, since N^3 = 0.  That sum is one
+    integer vector V of the cached representatives of N and N^2, and
+    g^e is g^r V: V shifted up by r places and reduced once, without
+    division.
     """
     q, r = divmod(e, params.m)
     nil, nil2 = _period_nilpotent(params)
-    return KClass(params, [0] * r + [1]) * (1 - q * nil + q * (q - 1) // 2 * nil2)
+    half = q * (q - 1) // 2
+    vec = [half * y - q * x for x, y in zip(nil.coeffs, nil2.coeffs)]
+    vec[0] += 1
+    return KClass(params, [0] * r + vec)
 
 
 def kclass_sum(params, pairs):

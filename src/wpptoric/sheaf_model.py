@@ -128,13 +128,14 @@ def minimal_halfwidth(params, sheaf):
 class TruncatedSFamily:
     """One chart's family on a window: (box, l1, l2) -> fine-weight multiset."""
 
-    __slots__ = ("params", "chart", "window", "dims")
+    __slots__ = ("params", "chart", "window", "dims", "_boxes")
 
     def __init__(self, params, chart, window, dims):
         self.params = params
         self.chart = chart
         self.window = window
         self.dims = {key: tuple(sorted(val)) for key, val in dims.items() if val}
+        self._boxes = sorted({key[0] for key in self.dims})
 
     def weights_at(self, box, l1, l2):
         return self.dims.get((box, l1, l2), ())
@@ -143,15 +144,18 @@ class TruncatedSFamily:
         return len(self.weights_at(box, l1, l2))
 
     def nonzero_boxes(self):
-        return sorted({key[0] for key in self.dims})
+        """The boxes with a nonzero weight space, sorted; computed once."""
+        return self._boxes
 
     def limit_weights(self, box, direction, coord):
         """Fine weights of the family at +infinity along a direction.
 
-        Weights shift by the chart step along the direction, so the
-        stabilized multiset is reported extrapolated back to index 0;
-        the last two window slices must agree after extrapolation, else
-        the window is too small to contain the limit.
+        Weights shift by the chart step along the direction, so each of
+        the last two window slices is extrapolated back to index 0 and
+        sorted; they must agree, else the window is too small to contain
+        the limit.  The stabilized multiset is returned as that sorted
+        tuple, the form `dims` stores, so its length is the limiting
+        dimension (0 for a box the family leaves empty).
         """
         mod, step1, step2 = self.params.chart(self.chart)
         if direction == 1:
@@ -160,16 +164,14 @@ class TruncatedSFamily:
         else:
             edge, step = self.window.l2max, step2
             cell = lambda l: (box, coord, l)
-        last = Counter((w - edge * step) % mod for w in self.dims.get(cell(edge), ()))
-        prev = Counter(
-            (w - (edge - 1) * step) % mod for w in self.dims.get(cell(edge - 1), ())
-        )
+        last = sorted((w - edge * step) % mod for w in self.dims.get(cell(edge), ()))
+        prev = sorted((w - (edge - 1) * step) % mod for w in self.dims.get(cell(edge - 1), ()))
         if last != prev:
             raise InsufficientWindowError(
                 f"chart {self.chart} box {box} not stabilized along "
                 f"direction {direction} at cross index {coord}"
             )
-        return last
+        return tuple(last)
 
 
 def _box_split(value, den):
@@ -274,13 +276,20 @@ def typeI_sfamily(params, datum, chart, window=None, fine_shift=0):
 # ---------------------------------------------------------------------------
 
 def _overlap_profile(fam, direction, coord, outer, fixed_slot, ranges, twists):
-    """Doubly-graded dimension multiset of one side of a gluing equation."""
-    profile = Counter()
-    for i in range(ranges):
-        box = (i, outer) if fixed_slot == 2 else (outer, i)
-        limit = fam.limit_weights(box, direction, coord)
-        for l, mult in limit.items():
-            profile[twists(i, l)] += mult
+    """Doubly-graded dimension multiset of one side of a gluing equation.
+
+    Only the family's nonzero boxes with the given outer slot are
+    visited: an empty box has an empty limit, so it neither raises nor
+    contributes.  The multiset is a dict of positive counts.
+    """
+    profile = {}
+    for box in fam.nonzero_boxes():
+        i, slot = box if fixed_slot == 2 else box[::-1]
+        if slot != outer or not 0 <= i < ranges:
+            continue
+        for l in fam.limit_weights(box, direction, coord):
+            key = twists(i, l)
+            profile[key] = profile.get(key, 0) + 1
     return profile
 
 
@@ -392,11 +401,11 @@ def reflexive_check(fam):
     inner = Window(w.l1min + 1, w.l1max - 1, w.l2min + 1, w.l2max - 1)
     for box in fam.nonzero_boxes():
         col = {
-            l1: sum(fam.limit_weights(box, 2, l1).values())
+            l1: len(fam.limit_weights(box, 2, l1))
             for l1 in range(inner.l1min, inner.l1max + 1)
         }
         row = {
-            l2: sum(fam.limit_weights(box, 1, l2).values())
+            l2: len(fam.limit_weights(box, 1, l2))
             for l2 in range(inner.l2min, inner.l2max + 1)
         }
         rank = max(col.values(), default=0)

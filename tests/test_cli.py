@@ -201,6 +201,16 @@ def test_glue_demos(capsys):
     assert cases["matched-data"] is True and cases["mutated-width"] is False
 
 
+def test_glue_large_weights_are_fast(capsys):
+    # the verifier visits only the nonzero boxes, not all w_t w_u per overlap line
+    start = time.perf_counter()
+    code, records, _ = run(capsys, "glue", "--abc", "20", "20", "20", "--demo", "rank2",
+                           "--check")
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert [r for r in records if r["record"] == "verdict"][0]["demo_behaved"] is True
+
+
 _MATCHED = '{"case": "matched-data", "pass": true, "record": "glue"}'
 _BEHAVED = '{"demo_behaved": true, "record": "verdict"}'
 

@@ -184,6 +184,24 @@ def test_g_power_is_direct_reduction(weights, e):
     assert g_power(params, e) == KClass(params, [0] * e + [1])
 
 
+def g_power_by_products(params, e):
+    """g^e = g^r (1 - qN + q(q-1)/2 N^2), e = qm + r, as a chain of KClass products."""
+    q, r = divmod(e, params.m)
+    one = kclass_scalar(params, 1)
+    nil = one - KClass(params, [0] * params.m + [1])
+    return KClass(params, [0] * r + [1]) * (1 - q * nil + q * (q - 1) // 2 * (nil * nil))
+
+
+@given(st.one_of(WEIGHTS, st.sampled_from([(4, 6, 12), (7, 9, 11)])),
+       st.integers(min_value=-10**9, max_value=10**9))
+@settings(max_examples=200, deadline=None)
+def test_g_power_matches_product_chain(weights, e):
+    params = WppParams(*weights)
+    fast = g_power(params, e)
+    assert fast == g_power_by_products(params, e)
+    assert all(type(x) is int for x in fast.coeffs)
+
+
 @given(WEIGHTS, st.integers(min_value=-10**6, max_value=10**6))
 @settings(max_examples=120, deadline=None)
 def test_g_power_inverse_pairs(weights, e):

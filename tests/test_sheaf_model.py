@@ -1,5 +1,6 @@
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -16,6 +17,7 @@ from wpptoric.sheaf_model import (
     STANDARD_POINTS,
     Rank1Sheaf,
     TypeIBundle,
+    TruncatedSFamily,
     Window,
     check_gluing,
     coherence_check,
@@ -153,8 +155,6 @@ def test_window_guards():
     with pytest.raises(InvalidInputError):
         rank1_sfamily(P111, taller, 1, window=Window.symmetric(5))
     # an unstabilized hand-built family is flagged by the verifier
-    from wpptoric.sheaf_model import TruncatedSFamily
-
     window = Window.symmetric(3)
     dims = {((0, 0), l1, l2): (0,) for l1 in range(-1, 4) for l2 in range(-1, 4)}
     dims[((0, 0), 3, 3)] = ()  # dent at the window edge: no limit yet
@@ -264,8 +264,6 @@ def test_non_coherent_window_detected():
     fam = rank1_sfamily(P111, Rank1Sheaf(0, 0, 0), 1)
     leaked = dict(fam.dims)
     leaked[((0, 0), fam.window.l1min, 0)] = (0,)
-    from wpptoric.sheaf_model import TruncatedSFamily
-
     bad = TruncatedSFamily(P111, 1, fam.window, leaked)
     assert not coherence_check(bad)
 
@@ -320,3 +318,144 @@ def test_devissage_matches_rank2_closed_form(weights):
                         assert kclass_by_devissage(params, datum) == rank2_typeI_class(
                             params, datum
                         )
+
+
+# ---------------------------------------------------------------------------
+# full-scan gluing oracle
+# ---------------------------------------------------------------------------
+
+def limit_counter(fam, box, direction, coord):
+    """Limit multiset of any box, empty or not, as a Counter of fine weights."""
+    mod, step1, step2 = fam.params.chart(fam.chart)
+    if direction == 1:
+        edge, step = fam.window.l1max, step1
+        cell = lambda l: (box, l, coord)
+    else:
+        edge, step = fam.window.l2max, step2
+        cell = lambda l: (box, coord, l)
+    last = Counter((w - edge * step) % mod for w in fam.weights_at(*cell(edge)))
+    prev = Counter((w - (edge - 1) * step) % mod for w in fam.weights_at(*cell(edge - 1)))
+    if last != prev:
+        raise InsufficientWindowError(
+            f"chart {fam.chart} box {box} not stabilized along "
+            f"direction {direction} at cross index {coord}"
+        )
+    return last
+
+
+def overlap_profile_full_scan(fam, direction, coord, outer, fixed_slot, ranges, twists):
+    """One side of a gluing equation, visiting every box of the overlap."""
+    profile = Counter()
+    for i in range(ranges):
+        box = (i, outer) if fixed_slot == 2 else (outer, i)
+        for l, mult in limit_counter(fam, box, direction, coord).items():
+            profile[twists(i, l)] += mult
+    return profile
+
+
+def check_gluing_full_scan(params, f1, f2, f3):
+    """`check_gluing` over all w_t w_u boxes of every overlap line, with Counter profiles."""
+    fams = (f1, f2, f3)
+    diagnostics = []
+    ok = True
+    for s, t, u in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        name = f"{s}{t}"
+        left, right = fams[s - 1], fams[t - 1]
+        ws, wt, wu = params.chart(s)
+
+        def grade(x, y):
+            return (y % wt, x % ws) if s > t else (x % ws, y % wt)
+
+        lo = max(left.window.l2min, right.window.l1min)
+        hi = min(left.window.l2max, right.window.l1max)
+        if lo > hi:
+            raise InsufficientWindowError(f"no overlap range for equation {name}")
+        for j in range(wu):
+            for ell in range(lo, hi + 1):
+                lhs = overlap_profile_full_scan(left, 1, ell, j, 2, wt,
+                                                lambda i, l: grade(l - i, i))
+                shift = j + ell * wu
+                rhs = overlap_profile_full_scan(right, 2, ell, j, 1, ws,
+                                                lambda i, l: grade(i + shift, l - i - shift))
+                if lhs != rhs:
+                    ok = False
+                    if len(diagnostics) < 8:
+                        diagnostics.append({"equation": name, "outer": j, "line": ell,
+                                            "lhs": sorted(lhs.items()),
+                                            "rhs": sorted(rhs.items())})
+    return ok, diagnostics
+
+
+def gluing_outcome(check, params, fams):
+    """(ok, diagnostics), or the InsufficientWindowError message."""
+    try:
+        return check(params, *fams)
+    except InsufficientWindowError as exc:
+        return str(exc)
+
+
+def demo_cases(params):
+    """The `glue` demo data and their mutations, on one window per datum pair."""
+    a, b, c = params.weights()
+    rank1 = Rank1Sheaf(1, 0, 1, Partition((2, 1)), Partition(), Partition((1,)))
+    rank1_bad = Rank1Sheaf(1, 0, 2, Partition((2, 1)), Partition(), Partition((1,)))
+    typeI = TypeIBundle(0, 1, -1, b, 2 * c, a)
+    typeI_bad = TypeIBundle(0, 1, -1, b, 2 * c, 2 * a)
+    for good, bad in ((rank1, rank1_bad), (typeI, typeI_bad)):
+        half = max(minimal_halfwidth(params, good), minimal_halfwidth(params, bad))
+        yield good, bad, Window.symmetric(half)
+
+
+def shrunk(fam, halfwidth):
+    """The family cut down to a smaller symmetric window, without any check."""
+    window = Window.symmetric(halfwidth)
+    dims = {key: val for key, val in fam.dims.items()
+            if max(abs(key[1]), abs(key[2])) <= halfwidth}
+    return TruncatedSFamily(fam.params, fam.chart, window, dims)
+
+
+@pytest.mark.parametrize("weights", list(combinations_with_replacement(range(1, 5), 3)))
+def test_gluing_matches_full_scan(weights):
+    params = WppParams(*weights)
+    verdicts = Counter()
+    for good, bad, window in demo_cases(params):
+        for shifts in product((0, 1), repeat=3):
+            fams = families(params, good, shifts, window=window)
+            outcome = check_gluing(params, *fams)
+            assert outcome == check_gluing_full_scan(params, *fams), (good, shifts)
+            verdicts[outcome[0]] += 1
+        make = rank1_sfamily if isinstance(bad, Rank1Sheaf) else typeI_sfamily
+        fams = families(params, good, window=window)[:2] + (make(params, bad, 3, window=window),)
+        outcome = check_gluing(params, *fams)
+        assert not outcome[0] and outcome[1]
+        assert outcome == check_gluing_full_scan(params, *fams), bad
+    # the unshifted data glue on every plane; a shift on a stacky chart does not
+    assert verdicts[True] >= 2
+    assert (verdicts[False] > 0) == (max(weights) > 1)
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 2), (2, 2, 2), (2, 2, 4), (1, 3, 4)])
+def test_gluing_window_errors_match_full_scan(weights):
+    params = WppParams(*weights)
+    for good, _, window in demo_cases(params):
+        fams = families(params, good, window=window)
+        raised = 0
+        for half in range(1, window.l1max):
+            small = tuple(shrunk(fam, half) for fam in fams)
+            outcome = gluing_outcome(check_gluing, params, small)
+            assert outcome == gluing_outcome(check_gluing_full_scan, params, small), (good, half)
+            raised += isinstance(outcome, str)
+        assert raised, good
+
+
+def test_gluing_ignores_boxes_outside_the_overlap_range():
+    # a hand-built box past the overlap's range is skipped, as the full scan skips it
+    params = WppParams(2, 3, 4)
+    for good, _, window in demo_cases(params):
+        fams = list(families(params, good, window=window))
+        (i, j), = fams[0].nonzero_boxes()
+        extra = {((i, j + 7), l1, l2): val for (_, l1, l2), val in fams[0].dims.items()}
+        fams[0] = TruncatedSFamily(params, 1, window, {**fams[0].dims, **extra})
+        assert len(fams[0].nonzero_boxes()) == 2
+        outcome = check_gluing(params, *fams)
+        assert outcome == check_gluing_full_scan(params, *fams) == (True, [])
