@@ -39,12 +39,11 @@ from .hilbert import (
     rank2_constant_term,
 )
 from .inertia import tch_of_kclass
-from .kgroup import WppParams, line_bundle_class, rank1_class, rank2_typeI_class
+from .kgroup import WppParams, rank1_class, rank2_typeI_class
 from .partitions import (
     Partition,
     eta_inv_pow,
     g_series,
-    g_series_fold,
     reference_113_report,
     specialize,
     total_count_specialization,
@@ -194,21 +193,15 @@ def cmd_gseries(args, out):
     _require_nonnegative(args, "order")
     _meta(out, "gseries", {"abc": args.abc, "beta": args.beta,
                            "order": args.order, "specialize": args.specialize})
-    if args.specialize == "none":
-        shown = g_series(params, args.beta, args.order)
-    else:
-        # folded chart by chart; t counts the boxes of nonzero color
-        fold = g_series_fold(params, args.beta, args.order,
-                             "t" if args.specialize == "color0" else "q")
-        shown = specialize(fold, {"q": "q", "t": 1})
+    # color0 and total rename each chart's colors before the product;
+    # t counts the boxes of nonzero color and is printed at t = 1
+    others = {"none": None, "color0": "t", "total": "q"}[args.specialize]
+    series = g_series(params, args.beta, args.order, others)
+    shown = specialize(series, {v: 1 if v == "t" else v for v in series.vars})
     _series_records(out, shown, f"g[{args.specialize}]")
     if args.check:
-        if args.specialize == "none":
-            merged = total_count_specialization(shown)
-        else:
-            merged = specialize(fold, {"q": "q", "t": "q"})
-        reference = eta_inv_pow(3, args.order)
-        ok = merged.coeffs == reference.coeffs
+        merged = total_count_specialization(series)
+        ok = merged.coeffs == eta_inv_pow(3, args.order).coeffs
         out.emit({"record": "check", "name": "total-count-vs-partition-function",
                   "ok": ok})
         if tuple(args.abc) == (1, 1, 3):
@@ -281,6 +274,7 @@ def cmd_kclass(args, out):
     if args.widths is not None:
         points = _parse_points(args.points) if args.points is not None else ()
         datum = TypeIBundle(A, B, C, *args.widths, *points).validate(params)
+    lams = (Partition(),) * 3
     if args.partitions is not None:
         lams = [_parse_partition(p) for p in args.partitions.split(";")]
         if len(lams) != 3:
@@ -291,12 +285,9 @@ def cmd_kclass(args, out):
     if args.widths is not None:
         sheaf = datum
         kclass = rank2_typeI_class(params, datum)
-    elif args.partitions is not None:
+    else:
         sheaf = Rank1Sheaf(A, B, C, *lams)
         kclass = rank1_class(params, A, B, C, *lams)
-    else:
-        sheaf = Rank1Sheaf(A, B, C)
-        kclass = line_bundle_class(params, A, B, C)
     out.emit({"record": "kclass",
               "triples": [[e, n, d] for e, n, d in kclass.to_triples()]})
     chern = tch_of_kclass(kclass)
@@ -317,31 +308,21 @@ def cmd_glue(args, out):
     if args.demo == "rank1":
         # chart 3 sees the hull label C through its corner on every plane,
         # B only through fine weights mod c
+        family, case = rank1_sfamily, "mutated-hull-label"
         sheaf = Rank1Sheaf(1, 0, 1, Partition((2, 1)), Partition(), Partition((1,)))
         mutated = Rank1Sheaf(1, 0, 2, Partition((2, 1)), Partition(), Partition((1,)))
-        window = Window.symmetric(max(minimal_halfwidth(params, sheaf),
-                                      minimal_halfwidth(params, mutated)))
-        fams = [rank1_sfamily(params, sheaf, ch, window=window) for ch in (1, 2, 3)]
-        ok, _ = check_gluing(params, *fams)
-        out.emit({"record": "glue", "case": "matched-data", "pass": ok})
-        fams_bad = fams[:2] + [rank1_sfamily(params, mutated, 3, window=window)]
-        bad_ok, diag = check_gluing(params, *fams_bad)
-        out.emit({"record": "glue", "case": "mutated-hull-label", "pass": bad_ok,
-                  "diagnostics": diag[:2]})
-        expected = ok and not bad_ok
     else:
-        datum = TypeIBundle(0, 1, -1, params.b, 2 * params.c, params.a)
+        family, case = typeI_sfamily, "mutated-width"
+        sheaf = TypeIBundle(0, 1, -1, params.b, 2 * params.c, params.a)
         mutated = TypeIBundle(0, 1, -1, params.b, 2 * params.c, 2 * params.a)
-        window = Window.symmetric(minimal_halfwidth(params, mutated))
-        fams = [typeI_sfamily(params, datum, ch, window=window) for ch in (1, 2, 3)]
-        ok, _ = check_gluing(params, *fams)
-        out.emit({"record": "glue", "case": "matched-data", "pass": ok})
-        fams_bad = list(fams[:2])
-        fams_bad.append(typeI_sfamily(params, mutated, 3, window=window))
-        bad_ok, diag = check_gluing(params, *fams_bad)
-        out.emit({"record": "glue", "case": "mutated-width", "pass": bad_ok,
-                  "diagnostics": diag[:2]})
-        expected = ok and not bad_ok
+    window = Window.symmetric(max(minimal_halfwidth(params, sheaf),
+                                  minimal_halfwidth(params, mutated)))
+    fams = [family(params, sheaf, ch, window=window) for ch in (1, 2, 3)]
+    ok, _ = check_gluing(params, *fams)
+    out.emit({"record": "glue", "case": "matched-data", "pass": ok})
+    bad_ok, diag = check_gluing(params, *fams[:2], family(params, mutated, 3, window=window))
+    out.emit({"record": "glue", "case": case, "pass": bad_ok, "diagnostics": diag[:2]})
+    expected = ok and not bad_ok
     out.emit({"record": "verdict", "demo_behaved": expected})
     if not expected:
         raise _OracleMismatch("gluing demo did not behave as expected")

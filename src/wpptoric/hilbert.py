@@ -6,8 +6,11 @@ come from an orbifold Riemann-Roch evaluation over the inertia sectors
 and are computed here in closed form.  The independent oracle counts
 monomials: chi(O(r)) = N(r) + N(-r-a-b-c) with N(s) the number of
 weighted monomials of degree s, using that middle cohomology of a line
-bundle vanishes on these surfaces.  Constant terms are never produced
-by the closed form, only by the oracle's quadratic fit.
+bundle vanishes on these surfaces.  The constant term of a twist of
+the structure sheaf comes only from the oracle's quadratic fit; the one
+constant term in closed form is that of the modified Hilbert polynomial
+of a rank-2 bundle (`rank2_constant_term`), which the tests check
+against `chi_oracle`.
 
 The twisted-sector contributions are sums over roots of unity with
 rational values (Fourier-Dedekind sums).  They are computed as integer

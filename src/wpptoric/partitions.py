@@ -5,9 +5,11 @@ box at column l1 of row l2 carries color (offset + l1*w1 + l2*w2) mod n.
 Generating functions over colored partitions are sparse `Series` in one
 formal variable per color.  Variable relations among the three charts
 of a weighted projective plane are never imposed on stored series; the
-example identities are checked after explicit specialization.  A
-specialization that keeps only color-0 and other-color box counts is
-taken chart by chart (`g_series_fold`), before the product.
+example identities are checked after explicit specialization.  The
+rank-1 count `g_series` is one product over the three charts; a
+specialization that keeps only color-0 and other-color box counts
+renames each chart's colors before that product, so the multicolor
+product is never built for it.
 
 All fractional series prefactors (q^(1/6) and friends) are dropped:
 every stored exponent is an integer and comparisons align lowest-order
@@ -16,7 +18,7 @@ terms.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, inf, isqrt
 from operator import add
 
 from .errors import InternalInconsistencyError, InvalidInputError
@@ -172,8 +174,6 @@ class Series:
         return Series(self.vars, {e: -c for e, c in self.coeffs.items()}, self.truncation)
 
     def __sub__(self, other):
-        if type(other) is not Series and isinstance(other, (int, Fraction)):
-            other = Series.monomial(self.vars, (0,) * len(self.vars), other)
         return self + (-other)
 
     def __mul__(self, other):
@@ -186,18 +186,12 @@ class Series:
         if self.vars != other.vars:
             raise InvalidInputError("series variable mismatch")
         trunc = self._common_truncation(other)
-        out = {}
-        if trunc is None:
-            for e1, c1 in self.coeffs.items():
-                for e2, c2 in other.coeffs.items():
-                    e = tuple(x + y for x, y in zip(e1, e2))
-                    out[e] = out.get(e, 0) + c1 * c2
-            return Series(self.vars, out, trunc)
         # right terms by total degree: each left term stops at the first
         # right term that would leave the truncation
         right = sorted((sum(e), e, c) for e, c in other.coeffs.items())
+        out = {}
         for e1, c1 in self.coeffs.items():
-            room = trunc - sum(e1)
+            room = (inf if trunc is None else trunc) - sum(e1)
             for deg, e2, c2 in right:
                 if deg > room:
                     break
@@ -270,11 +264,11 @@ def geometric_factor(vars, exps, truncation, power=1):
 def specialize(series, assignment, result_vars=None):
     """Substitute a monomial (or 1) for every variable of the series.
 
-    Assignment values may be 1, a variable name, a pair (name, exponent)
-    or a {name: exponent} mapping.  Monomials are rewritten one at a
-    time; the truncation bound carries over, so when a variable is sent
-    to 1 the low-order coefficients are only complete if the source was
-    expanded far enough.
+    Assignment values may be 1, a variable name or a {name: exponent}
+    mapping.  Monomials are rewritten one at a time; the truncation
+    bound carries over, so when a variable is sent to 1 the low-order
+    coefficients are only complete if the source was expanded far
+    enough.
     """
     normalized = {}
     names = []
@@ -286,8 +280,6 @@ def specialize(series, assignment, result_vars=None):
             normalized[var] = {}
         elif isinstance(target, str):
             normalized[var] = {target: 1}
-        elif isinstance(target, tuple) and len(target) == 2 and isinstance(target[0], str):
-            normalized[var] = {target[0]: target[1]}
         elif isinstance(target, dict):
             normalized[var] = dict(target)
         else:
@@ -296,14 +288,16 @@ def specialize(series, assignment, result_vars=None):
     if result_vars is None:
         result_vars = tuple(sorted(set(names), key=_natural_var_key))
     index = {v: i for i, v in enumerate(result_vars)}
+    # per source variable, the (result index, multiplier) pairs it feeds
+    moves = [[(index[name], mult) for name, mult in normalized[var].items()]
+             for var in series.vars]
     out = {}
     for exps, coeff in series.coeffs.items():
         new = [0] * len(result_vars)
-        for var, e in zip(series.vars, exps):
-            if e == 0:
-                continue
-            for name, mult in normalized[var].items():
-                new[index[name]] += e * mult
+        for e, targets in zip(exps, moves):
+            if e:
+                for i, mult in targets:
+                    new[i] += e * mult
         key = tuple(new)
         out[key] = out.get(key, 0) + coeff
     return Series(result_vars, out, series.truncation)
@@ -468,24 +462,24 @@ def chart_series(params, chart, beta, max_order):
     return colored_series(spec, max_order, vars)
 
 
-def g_series(params, beta, max_order):
-    """Product of the three chart series in free variables.
+def g_series(params, beta, max_order, others=None):
+    """Product of the three chart series, each renamed before the product.
 
-    The cross-chart variable relations are not imposed here; callers
-    compare series only after an explicit specialization.
+    With `others` None every color keeps its variable of
+    `chart_variables`; the cross-chart variable relations are not
+    imposed, and callers compare series only after an explicit
+    specialization.  Otherwise color 0 of each chart goes to q and the
+    other colors to `others`, in the variables (q, t): "t" gives the
+    color-0 grading with t counting the other boxes, "q" the total box
+    count.  Either way the product keeps at most max_order boxes in all.
     """
-    vars = chart_variables(params)
-    index = {v: i for i, v in enumerate(vars)}
+    vars = chart_variables(params) if others is None else ("q", "t")
     result = Series.one(vars, max_order)
     for chart in (1, 2, 3):
         factor = chart_series(params, chart, beta, max_order)
-        lifted = {}
-        for exps, coeff in factor.coeffs.items():
-            full = [0] * len(vars)
-            for v, e in zip(factor.vars, exps):
-                full[index[v]] = e
-            lifted[tuple(full)] = coeff
-        result = result * Series(vars, lifted, max_order)
+        assignment = {v: v if others is None else "q" if _is_color_zero(v) else others
+                      for v in factor.vars}
+        result = result * specialize(factor, assignment, vars)
     return result
 
 
@@ -508,24 +502,6 @@ def color_zero_specialization(series, target="q"):
     vanishing holomorphic Euler characteristic.
     """
     return specialize(series, {v: target if _is_color_zero(v) else 1 for v in series.vars})
-
-
-def g_series_fold(params, beta, max_order, others):
-    """g_series with its color-0 variables sent to q and the others to `others`.
-
-    `others` is "t" (the color-0 grading, with t counting the other
-    boxes) or "q" (the total box count).  Each chart series is folded
-    on its own and the three (q, t) factors are multiplied under the
-    cut of g_series, at most max_order boxes in all, so the multicolor
-    product is never built.
-    """
-    vars = ("q", "t")
-    result = Series.one(vars, max_order)
-    for chart in (1, 2, 3):
-        factor = chart_series(params, chart, beta, max_order)
-        assignment = {v: "q" if _is_color_zero(v) else others for v in factor.vars}
-        result = result * specialize(factor, assignment, vars)
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .hilbert import (
 from .inertia import _root, sectors, tch_rank2_closed_form
 from .kgroup import rank2_typeI_laurent
 from .partitions import Series, chart_spec, color_zero_series
-from .sheaf_model import STANDARD_POINTS, TypeIBundle  # noqa: F401 (re-exported)
+from .sheaf_model import TypeIBundle
 
 
 def _strict_triangle(d1, d2, d3):

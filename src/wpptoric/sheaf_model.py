@@ -246,7 +246,6 @@ def typeI_sfamily(params, datum, chart, window=None, fine_shift=0):
     the corner rectangle 1 exactly when the two strip points coincide.
     Both summands share one fine weight at every lattice point.
     """
-    datum.validate(params)
     needed = Window.symmetric(minimal_halfwidth(params, datum))
     if window is None:
         window = needed

@@ -43,13 +43,13 @@ from wpptoric.partitions import (
     total_count_specialization,
 )
 from wpptoric.rank2 import (
-    STANDARD_POINTS,
     h_vb_specialized,
     h_vb_window,
     is_mu_stable,
     slope_oracle_stability,
 )
 from wpptoric.sheaf_model import (
+    STANDARD_POINTS,
     Rank1Sheaf,
     TypeIBundle,
     check_gluing,

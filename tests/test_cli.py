@@ -11,7 +11,7 @@ import pytest
 
 import wpptoric
 from cyclotomic_field import euler_phi
-from wpptoric import cli, kgroup
+from wpptoric import cli, kgroup, partitions
 from wpptoric.cli import main
 
 PINS = Path(__file__).parent / "stdout_pins"
@@ -267,24 +267,40 @@ def test_glue_demo_stdout_pinned(capsys, abc, demo):
     ("hilb --abc 4 12 22 --r -2 --E 264 --check", "hilb_4_12_22_r-2_E264_check.txt"),
     ("hilb --abc 6 20 24 --r 4 --E 240 --check", "hilb_6_20_24_r4_E240_check.txt"),
     ("hilb --abc 4 6 10 --r 3 --E 60 --check", "hilb_4_6_10_r3_E60_check.txt"),
+    ("gseries --abc 1 2 3 --beta 1 --order 6 --specialize none --check",
+     "gseries_123_beta1_order6_none_check.txt"),
+    ("kclass --abc 2 3 4 --ABC -700 3 5 --check", "kclass_234_ABC-700_3_5_check.txt"),
 ])
 def test_stdout_pinned(capsys, argv, pin):
-    # the whole stdout, so that the chart-by-chart folds, the
-    # Laurent-term slope oracle and the integer Hilbert coefficients
-    # cannot change a byte of it
+    # the whole stdout, so that the chart products of every gseries mode,
+    # the line bundle as a rank-1 sheaf, the Laurent-term slope oracle and
+    # the integer Hilbert coefficients cannot change a byte of it
     assert main(argv.split()) == 0
     assert capsys.readouterr().out == (PINS / pin).read_text()
 
 
 @pytest.mark.parametrize("mode", ["total", "color0"])
 def test_specialized_gseries_never_builds_g_series(capsys, monkeypatch, mode):
-    def refuse(*args):
-        raise AssertionError("g_series built")
+    # the specialized modes rename each chart's colors to q, t before the
+    # product, so the multicolor g_series is never built; the none mode
+    # shows that the wrapper sees a product in all a + b + c colors
+    widths = []
+    mul = partitions.Series.__mul__
 
-    monkeypatch.setattr(cli, "g_series", refuse)
+    def recording(self, other):
+        widths.append(len(self.vars))
+        return mul(self, other)
+
+    monkeypatch.setattr(partitions.Series, "__mul__", recording)
     for abc in (["1", "1", "1"], ["2", "3", "5"]):
-        assert main(["gseries", "--abc", *abc, "--beta", "1", "--order", "6",
-                     "--specialize", mode, "--check"]) == 0
+        for shown in (mode, "none"):
+            widths.clear()
+            assert main(["gseries", "--abc", *abc, "--beta", "1", "--order", "6",
+                         "--specialize", shown, "--check"]) == 0
+            if shown == "none":
+                assert sum(map(int, abc)) in widths
+            else:
+                assert widths and max(widths) <= 2
     capsys.readouterr()
 
 

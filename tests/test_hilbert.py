@@ -479,8 +479,7 @@ def test_rank2_constant_term_against_chi_oracle(weights):
     # independent route: the constant term is the alternating monomial
     # count of the class tensored with the dual generating sheaf pieces
     from wpptoric.kgroup import rank2_typeI_class
-    from wpptoric.rank2 import STANDARD_POINTS
-    from wpptoric.sheaf_model import TypeIBundle
+    from wpptoric.sheaf_model import STANDARD_POINTS, TypeIBundle
 
     params = WppParams(*weights)
     a, b, c = params.weights()

@@ -25,7 +25,6 @@ from wpptoric.partitions import (
     colored_series,
     eta_inv_pow,
     g_series,
-    g_series_fold,
     geometric_factor,
     one_cc_closed_form,
     reference_113_report,
@@ -127,6 +126,41 @@ def test_series_product_matches_naive_product():
         assert product == expected and product.truncation == expected.truncation
 
 
+class _Counted:
+    """A coefficient that counts the products it takes part in."""
+
+    products = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        return self.value == getattr(other, "value", other)
+
+    def __add__(self, other):
+        return _Counted(self.value + getattr(other, "value", other))
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return _Counted(self.value * other.value)
+
+
+@pytest.mark.parametrize("trunc", [None, 0, 3, 6])
+def test_series_product_stops_at_the_cut(trunc):
+    # the result alone cannot show the stop, since the constructor drops
+    # what lies past the cut: count the coefficient products instead
+    terms = {(i, j): _Counted(1) for i in range(4) for j in range(4)}
+    left, right = Series(("x", "y"), terms), Series(("x", "y"), terms, trunc)
+    _Counted.products = 0
+    product = left * right
+    fits = sum(1 for e1 in left.coeffs for e2 in right.coeffs
+               if trunc is None or sum(e1) + sum(e2) <= trunc)
+    assert _Counted.products == fits
+    assert product.coeffs == naive_product(left, right).coeffs
+
+
 def test_specialize_identity_and_total():
     p = WppParams(1, 1, 2)
     g = g_series(p, 0, 4)
@@ -136,6 +170,14 @@ def test_specialize_identity_and_total():
     # triple product of uncolored partition functions
     eta3 = eta_inv_pow(3, 4)
     assert tot.coeffs == eta3.coeffs
+
+
+def test_specialize_rejects_a_pair_target():
+    # an exponent is given as {name: exponent}; a (name, exponent) pair is refused
+    s = Series(("x", "y"), {(1, 0): 1, (0, 2): 3})
+    assert specialize(s, {"x": {"q": 2}, "y": "q"}).coeffs == {(2,): 4}
+    with pytest.raises(InvalidInputError, match="bad assignment target"):
+        specialize(s, {"x": ("q", 2), "y": "q"})
 
 
 def test_chart_series_examples():
@@ -194,7 +236,7 @@ def test_specialized_balanced_identity(k, source, band):
             for lam in partitions_of_size(n)
         )
     brute = colored_series(balanced_spec(k), source)
-    lhs = specialize(brute, {v: ("q", 1) if v == "q0" else 1 for v in brute.vars})
+    lhs = specialize(brute, {v: "q" if v == "q0" else 1 for v in brute.vars})
     rhs = eta_inv_pow(k, order) * su_k_character_proxy(k, order)
     for e in range(order + 1):
         assert lhs.coefficient((e,)) == rhs.coefficient((e,))
@@ -302,10 +344,10 @@ def test_chart_folds_match_the_folded_g_series(m):
             g = g_series(params, beta, 8)
             kept = specialize(g, {v: "q" if v[1:] == "0" else "t" for v in g.vars},
                               result_vars=("q", "t"))
-            fold = g_series_fold(params, beta, 8, "t")
+            fold = g_series(params, beta, 8, "t")
             assert fold == kept, (weights, beta)
             assert specialize(fold, {"q": "q", "t": 1}) == color_zero_specialization(g)
-            total = g_series_fold(params, beta, 8, "q")
+            total = g_series(params, beta, 8, "q")
             assert specialize(total, {"q": "q", "t": 1}) == total_count_specialization(g)
 
 
@@ -314,7 +356,7 @@ def test_chart_folds_at_every_low_order(weights, beta):
     params = WppParams(*weights)
     for order in range(9):
         g = g_series(params, beta, order)
-        fold = g_series_fold(params, beta, order, "t")
+        fold = g_series(params, beta, order, "t")
         assert specialize(fold, {"q": "q", "t": 1}) == color_zero_specialization(g)
         assert specialize(fold, {"q": "q", "t": "q"}) == total_count_specialization(g)
         assert total_count_specialization(g).coeffs == eta_inv_pow(3, order).coeffs

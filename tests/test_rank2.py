@@ -25,7 +25,6 @@ from wpptoric.partitions import (
     eta_inv_pow,
 )
 from wpptoric.rank2 import (
-    STANDARD_POINTS,
     _form_bound,
     enumerate_refined_solutions,
     enumerate_stable_triples,
@@ -38,7 +37,7 @@ from wpptoric.rank2 import (
     refined_targets,
     slope_oracle_stability,
 )
-from wpptoric.sheaf_model import TypeIBundle
+from wpptoric.sheaf_model import STANDARD_POINTS, TypeIBundle
 
 PT1, PT2, PT3 = STANDARD_POINTS
 P111 = WppParams(1, 1, 1)
