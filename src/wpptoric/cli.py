@@ -10,7 +10,17 @@ Default truncation orders can be overridden with the environment
 variables WPPTORIC_ORDER (default 6) and WPPTORIC_MAX (default 10).
 They are read on every call of `main`, so a changed value takes effect
 in a long-lived process too; a value that is not an integer is invalid
-input.  The parser itself is built once per pair of defaults.
+input.
+
+The command line is read against one table, `COMMANDS`: for each
+command its handler, its help line and its flags, each with a
+destination, a kind (an int, three ints, a string, a choice or a
+store-true flag), a default and whether it is required.  The first
+token names the command; every later token must be one of its flags,
+spelled out in full, followed by its value(s) or written
+`--flag=value`, and the last occurrence of a flag wins.  A malformed
+command line exits 1 with one stderr line, `usage error: ...`;
+`-h`/`--help` prints the help built from the same table and exits 0.
 
 Input limits: `hilb` accepts |r| <= 10^6 and E <= 10^5.  The counting
 oracle it always runs costs O(|r|), and the generating-sheaf oracle one
@@ -19,12 +29,12 @@ takes well under a second at its limit and would run for seconds to
 forever beyond it.
 """
 
-import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import InternalInconsistencyError, InvalidInputError
@@ -81,16 +91,14 @@ class _OracleMismatch(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        raise SystemExit(EXIT_USAGE)
-
-
 def _rat(x):
     f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+# one encoder for every record: json.dumps(record, sort_keys=True) builds
+# a new one per call
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 class Output:
@@ -103,7 +111,7 @@ class Output:
             fields = "  ".join(f"{k}={v}" for k, v in record.items())
             print(f"[{kind}] {fields}")
         else:
-            print(json.dumps(record, sort_keys=True))
+            print(_encode(record))
 
 
 def _meta(out, command, config):
@@ -194,10 +202,13 @@ def cmd_gseries(args, out):
     _meta(out, "gseries", {"abc": args.abc, "beta": args.beta,
                            "order": args.order, "specialize": args.specialize})
     # color0 and total rename each chart's colors before the product;
-    # t counts the boxes of nonzero color and is printed at t = 1
+    # t counts the boxes of nonzero color and is printed at t = 1; none
+    # keeps the chart variables, so it has no t to set
     others = {"none": None, "color0": "t", "total": "q"}[args.specialize]
     series = g_series(params, args.beta, args.order, others)
-    shown = specialize(series, {v: 1 if v == "t" else v for v in series.vars})
+    shown = series
+    if "t" in series.vars:
+        shown = specialize(series, {v: 1 if v == "t" else v for v in series.vars})
     _series_records(out, shown, f"g[{args.specialize}]")
     if args.check:
         merged = total_count_specialization(series)
@@ -332,6 +343,73 @@ def cmd_glue(args, out):
 # argument wiring
 # ---------------------------------------------------------------------------
 
+class _UsageError(Exception):
+    pass
+
+
+# the defaults that WPPTORIC_ORDER and WPPTORIC_MAX override; a table
+# default naming one of them is read from the environment on every call
+_ENV_DEFAULTS = {"WPPTORIC_ORDER": 6, "WPPTORIC_MAX": 10}
+
+# flag -> (dest, kind, default, required, help); a kind is "int", "int3"
+# (three ints), "str", "flag" (store true) or a tuple of choices
+_SHARED = {
+    "--abc": ("abc", "int3", None, True, "the three weights A B C"),
+    "--pretty": ("pretty", "flag", False, False, "human-readable lines instead of JSON"),
+    "--check": ("check", "flag", False, False, "run the paired oracle; exit 2 on mismatch"),
+}
+_LAMBDA = ("lam", "int", 0, False, "the twist class lambda, taken mod gcd(a, b, c)")
+_MAX = ("max", "int", "WPPTORIC_MAX", False, "enumeration bound")
+
+# command -> (handler, help, flags)
+COMMANDS = {
+    "hilb": (cmd_hilb, "Hilbert coefficients and the counting oracle", {
+        **_SHARED,
+        "--r": ("r", "int", 0, False, "the twist r"),
+        "--E": ("E", "int", None, False, "also the generating-sheaf version for this E"),
+    }),
+    "gseries": (cmd_gseries, "rank-1 colored generating function", {
+        **_SHARED,
+        "--beta": ("beta", "int", 0, False, "the twist beta"),
+        "--order": ("order", "int", "WPPTORIC_ORDER", False, "truncation order"),
+        "--specialize": ("specialize", ("none", "color0", "total"), "none", False,
+                         "which variables to keep"),
+    }),
+    "hseries": (cmd_hseries, "rank-2 stable generating function", {
+        **_SHARED,
+        "--E": ("E", "int", None, True, "the generating sheaf E"),
+        "--c1": ("c1", "int", None, True, "the first Chern class c1"),
+        "--lambda": _LAMBDA,
+        "--max": _MAX,
+        "--order": ("order", "int", 0, False, "also print the full-moduli series to this depth"),
+    }),
+    "stable": (cmd_stable, "enumerate stable rank-2 data", {
+        **_SHARED,
+        "--c1": ("c1", "int", None, True, "the first Chern class c1"),
+        "--lambda": _LAMBDA,
+        "--max": _MAX,
+    }),
+    "kclass": (cmd_kclass, "K-group classes and characters", {
+        **_SHARED,
+        "--ABC": ("ABC", "int3", None, True, "the hull labels A B C"),
+        "--partitions": ("partitions", "str", None, False,
+                         "three comma-lists separated by ';', e.g. '2,1;;3'"),
+        "--widths": ("widths", "int3", None, False, "the rank-2 widths D1 D2 D3"),
+        "--points": ("points", "str", None, False,
+                     "three points 'x:y;x:y;x:y' for the rank-2 datum"),
+    }),
+    "glue": (cmd_glue, "gluing verifier demonstration", {
+        **_SHARED,
+        "--demo": ("demo", ("rank1", "rank2"), "rank1", False, "which demonstration"),
+    }),
+}
+_HELP_FLAGS = ("-h", "--help")
+_EXPECTS = {"int": "an integer", "int3": "three integers", "str": "a value"}
+# a value may not look like a flag: a leading dash marks one, unless the
+# token is a negative number or holds a space
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
 def _env_int(name, default):
     text = os.environ.get(name)
     if text is None:
@@ -342,74 +420,96 @@ def _env_int(name, default):
         raise InvalidInputError(f"{name}={text!r} is not an integer") from None
 
 
-@lru_cache(maxsize=8)
-def _build_parser(default_order, default_max):
-    """The argument parser; `parse_args` leaves it unchanged, so it is shared."""
-    parser = _Parser(prog="wpptoric",
-                     description="Exact invariants of toric sheaves on weighted projective planes")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _value(flag, kind, token):
+    """One value of a flag, converted as its kind says."""
+    if not (token[:1] == "-" and token != "-" and " " not in token
+            and not _NEGATIVE_NUMBER.match(token)):
+        if kind == "str" or isinstance(kind, tuple) and token in kind:
+            return token
+        if kind in ("int", "int3"):
+            try:
+                return int(token)
+            except ValueError:
+                pass
+    expects = _EXPECTS.get(kind) or f"one of {', '.join(kind)}"
+    raise _UsageError(f"{flag} expects {expects}, not {token!r}")
 
-    def common(p):
-        p.add_argument("--abc", type=int, nargs=3, required=True,
-                       metavar=("A", "B", "C"), help="the three weights")
-        p.add_argument("--pretty", action="store_true")
-        p.add_argument("--check", action="store_true",
-                       help="run the paired oracle; exit 2 on mismatch")
 
-    p = sub.add_parser("hilb", help="Hilbert coefficients and the counting oracle")
-    common(p)
-    p.add_argument("--r", type=int, default=0)
-    p.add_argument("--E", type=int, default=None)
-    p.set_defaults(func=cmd_hilb)
+def _parse_argv(argv, env):
+    """The namespace of one command line, or None when it asks for help.
 
-    p = sub.add_parser("gseries", help="rank-1 colored generating function")
-    common(p)
-    p.add_argument("--beta", type=int, default=0)
-    p.add_argument("--order", type=int, default=default_order)
-    p.add_argument("--specialize", choices=["none", "color0", "total"], default="none")
-    p.set_defaults(func=cmd_gseries)
+    The first token names the command; every later token is an exact
+    flag of it, then its value(s), or `--flag=value` for a single value.
+    The last occurrence of a flag wins.
+    """
+    if not argv:
+        raise _UsageError(f"missing command, one of {', '.join(COMMANDS)}")
+    command = argv[0]
+    if command in _HELP_FLAGS:
+        return None
+    if command not in COMMANDS:
+        raise _UsageError(f"unknown command {command!r}, expected one of {', '.join(COMMANDS)}")
+    func, _, flags = COMMANDS[command]
+    ns = {dest: env.get(default, default) for dest, _, default, _, _ in flags.values()}
+    seen = set()
+    i, n = 1, len(argv)
+    while i < n:
+        token = argv[i]
+        i += 1
+        if token in _HELP_FLAGS:
+            return None
+        flag, eq, text = token.partition("=")
+        if flag not in flags:
+            raise _UsageError(f"unknown flag {token!r} for {command}")
+        dest, kind, _, _, _ = flags[flag]
+        if kind == "flag":
+            if eq:
+                raise _UsageError(f"{flag} takes no value")
+            ns[dest] = True
+        elif kind == "int3":
+            if eq or i + 3 > n:
+                raise _UsageError(f"{flag} expects three integers, each its own word")
+            ns[dest] = [_value(flag, kind, t) for t in argv[i:i + 3]]
+            i += 3
+        else:
+            if not eq:
+                if i == n:
+                    raise _UsageError(f"{flag} expects a value")
+                text = argv[i]
+                i += 1
+            ns[dest] = _value(flag, kind, text)
+        seen.add(flag)
+    missing = [flag for flag, spec in flags.items() if spec[3] and flag not in seen]
+    if missing:
+        raise _UsageError(f"{command} needs {', '.join(missing)}")
+    return SimpleNamespace(command=command, func=func, **ns)
 
-    p = sub.add_parser("hseries", help="rank-2 stable generating function")
-    common(p)
-    p.add_argument("--E", type=int, required=True)
-    p.add_argument("--c1", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=int, default=0)
-    p.add_argument("--max", type=int, default=default_max)
-    p.add_argument("--order", type=int, default=0,
-                   help="also print the full-moduli series to this depth")
-    p.set_defaults(func=cmd_hseries)
 
-    p = sub.add_parser("stable", help="enumerate stable rank-2 data")
-    common(p)
-    p.add_argument("--c1", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=int, default=0)
-    p.add_argument("--max", type=int, default=default_max)
-    p.set_defaults(func=cmd_stable)
-
-    p = sub.add_parser("kclass", help="K-group classes and characters")
-    common(p)
-    p.add_argument("--ABC", type=int, nargs=3, required=True, metavar=("A", "B", "C"))
-    p.add_argument("--partitions", type=str, default=None,
-                   help="three comma-lists separated by ';', e.g. '2,1;;3'")
-    p.add_argument("--widths", type=int, nargs=3, default=None,
-                   metavar=("D1", "D2", "D3"))
-    p.add_argument("--points", type=str, default=None,
-                   help="three points 'x:y;x:y;x:y' for the rank-2 datum")
-    p.set_defaults(func=cmd_kclass)
-
-    p = sub.add_parser("glue", help="gluing verifier demonstration")
-    common(p)
-    p.add_argument("--demo", choices=["rank1", "rank2"], default="rank1")
-    p.set_defaults(func=cmd_glue)
-    return parser
+def _help_text():
+    lines = ["usage: wpptoric COMMAND --abc A B C [--flag VALUE | --flag=VALUE ...]",
+             "Exact invariants of toric sheaves on weighted projective planes.",
+             "Flags must be spelled out in full; the last occurrence of a flag wins."]
+    for command, (_, about, flags) in COMMANDS.items():
+        lines += ["", f"{command}: {about}"]
+        for flag, (_, kind, default, required, text) in flags.items():
+            arg = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else \
+                {"int": "N", "int3": "N N N", "str": "TEXT", "flag": ""}[kind]
+            if required:
+                text += " (required)"
+            elif default in _ENV_DEFAULTS:
+                text += f" (default ${default}, else {_ENV_DEFAULTS[default]})"
+            elif default is not None and kind != "flag":
+                text += f" (default {default})"
+            lines.append(f"  {flag} {arg}".ljust(26) + "  " + text)
+    return "\n".join(lines) + "\n"
 
 
 def _run(argv):
-    parser = _build_parser(_env_int("WPPTORIC_ORDER", 6), _env_int("WPPTORIC_MAX", 10))
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_USAGE
+    env = {name: _env_int(name, default) for name, default in _ENV_DEFAULTS.items()}
+    args = _parse_argv(sys.argv[1:] if argv is None else argv, env)
+    if args is None:
+        sys.stdout.write(_help_text())
+        return EXIT_OK
     args.func(args, Output(args.pretty))
     return EXIT_OK
 
@@ -425,6 +525,9 @@ def _exit_code(argv):
         return EXIT_INCONSISTENT
     except InvalidInputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

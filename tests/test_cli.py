@@ -401,16 +401,25 @@ def test_env_default_read_on_every_call(capsys, monkeypatch, name, argv, key):
         assert records[0]["config"][key] == value
 
 
-def test_parser_built_once_per_env(capsys, monkeypatch):
-    monkeypatch.delenv("WPPTORIC_ORDER", raising=False)
-    monkeypatch.delenv("WPPTORIC_MAX", raising=False)
-    cli._build_parser.cache_clear()
-    for r in range(-3, 4):
-        assert main(["hilb", "--abc", "1", "1", "2", "--r", str(r)]) == 0
-    assert main(["nonsense"]) == 1
-    assert main(["gseries", "--abc", "1", "1", "1", "--order", "2"]) == 0
-    assert cli._build_parser.cache_info().misses == 1
-    capsys.readouterr()
+def test_cli_never_imports_argparse():
+    # the option table replaced an argparse parser that cost more to
+    # build and run than a small request itself; keep it out
+    src = str(Path(wpptoric.__file__).resolve().parent.parent)
+    script = ("import sys\n"
+              "from wpptoric import cli\n"
+              "assert cli.main(['hilb', '--abc', '1', '1', '2', '--r', '3']) == 0\n"
+              "assert 'argparse' not in sys.modules, 'argparse was imported'\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert '"record": "verdict"' in proc.stdout
+
+
+def test_last_flag_wins_and_equals_form(capsys):
+    code, records, _ = run(capsys, "hilb", "--abc", "9", "9", "9", "--r=5", "--abc", "1", "2",
+                           "3", "--r", "4", "--E=6", "--r=-1")
+    assert code == 0
+    assert records[0]["config"] == {"abc": [1, 2, 3], "r": -1, "E": 6}
 
 
 def test_no_state_carries_between_calls(capsys):
@@ -435,6 +444,41 @@ def test_usage_errors(capsys):
                  "--widths", "1", "1", "1"])
     assert code == 1  # width divisibility violated
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["hilb"],
+    ["nonsense"],
+    ["hilb", "--abc", "1", "1"],
+    ["gseries", "--abc", "1", "1", "1", "--specialize", "foo"],
+    ["hilb", "--abc", "1", "1", "1", "--r", "x"],
+    ["hilb", "--abc", "1", "1", "1", "--rr", "2"],
+    ["hilb", "--ab", "1", "1", "1"],  # no prefix abbreviations
+    ["hilb", "--abc", "1", "1", "--check"],
+    ["hilb", "--abc=1", "1", "1"],
+    ["hilb", "--abc", "1", "1", "1", "--check=yes"],
+    ["kclass", "--abc", "1", "1", "2", "--ABC", "0", "0", "0", "--partitions", "--check"],
+    ["stable", "--abc", "1", "1", "1"],
+])
+def test_usage_error_is_one_line(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["kclass", "--abc", "1", "1", "2", "-h"]])
+def test_help_names_every_command_and_flag(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    for command, (_, about, flags) in cli.COMMANDS.items():
+        assert f"{command}: {about}" in lines
+        for flag in flags:
+            assert any(line.split()[:1] == [flag] for line in lines)
 
 
 def test_kclass_large_negative_twist(capsys):
@@ -476,6 +520,12 @@ def test_kclass_flags_that_would_be_ignored(capsys, extra):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("invalid input:")
+
+
+def test_records_are_encoded_with_sorted_keys(capsys):
+    record = {"record": "term", "series": "g", "monomial": {"q1": 2, "p0": 1}, "coeff": -3}
+    cli.Output(False).emit(dict(record))
+    assert capsys.readouterr().out == json.dumps(record, sort_keys=True) + "\n"
 
 
 def test_pretty_mode_runs(capsys):
