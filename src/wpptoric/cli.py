@@ -74,8 +74,7 @@ from .sheaf_model import (
     check_gluing,
     kclass_by_devissage,
     minimal_halfwidth,
-    rank1_sfamily,
-    typeI_sfamily,
+    sfamily,
 )
 
 EXIT_OK = 0
@@ -284,21 +283,19 @@ def cmd_kclass(args, out):
         raise InvalidInputError("--partitions and --widths exclude each other")
     if args.widths is not None:
         points = _parse_points(args.points) if args.points is not None else ()
-        datum = TypeIBundle(A, B, C, *args.widths, *points).validate(params)
-    lams = (Partition(),) * 3
-    if args.partitions is not None:
-        lams = [_parse_partition(p) for p in args.partitions.split(";")]
-        if len(lams) != 3:
-            raise InvalidInputError("need three partitions, like '2,1;;3'")
+        sheaf = TypeIBundle(A, B, C, *args.widths, *points)
+        kclass = rank2_typeI_class(params, sheaf)  # checks the widths
+    else:
+        lams = (Partition(),) * 3
+        if args.partitions is not None:
+            lams = [_parse_partition(p) for p in args.partitions.split(";")]
+            if len(lams) != 3:
+                raise InvalidInputError("need three partitions, like '2,1;;3'")
+        sheaf = Rank1Sheaf(A, B, C, *lams)
+        kclass = rank1_class(params, A, B, C, *lams)
     config = {"abc": args.abc, "ABC": args.ABC, "partitions": args.partitions,
               "widths": args.widths, "points": args.points}
     _meta(out, "kclass", config)
-    if args.widths is not None:
-        sheaf = datum
-        kclass = rank2_typeI_class(params, datum)
-    else:
-        sheaf = Rank1Sheaf(A, B, C, *lams)
-        kclass = rank1_class(params, A, B, C, *lams)
     out.emit({"record": "kclass",
               "triples": [[e, n, d] for e, n, d in kclass.to_triples()]})
     chern = tch_of_kclass(kclass)
@@ -319,19 +316,19 @@ def cmd_glue(args, out):
     if args.demo == "rank1":
         # chart 3 sees the hull label C through its corner on every plane,
         # B only through fine weights mod c
-        family, case = rank1_sfamily, "mutated-hull-label"
+        case = "mutated-hull-label"
         sheaf = Rank1Sheaf(1, 0, 1, Partition((2, 1)), Partition(), Partition((1,)))
         mutated = Rank1Sheaf(1, 0, 2, Partition((2, 1)), Partition(), Partition((1,)))
     else:
-        family, case = typeI_sfamily, "mutated-width"
+        case = "mutated-width"
         sheaf = TypeIBundle(0, 1, -1, params.b, 2 * params.c, params.a)
         mutated = TypeIBundle(0, 1, -1, params.b, 2 * params.c, 2 * params.a)
     window = Window.symmetric(max(minimal_halfwidth(params, sheaf),
                                   minimal_halfwidth(params, mutated)))
-    fams = [family(params, sheaf, ch, window=window) for ch in (1, 2, 3)]
+    fams = [sfamily(params, sheaf, ch, window=window) for ch in (1, 2, 3)]
     ok, _ = check_gluing(params, *fams)
     out.emit({"record": "glue", "case": "matched-data", "pass": ok})
-    bad_ok, diag = check_gluing(params, *fams[:2], family(params, mutated, 3, window=window))
+    bad_ok, diag = check_gluing(params, *fams[:2], sfamily(params, mutated, 3, window=window))
     out.emit({"record": "glue", "case": case, "pass": bad_ok, "diagnostics": diag[:2]})
     expected = ok and not bad_ok
     out.emit({"record": "verdict", "demo_behaved": expected})

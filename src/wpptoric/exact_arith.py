@@ -64,7 +64,6 @@ def _squarefree_sign(k):
     return -sign if k > 1 else sign
 
 
-@lru_cache(maxsize=256)
 def cyclotomic_poly(n):
     """The n-th cyclotomic polynomial Phi_n as an integer coefficient tuple.
 

@@ -67,7 +67,6 @@ class WppParams:
             raise InvalidInputError("widths must satisfy b | D1, c | D2, a | D3")
 
 
-@lru_cache(maxsize=128)
 def relation_poly(params):
     """(1 - x^a)(1 - x^b)(1 - x^c) as an integer coefficient tuple."""
     out = [1]

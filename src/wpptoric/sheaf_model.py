@@ -12,6 +12,14 @@ w_(k+1):
     chart 2: box (j/c, k/a), fine group Z_b, weight steps (c, a),
     chart 3: box (k/a, i/b), fine group Z_c, weight steps (a, b).
 
+Every sheaf here is described the same way on each chart: the line-bundle
+staircases of its reflexive hull (`_hulls`: one label triple for a rank-1
+sheaf, two nested ones for a type-I bundle), minus a finite deficit
+partition cut from the first corner (`_deficit`: the chart partition of a
+rank-1 sheaf, or a type-I bundle's corner rectangle of the two widths
+where the chart's two points differ).  `sfamily` builds a family from
+that description and `kclass_by_devissage` peels its K-class from it.
+
 The gluing verifier compares, along each pairwise chart overlap and for
 every line index, two doubly-graded dimension multisets obtained from
 the one-directional limits of the families, with the character twists
@@ -24,6 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import inf
 
 from .errors import InsufficientWindowError, InvalidInputError
 from .kgroup import g_power, kclass_scalar, kclass_sum, line_bundle_class
@@ -77,6 +86,10 @@ class Rank1Sheaf:
     lam1: Partition = Partition()
     lam2: Partition = Partition()
     lam3: Partition = Partition()
+
+    def validate(self, params):
+        # any labels and partitions make a rank-1 sheaf
+        return self
 
 
 @dataclass(frozen=True)
@@ -180,16 +193,6 @@ def _box_split(value, den):
     return residue, (value - residue) // den
 
 
-def _staircase_cells(corner, lam, window):
-    """Cells of a rank-1 staircase with the partition cut from the corner."""
-    cut = set(lam.boxes())
-    c1, c2 = corner
-    for l1 in range(max(window.l1min, c1), window.l1max + 1):
-        for l2 in range(max(window.l2min, c2), window.l2max + 1):
-            if (l1 - c1, l2 - c2) not in cut:
-                yield (l1, l2)
-
-
 def _pair(triple, chart):
     """Entries chart and chart + 1 of a triple indexed 1..3, cyclically."""
     return triple[chart - 1], triple[chart % 3]
@@ -202,71 +205,65 @@ def _box_and_corner(params, labels, chart):
     return (i, j), (I, J)
 
 
-def _rank1_chart_layout(params, sheaf, chart):
-    """Box, lattice corner and partition of one chart of a rank-1 sheaf."""
-    box, corner = _box_and_corner(params, (sheaf.A, sheaf.B, sheaf.C), chart)
-    return box, corner, (sheaf.lam1, sheaf.lam2, sheaf.lam3)[chart - 1]
+def _hulls(sheaf):
+    """Label triples of the line bundles that make up the reflexive hull."""
+    if isinstance(sheaf, Rank1Sheaf):
+        return ((sheaf.A, sheaf.B, sheaf.C),)
+    return ((sheaf.A1, sheaf.A2, sheaf.A3),
+            (sheaf.A1 + sheaf.D1, sheaf.A2 + sheaf.D2, sheaf.A3 + sheaf.D3))
 
 
-def rank1_sfamily(params, sheaf, chart, window=None, fine_shift=0):
-    """Family of a rank-1 torsion-free sheaf on one chart.
+def _deficit(params, sheaf, chart):
+    """Cells cut from the hull on one chart, counted from the first corner.
 
-    The staircase of the labelled line bundle with the chart partition
-    removed from its corner; fine weights walk away from the corner
-    weight A+B+C by the chart steps.  `fine_shift` twists every fine
-    weight (used to probe that gluing pins the fine grading down).
+    The chart partition of a rank-1 sheaf; for a type-I bundle the corner
+    rectangle of the chart's two lattice widths, cut only when the chart's
+    two points differ.  A type-I datum must be valid for `params`.
+    """
+    if isinstance(sheaf, Rank1Sheaf):
+        return (sheaf.lam1, sheaf.lam2, sheaf.lam3)[chart - 1]
+    _, step1, step2 = params.chart(chart)
+    d1, d2 = _pair((sheaf.D1, sheaf.D2, sheaf.D3), chart)
+    pt1, pt2 = _pair((sheaf.p1, sheaf.p2, sheaf.p3), chart)
+    if pt1 == pt2 or not d1:
+        return Partition()
+    return Partition((d1 // step1,) * (d2 // step2))
+
+
+def sfamily(params, sheaf, chart, window=None, fine_shift=0):
+    """Family of a rank-1 sheaf or a type-I bundle on one chart.
+
+    A cell's dimension is the number of hull staircases that contain it,
+    minus one on the chart's deficit, cut from the first hull's corner.
+    Every summand has the one fine weight that walks away from the corner
+    weight, the first hull's label sum, by the chart steps.  `fine_shift`
+    twists every fine weight (used to probe that gluing pins the fine
+    grading down).
     """
     needed = Window.symmetric(minimal_halfwidth(params, sheaf))
     if window is None:
         window = needed
     elif not window.contains(needed):
         raise InvalidInputError(f"window too small; need {needed}")
-    box, corner, lam = _rank1_chart_layout(params, sheaf, chart)
+    hulls = _hulls(sheaf)
+    box, (c1, c2) = _box_and_corner(params, hulls[0], chart)
+    f1 = f2 = inf  # the second staircase's corner, seen from the first
+    if len(hulls) == 2:
+        _, (d1, d2) = _box_and_corner(params, hulls[1], chart)
+        f1, f2 = d1 - c1, d2 - c2
+    rows = _deficit(params, sheaf, chart).rows
     mod, step1, step2 = params.chart(chart)
-    offset = sheaf.A + sheaf.B + sheaf.C + fine_shift
+    offset = sum(hulls[0]) + fine_shift
     dims = {}
-    for l1, l2 in _staircase_cells(corner, lam, window):
-        w = (offset + (l1 - corner[0]) * step1 + (l2 - corner[1]) * step2) % mod
-        dims[(box, l1, l2)] = (w,)
-    return TruncatedSFamily(params, chart, window, dims)
-
-
-def _typeI_chart_layout(params, datum, chart):
-    """Box, corner, lattice widths and the corner-region point pair."""
-    box, corner = _box_and_corner(params, (datum.A1, datum.A2, datum.A3), chart)
-    widths = [D // params.chart(k)[1] for k, D in enumerate((datum.D1, datum.D2, datum.D3), 1)]
-    return box, corner, _pair(widths, chart), _pair((datum.p1, datum.p2, datum.p3), chart)
-
-
-def typeI_sfamily(params, datum, chart, window=None, fine_shift=0):
-    """Family of a rank-2 type-I bundle on one chart.
-
-    Dimension pattern of two nested staircases: 0 below the lower
-    corner, 2 past both widths, 1 on the two one-sided strips, and on
-    the corner rectangle 1 exactly when the two strip points coincide.
-    Both summands share one fine weight at every lattice point.
-    """
-    needed = Window.symmetric(minimal_halfwidth(params, datum))
-    if window is None:
-        window = needed
-    elif not window.contains(needed):
-        raise InvalidInputError(f"window too small; need {needed}")
-    box, corner, (w1, w2), (pt1, pt2) = _typeI_chart_layout(params, datum, chart)
-    mod, step1, step2 = params.chart(chart)
-    offset = datum.A1 + datum.A2 + datum.A3 + fine_shift
-    dims = {}
-    for l1 in range(max(window.l1min, corner[0]), window.l1max + 1):
-        for l2 in range(max(window.l2min, corner[1]), window.l2max + 1):
-            u, v = l1 - corner[0], l2 - corner[1]
-            if u >= w1 and v >= w2:
-                dim = 2
-            elif u >= w1 or v >= w2:
-                dim = 1
-            else:
-                dim = 1 if pt1 == pt2 else 0
+    for l1 in range(max(window.l1min, c1), window.l1max + 1):
+        u = l1 - c1
+        past1, base = u >= f1, offset + u * step1
+        height = sum(row > u for row in rows)  # cells v < height of this column are cut
+        for l2 in range(max(window.l2min, c2), window.l2max + 1):
+            v = l2 - c2
+            dim = 1 + (past1 and v >= f2) - (v < height)
             if dim:
-                w = (offset + u * step1 + v * step2) % mod
-                dims[(box, l1, l2)] = (w,) * dim
+                dims[(box, l1, l2)] = ((base + v * step2) % mod,) * dim
     return TruncatedSFamily(params, chart, window, dims)
 
 
@@ -454,29 +451,16 @@ def _devissage_chart_deficit(params, chart, offset, lam):
 def kclass_by_devissage(params, sheaf):
     """K-class by peeling weight spaces into twisted point classes.
 
-    Walks the lattice cells where the family differs from its reflexive
-    envelope, one cell at a time, and subtracts a twisted point class
-    per cell; no per-color counting and no closed formula is used.
+    Adds g^(label sum) per hull line bundle, then walks each chart's
+    deficit, one cell at a time, and subtracts a twisted point class per
+    cell; no per-color counting and no closed formula is used.
     """
-    if isinstance(sheaf, Rank1Sheaf):
-        terms = [(1, line_bundle_class(params, sheaf.A, sheaf.B, sheaf.C))]
-        offset = sheaf.A + sheaf.B + sheaf.C
-        for chart, lam in ((1, sheaf.lam1), (2, sheaf.lam2), (3, sheaf.lam3)):
-            modulus = params.chart(chart)[0]
-            terms.append((-1, _devissage_chart_deficit(params, chart, offset % modulus, lam)))
-        return kclass_sum(params, terms)
-    datum = sheaf.validate(params)
-    terms = [(1, line_bundle_class(params, datum.A1, datum.A2, datum.A3)),
-             (1, line_bundle_class(params, datum.A1 + datum.D1, datum.A2 + datum.D2,
-                                   datum.A3 + datum.D3))]
-    offset = datum.A1 + datum.A2 + datum.A3
+    sheaf.validate(params)
+    hulls = _hulls(sheaf)
+    terms = [(1, line_bundle_class(params, *hull)) for hull in hulls]
+    offset = sum(hulls[0])
     for chart in (1, 2, 3):
-        mod, step1, step2 = params.chart(chart)
-        _, _, (w1, w2), (pt1, pt2) = _typeI_chart_layout(params, datum, chart)
-        if pt1 == pt2:
-            continue
-        terms.append((-1, kclass_sum(params, (
-            (1, _point_class(params, chart, (offset + u * step1 + v * step2) % mod))
-            for u in range(w1) for v in range(w2)
-        ))))
+        modulus = params.chart(chart)[0]
+        terms.append((-1, _devissage_chart_deficit(
+            params, chart, offset % modulus, _deficit(params, sheaf, chart))))
     return kclass_sum(params, terms)

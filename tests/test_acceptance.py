@@ -54,7 +54,7 @@ from wpptoric.sheaf_model import (
     TypeIBundle,
     check_gluing,
     kclass_by_devissage,
-    rank1_sfamily,
+    sfamily,
 )
 
 PT1, PT2, PT3 = STANDARD_POINTS
@@ -302,7 +302,7 @@ def test_criterion_13_gluing_uniqueness():
         passing = []
         for shifts in product(range(a), range(b), range(c)):
             fams = [
-                rank1_sfamily(params, sheaf, chart, fine_shift=shifts[chart - 1])
+                sfamily(params, sheaf, chart, fine_shift=shifts[chart - 1])
                 for chart in (1, 2, 3)
             ]
             ok_shift, _ = check_gluing(params, *fams)

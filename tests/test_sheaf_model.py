@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partition_enumeration import partitions_of_size
 from wpptoric.errors import InsufficientWindowError, InvalidInputError
@@ -24,10 +26,9 @@ from wpptoric.sheaf_model import (
     kclass_by_devissage,
     minimal_halfwidth,
     normalize_point,
-    rank1_sfamily,
     reflexive_check,
+    sfamily,
     torsion_free_check,
-    typeI_sfamily,
 )
 
 P111 = WppParams(1, 1, 1)
@@ -40,9 +41,8 @@ PT3 = (1, 1)
 
 
 def families(params, sheaf, shifts=(0, 0, 0), window=None):
-    make = rank1_sfamily if isinstance(sheaf, Rank1Sheaf) else typeI_sfamily
     return tuple(
-        make(params, sheaf, chart, window=window, fine_shift=shifts[chart - 1])
+        sfamily(params, sheaf, chart, window=window, fine_shift=shifts[chart - 1])
         for chart in (1, 2, 3)
     )
 
@@ -71,14 +71,14 @@ def test_window_policy():
     needed = minimal_halfwidth(P111, sheaf)
     assert needed == 2 + 2 + 2
     with pytest.raises(InvalidInputError):
-        rank1_sfamily(P111, sheaf, 1, window=Window.symmetric(needed - 1))
-    fam = rank1_sfamily(P111, sheaf, 1, window=Window.symmetric(needed + 1))
+        sfamily(P111, sheaf, 1, window=Window.symmetric(needed - 1))
+    fam = sfamily(P111, sheaf, 1, window=Window.symmetric(needed + 1))
     assert fam.window == Window.symmetric(needed + 1)
 
 
 def test_rank1_staircase_shape():
     sheaf = Rank1Sheaf(0, 0, 0, Partition((1,)))
-    fam = rank1_sfamily(P111, sheaf, 1)
+    fam = sfamily(P111, sheaf, 1)
     box = (0, 0)
     assert fam.dim_at(box, 0, 0) == 0  # the cut corner
     assert fam.dim_at(box, 1, 0) == 1 and fam.dim_at(box, 0, 1) == 1
@@ -90,7 +90,7 @@ def test_rank1_fine_weights_alternate_on_stacky_chart():
     # chart 3 of (1,1,2): weights flip parity with every lattice step and
     # the staircase corner carries A+B+C mod 2
     sheaf = Rank1Sheaf(1, 0, 0)
-    fam = rank1_sfamily(P112, sheaf, 3)
+    fam = sfamily(P112, sheaf, 3)
     corner = min((l1, l2) for (_, l1, l2) in fam.dims)
     assert fam.weights_at(fam.nonzero_boxes()[0], *corner) == (1,)
     for (bx, l1, l2), weights in fam.dims.items():
@@ -99,21 +99,89 @@ def test_rank1_fine_weights_alternate_on_stacky_chart():
 
 def test_typeI_dimension_pattern():
     datum = TypeIBundle(0, 0, 0, 1, 1, 1, PT1, PT2, PT3)
-    fam = typeI_sfamily(P111, datum, 1)
+    fam = sfamily(P111, datum, 1)
     box = (0, 0)
     assert fam.dim_at(box, 0, 0) == 0  # distinct points: empty corner box
     assert fam.dim_at(box, 0, 1) == 1 and fam.dim_at(box, 1, 0) == 1
     assert fam.dim_at(box, 1, 1) == 2
     datum_eq = TypeIBundle(0, 0, 0, 1, 1, 1, PT1, PT1, PT3)
-    fam_eq = typeI_sfamily(P111, datum_eq, 1)
+    fam_eq = sfamily(P111, datum_eq, 1)
     assert fam_eq.dim_at(box, 0, 0) == 1  # coincident points fill the corner
 
 
 def test_typeI_zero_widths_are_two_line_bundles():
     datum = TypeIBundle(0, 0, 0, 0, 0, 0, PT1, PT2, PT3)
-    fam = typeI_sfamily(P111, datum, 2)
+    fam = sfamily(P111, datum, 2)
     assert fam.dim_at((0, 0), 0, 0) == 2
     assert fam.dim_at((0, 0), -1, 0) == 0
+
+
+@st.composite
+def chart_sheaves(draw):
+    """A weight triple <= 4, a rank-1 sheaf or type-I bundle on it, a chart, a shift."""
+    weights = draw(st.tuples(*[st.integers(1, 4)] * 3))
+    labels = draw(st.tuples(*[st.integers(-4, 4)] * 3))
+    chart, shift = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        rows = st.lists(st.integers(1, 3), max_size=3)
+        lams = [Partition(sorted(draw(rows), reverse=True)) for _ in range(3)]
+        return weights, Rank1Sheaf(*labels, *lams), chart, shift
+    a, b, c = weights
+    widths = [w * draw(st.integers(0, 2)) for w in (b, c, a)]
+    # (2, 2) is (1, 1) on the projective line
+    points = draw(st.tuples(*[st.sampled_from([PT1, PT2, PT3, (2, 2)])] * 3))
+    return weights, TypeIBundle(*labels, *widths, *points), chart, shift
+
+
+def expected_cells(weights, sheaf, chart, window, shift):
+    """The cell rule written out: (box, l1, l2) -> fine weights, nonzero cells only.
+
+    Chart i has modulus w_i and steps (w_(i+1), w_(i+2)); its box and corner
+    split labels i and i + 1 by w_(i+1) and w_(i+2).  A rank-1 sheaf has
+    dimension 1 from the corner on, off the chart partition.  A type-I
+    bundle has 2 past both lattice widths, 1 past one of them, and on the
+    corner rectangle 1 exactly when the chart's two points coincide.
+    """
+    k, k1, k2 = chart - 1, chart % 3, (chart + 1) % 3
+    mod, step1, step2 = weights[k], weights[k1], weights[k2]
+    if isinstance(sheaf, Rank1Sheaf):
+        labels = (sheaf.A, sheaf.B, sheaf.C)
+        lam = (sheaf.lam1, sheaf.lam2, sheaf.lam3)[k]
+    else:
+        labels = (sheaf.A1, sheaf.A2, sheaf.A3)
+        widths = (sheaf.D1, sheaf.D2, sheaf.D3)
+        width1, width2 = widths[k] // step1, widths[k1] // step2
+        points = (sheaf.p1, sheaf.p2, sheaf.p3)
+        (x1, y1), (x2, y2) = points[k], points[k1]
+        coincide = x1 * y2 == x2 * y1
+    box = (labels[k] % step1, labels[k1] % step2)
+    corner = (labels[k] // step1, labels[k1] // step2)
+    cells = {}
+    for l1 in range(window.l1min, window.l1max + 1):
+        for l2 in range(window.l2min, window.l2max + 1):
+            u, v = l1 - corner[0], l2 - corner[1]
+            if u < 0 or v < 0:
+                continue
+            if isinstance(sheaf, Rank1Sheaf):
+                dim = 0 if v < len(lam.rows) and u < lam.rows[v] else 1
+            elif u >= width1 and v >= width2:
+                dim = 2
+            elif u >= width1 or v >= width2:
+                dim = 1
+            else:
+                dim = 1 if coincide else 0
+            if dim:
+                weight = (sum(labels) + shift + u * step1 + v * step2) % mod
+                cells[(box, l1, l2)] = (weight,) * dim
+    return cells
+
+
+@given(chart_sheaves())
+@settings(max_examples=300, deadline=None)
+def test_sfamily_follows_the_cell_rule(case):
+    weights, sheaf, chart, shift = case
+    fam = sfamily(WppParams(*weights), sheaf, chart, fine_shift=shift)
+    assert fam.dims == expected_cells(weights, sheaf, chart, fam.window, shift)
 
 
 def test_rank1_gluing_passes():
@@ -133,9 +201,9 @@ def test_rank1_gluing_rejects_mismatched_corners():
     # three charts built from reflexive hulls that disagree in one label
     good = Rank1Sheaf(0, 0, 0)
     bad = Rank1Sheaf(0, 1, 0)
-    f1 = rank1_sfamily(P111, good, 1, window=Window.symmetric(4))
-    f2 = rank1_sfamily(P111, bad, 2, window=Window.symmetric(4))
-    f3 = rank1_sfamily(P111, good, 3, window=Window.symmetric(4))
+    f1 = sfamily(P111, good, 1, window=Window.symmetric(4))
+    f2 = sfamily(P111, bad, 2, window=Window.symmetric(4))
+    f3 = sfamily(P111, good, 3, window=Window.symmetric(4))
     ok, diag = check_gluing(P111, f1, f2, f3)
     assert not ok and diag
 
@@ -143,8 +211,8 @@ def test_rank1_gluing_rejects_mismatched_corners():
 def test_rank1_gluing_ignores_partitions():
     good = Rank1Sheaf(0, 0, 0)
     lam = Rank1Sheaf(0, 0, 0, Partition((1,)))
-    f1 = rank1_sfamily(P111, lam, 1, window=Window.symmetric(5))
-    f2, f3 = (rank1_sfamily(P111, good, ch, window=Window.symmetric(5)) for ch in (2, 3))
+    f1 = sfamily(P111, lam, 1, window=Window.symmetric(5))
+    f2, f3 = (sfamily(P111, good, ch, window=Window.symmetric(5)) for ch in (2, 3))
     ok, _ = check_gluing(P111, f1, f2, f3)
     assert ok  # partitions sit in the corner and are invisible to the limits
 
@@ -153,14 +221,14 @@ def test_window_guards():
     # generators reject too-small windows outright
     taller = Rank1Sheaf(0, 0, 0, Partition((1, 1, 1, 1, 1, 1, 1)))
     with pytest.raises(InvalidInputError):
-        rank1_sfamily(P111, taller, 1, window=Window.symmetric(5))
+        sfamily(P111, taller, 1, window=Window.symmetric(5))
     # an unstabilized hand-built family is flagged by the verifier
     window = Window.symmetric(3)
     dims = {((0, 0), l1, l2): (0,) for l1 in range(-1, 4) for l2 in range(-1, 4)}
     dims[((0, 0), 3, 3)] = ()  # dent at the window edge: no limit yet
     bad = TruncatedSFamily(P111, 1, window, dims)
-    good = rank1_sfamily(P111, Rank1Sheaf(0, 0, 0), 2, window=window)
-    good3 = rank1_sfamily(P111, Rank1Sheaf(0, 0, 0), 3, window=window)
+    good = sfamily(P111, Rank1Sheaf(0, 0, 0), 2, window=window)
+    good3 = sfamily(P111, Rank1Sheaf(0, 0, 0), 3, window=window)
     with pytest.raises(InsufficientWindowError):
         check_gluing(P111, bad, good, good3)
 
@@ -187,19 +255,19 @@ def test_rank2_gluing_and_mutations():
     # width parity flip on the stacky chart breaks the fine gradings
     bad_width = TypeIBundle(0, 1, -1, 1, 2, 2, PT1, PT2, PT3)
     fams = list(families(params, datum, window=window))
-    fams[2] = typeI_sfamily(params, bad_width, 3, window=window)
+    fams[2] = sfamily(params, bad_width, 3, window=window)
     ok, _ = check_gluing(params, *fams)
     assert not ok
     # a mismatched twist label on one chart fails
     shifted = TypeIBundle(0, 1, 1, 1, 2, 1, PT1, PT2, PT3)
     fams = list(families(params, datum, window=window))
-    fams[1] = typeI_sfamily(params, shifted, 2, window=window)
+    fams[1] = sfamily(params, shifted, 2, window=window)
     ok, _ = check_gluing(params, *fams)
     assert not ok
     # point-coincidence flip changes a corner dimension on one chart only
     coincident = TypeIBundle(0, 1, -1, 1, 2, 1, PT1, PT1, PT3)
     fams = list(families(params, datum, window=window))
-    fams[0] = typeI_sfamily(params, coincident, 1, window=window)
+    fams[0] = sfamily(params, coincident, 1, window=window)
     ok, _ = check_gluing(params, *fams)
     assert ok  # corner boxes do not reach the limits: gluing cannot see them
     # a fine-weight twist on the one chart with a nontrivial group fails
@@ -237,31 +305,31 @@ def test_rank2_gluing_matched_point_patterns():
 
 
 def test_predicates_on_line_bundle():
-    fam = rank1_sfamily(P112, Rank1Sheaf(1, -1, 2), 3)
+    fam = sfamily(P112, Rank1Sheaf(1, -1, 2), 3)
     assert coherence_check(fam)
     assert torsion_free_check(fam)
     assert reflexive_check(fam)
 
 
 def test_predicates_on_rank1_with_partition():
-    fam = rank1_sfamily(P111, Rank1Sheaf(0, 0, 0, Partition((2, 1))), 1)
+    fam = sfamily(P111, Rank1Sheaf(0, 0, 0, Partition((2, 1))), 1)
     assert coherence_check(fam)
     assert torsion_free_check(fam)
     assert not reflexive_check(fam)
 
 
 def test_predicates_on_typeI():
-    fam = typeI_sfamily(P111, TypeIBundle(0, 0, 0, 2, 1, 1, PT1, PT2, PT3), 1)
+    fam = sfamily(P111, TypeIBundle(0, 0, 0, 2, 1, 1, PT1, PT2, PT3), 1)
     assert coherence_check(fam)
     assert torsion_free_check(fam)
     assert reflexive_check(fam)
-    fam_eq = typeI_sfamily(P111, TypeIBundle(0, 0, 0, 2, 1, 1, PT1, PT1, PT3), 1)
+    fam_eq = sfamily(P111, TypeIBundle(0, 0, 0, 2, 1, 1, PT1, PT1, PT3), 1)
     assert reflexive_check(fam_eq)
 
 
 def test_non_coherent_window_detected():
     # a family leaking out of the bottom of its window is not coherent
-    fam = rank1_sfamily(P111, Rank1Sheaf(0, 0, 0), 1)
+    fam = sfamily(P111, Rank1Sheaf(0, 0, 0), 1)
     leaked = dict(fam.dims)
     leaked[((0, 0), fam.window.l1min, 0)] = (0,)
     bad = TruncatedSFamily(P111, 1, fam.window, leaked)
@@ -269,9 +337,9 @@ def test_non_coherent_window_detected():
 
 
 def test_box_count_matches_rank():
-    fam = rank1_sfamily(P222, Rank1Sheaf(1, 2, 3, Partition((1,))), 2)
+    fam = sfamily(P222, Rank1Sheaf(1, 2, 3, Partition((1,))), 2)
     assert len(fam.nonzero_boxes()) == 1
-    fam2 = typeI_sfamily(P222, TypeIBundle(0, 0, 0, 2, 2, 2), 1)
+    fam2 = sfamily(P222, TypeIBundle(0, 0, 0, 2, 2, 2), 1)
     assert len(fam2.nonzero_boxes()) == 1
 
 
@@ -424,8 +492,7 @@ def test_gluing_matches_full_scan(weights):
             outcome = check_gluing(params, *fams)
             assert outcome == check_gluing_full_scan(params, *fams), (good, shifts)
             verdicts[outcome[0]] += 1
-        make = rank1_sfamily if isinstance(bad, Rank1Sheaf) else typeI_sfamily
-        fams = families(params, good, window=window)[:2] + (make(params, bad, 3, window=window),)
+        fams = families(params, good, window=window)[:2] + (sfamily(params, bad, 3, window=window),)
         outcome = check_gluing(params, *fams)
         assert not outcome[0] and outcome[1]
         assert outcome == check_gluing_full_scan(params, *fams), bad
