@@ -22,6 +22,10 @@ spelled out in full, followed by its value(s) or written
 command line exits 1 with one stderr line, `usage error: ...`;
 `-h`/`--help` prints the help built from the same table and exits 0.
 
+E, the rank of the generating sheaf, has two rules: `hilb --E` takes any
+E >= 1 that every pairwise gcd of the weights divides, `hseries --E`
+only positive multiples of lcm(a,b,c).
+
 Input limits: `hilb` accepts |r| <= 10^6 and E <= 10^5.  The counting
 oracle it always runs costs O(|r|), and the generating-sheaf oracle one
 integer numerator per u < E, its root sums cached by residue; each
@@ -39,7 +43,7 @@ from types import SimpleNamespace
 from . import __version__
 from .errors import InternalInconsistencyError, InvalidInputError
 from .hilbert import (
-    GeneratingSheafSpec,
+    check_generating_E,
     chi_oracle,
     hilb_fit_oracle,
     hilb_lin_numerator,
@@ -166,7 +170,7 @@ def cmd_hilb(args, out):
     if args.E is not None:
         if args.E > MAX_E:
             raise InvalidInputError(f"E must be at most {MAX_E}")
-        te = hilb_top_E(params, GeneratingSheafSpec(args.E), args.r)
+        te = hilb_top_E(params, args.E, args.r)
     _meta(out, "hilb", {"abc": args.abc, "r": args.r, "E": args.E})
     top = hilb_top(params, args.r)
     quad, lin, const = hilb_fit_oracle(params, args.r)
@@ -229,22 +233,22 @@ def cmd_gseries(args, out):
 
 def cmd_hseries(args, out):
     params = WppParams(*args.abc)
-    spec = GeneratingSheafSpec(args.E).validate(params)
+    check_generating_E(params, args.E)
     _require_nonnegative(args, "max", "order")
     lam = args.lam % params.d
     _meta(out, "hseries", {"abc": args.abc, "E": args.E, "c1": args.c1,
                            "lambda": lam, "max": args.max, "order": args.order})
-    series = h_vb_specialized(params, spec, args.c1, lam, args.max)
+    series = h_vb_specialized(params, args.E, args.c1, lam, args.max)
     _series_records(out, series, "h_vb")
     if args.order:
-        full, floor = h_full(params, spec, args.c1, lam, args.order)
+        full, floor = h_full(params, args.E, args.c1, lam, args.order)
         out.emit({"record": "window", "series": "h_full", "floor": floor})
         _series_records(out, full, "h_full")
     if args.check:
         grouped = {}
         alpha, beta = refined_targets(params, args.c1, lam)
-        for _, widths, _ in enumerate_refined_solutions(params, alpha, beta, args.max):
-            e = rank2_constant_term(params, spec, args.c1, lam, *widths)
+        for A, widths, _ in enumerate_refined_solutions(params, alpha, beta, args.max):
+            e = rank2_constant_term(params, args.E, A, *widths)
             grouped[(e,)] = grouped.get((e,), 0) + 1
         ok = grouped == series.coeffs
         out.emit({"record": "check", "name": "refined-vs-specialized", "ok": ok})
@@ -261,13 +265,12 @@ def cmd_stable(args, out):
     for A, widths in triples:
         out.emit({"record": "triple", "A": A, "widths": list(widths)})
     if args.check:
-        spec = GeneratingSheafSpec(params.m)
         ok = True
         for A, widths in triples:
             datum = TypeIBundle(0, 0, A, *widths)
             # is_mu_stable validates the datum, the slope oracle relies on it
             if not (is_mu_stable(params, datum)
-                    and slope_oracle_stability(params, spec, datum)):
+                    and slope_oracle_stability(params, params.m, datum)):
                 ok = False
         out.emit({"record": "check", "name": "classifier-vs-slope-oracle", "ok": ok})
         if not ok:

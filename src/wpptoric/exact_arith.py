@@ -11,9 +11,10 @@ modulo Phi_n needs no division and integer numerators stay integers.
 The library needs only the ring operations (+, -, *), equality and the
 embedding between orders; field division lives with the tests' oracles.
 Mixed-order operations embed both operands into Q(zeta_lcm) via
-zeta_n -> zeta_N^(N/n); a rational operand is a constant in every
-order and is never embedded.  Results are not demoted to smaller
-orders; `as_rational` is the only change of representation offered.
+zeta_n -> zeta_N^(N/n).  A rational operand has order 1: `*` scales by
+it without embedding, while `+`, `-` and `==` lift it to the other
+order like any operand (`_pair`).  Results are not demoted to smaller orders;
+`as_rational` is the only change of representation offered.
 """
 
 from fractions import Fraction

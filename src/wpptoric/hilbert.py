@@ -36,22 +36,6 @@ class HilbTop:
     lin: Fraction
 
 
-@dataclass(frozen=True)
-class GeneratingSheafSpec:
-    """Rank parameter E of the generating sheaf: the sum of O(-u), u < E.
-
-    The convention requires lcm(a,b,c) | E; that guarantees in
-    particular the pairwise-gcd divisibility the closed formulas need.
-    """
-
-    E: int
-
-    def validate(self, params):
-        if self.E < 1 or self.E % params.m:
-            raise InvalidInputError("E must be a positive multiple of lcm(a,b,c)")
-        return self
-
-
 def _root_sum(n, e, t):
     """Sum of zeta_n^(h t) over h = 1..n-1, skipping the multiples of e (e | n).
 
@@ -176,11 +160,18 @@ def hilb_top(params, r):
 
 
 def _check_E(params, E):
+    """The E rule of `hilb_top_E`: E >= 1 and every pairwise gcd divides E."""
     if E < 1:
         raise InvalidInputError("E must be positive")
     for dij in (params.d12, params.d13, params.d23):
         if E % dij:
             raise InvalidInputError("E must be divisible by every pairwise gcd")
+
+
+def check_generating_E(params, E):
+    """The E rule of the rank-2 invariants, stronger than `_check_E`: lcm(a,b,c) | E."""
+    if E < 1 or E % params.m:
+        raise InvalidInputError("E must be a positive multiple of lcm(a,b,c)")
 
 
 def _twist_window_sum(params, E, r):
@@ -200,7 +191,7 @@ def _top_E(params, E, rank, twists):
     return HilbTop(Fraction(rank * E * m * m, 2 * abc), Fraction(twists * m * params.d, 2 * abc))
 
 
-def hilb_top_E(params, spec, r):
+def hilb_top_E(params, E, r):
     """Top two modified Hilbert coefficients of the r-th twist of O.
 
     Tensoring with the dual of the generating sheaf turns the single
@@ -208,12 +199,11 @@ def hilb_top_E(params, spec, r):
     every pairwise gcd divides E, leaving only the u with d | r + u,
     each adding (2r + 2u + a+b+c) m d/(2abc) to the linear term.
     """
-    E = spec.E
     _check_E(params, E)
     return _top_E(params, E, 1, _twist_window_sum(params, E, r))
 
 
-def rank_and_twists(params, spec, terms):
+def rank_and_twists(params, E, terms):
     """The two integers behind hilb_top_E_of_kclass: rank and twist sum.
 
     `terms` are (exponent, coeff) pairs of any Laurent representative
@@ -226,7 +216,6 @@ def rank_and_twists(params, spec, terms):
     (1 - g^a)(1 - g^b)(1 - g^c) vanishes.  The modified slope lin/quad
     is twists * d / (rank * E * m).
     """
-    E = spec.E
     _check_E(params, E)
     rank = 0
     twists = 0
@@ -237,13 +226,13 @@ def rank_and_twists(params, spec, terms):
     return rank, twists
 
 
-def hilb_top_E_of_kclass(params, spec, kclass):
+def hilb_top_E_of_kclass(params, E, kclass):
     """Extend hilb_top_E linearly over a K-class.
 
     The canonical representative writes the class as a sum of powers
     g^e = [O(-e)], and the Hilbert coefficients are additive.
     """
-    return _top_E(params, spec.E, *rank_and_twists(params, spec, enumerate(kclass.coeffs)))
+    return _top_E(params, E, *rank_and_twists(params, E, enumerate(kclass.coeffs)))
 
 
 @lru_cache(maxsize=4096)
@@ -326,12 +315,12 @@ def width_free_bracket_12(params, E, c1, Ad):
     )
 
 
-def rank2_constant_term(params, spec, c1, lam, D1, D2, D3):
+def rank2_constant_term(params, E, A, D1, D2, D3):
     """Constant term of the modified Hilbert polynomial of a rank-2 bundle.
 
-    The inputs fix the first Chern data (c1, lam) and widths (D1,D2,D3);
-    the twist normalization A = -(c1 + D1 + D2 + D3)/2 must exist (even
-    sum) and reduce to lam mod d.  Follows the closed-form display
+    The inputs are the twist A and the widths (D1, D2, D3) of a type-I
+    datum, as the enumerators give them; its first Chern class is
+    c1 = -(2A + D1 + D2 + D3).  Follows the closed-form display
     literally: the bracket uses the reduced residue [A]_d, while the
     three character sums receive A itself.  The value is assembled as
     one integer numerator over 12 abc (d12 d13 d23)^2 and must divide
@@ -339,18 +328,13 @@ def rank2_constant_term(params, spec, c1, lam, D1, D2, D3):
     valid output.
     """
     a, b, c = params.weights()
-    E, d = spec.validate(params).E, params.d
+    check_generating_E(params, E)
     params.check_widths(D1, D2, D3)
     if min(D1, D2, D3) < 1:
         raise InvalidInputError("widths must be positive")
-    total_d = D1 + D2 + D3
-    if (c1 + total_d) % 2:
-        raise InvalidInputError("c1 + D1 + D2 + D3 must be even")
-    A = -(c1 + total_d) // 2
-    if (A - lam) % d:
-        raise InvalidInputError("A = -(c1+D1+D2+D3)/2 must be lam mod d")
+    c1 = -(2 * A + D1 + D2 + D3)
     bracket = (
-        width_free_bracket_12(params, E, c1, A % d)
+        width_free_bracket_12(params, E, c1, A % params.d)
         + 3 * (D1 * D1 + D2 * D2 + D3 * D3)
         - 6 * (D1 * D2 + D2 * D3 + D3 * D1)
     )
@@ -366,6 +350,6 @@ def rank2_constant_term(params, spec, c1, lam, D1, D2, D3):
     if rem:
         raise InternalInconsistencyError(
             f"constant term {Fraction(numerator, denominator)} is not an integer "
-            f"for c1={c1}, lam={lam}, D=({D1},{D2},{D3}) on {params}"
+            f"for A={A}, D=({D1},{D2},{D3}) on {params}"
         )
     return value

@@ -278,18 +278,16 @@ def rank2_typeI_laurent(datum):
     """Laurent polynomial {exponent: coeff} in g of a rank-2 type-I bundle.
 
     `datum` carries integers A1, A2, A3, widths D1, D2, D3 with
-    b | D1, c | D2, a | D3 (the caller has checked them), and normalized
-    points p1, p2, p3.  The polynomial is g^(A1+A2+A3) (1 + g^(D1+D2+D3)
-    - sum (1 - g^Di) (1 - g^Dj)), the sum over the pairs of distinct
-    points; exponents may be negative, and a coefficient may be 0.
+    b | D1, c | D2, a | D3 (the caller has checked them), and the flags
+    `same` of its point pairs (p1, p2), (p2, p3), (p3, p1).  The
+    polynomial is g^(A1+A2+A3) (1 + g^(D1+D2+D3) - sum (1 - g^Di)
+    (1 - g^Dj)), the sum over the pairs of distinct points; exponents
+    may be negative, and a coefficient may be 0.
     """
     # (exponent above the shift, coeff) before like terms are collected
-    pairs = [(0, 1), (datum.D1 + datum.D2 + datum.D3, 1)]
-    for di, dj, coincide in (
-        (datum.D1, datum.D2, datum.p1 == datum.p2),
-        (datum.D2, datum.D3, datum.p2 == datum.p3),
-        (datum.D3, datum.D1, datum.p3 == datum.p1),
-    ):
+    D1, D2, D3 = datum.D1, datum.D2, datum.D3
+    pairs = [(0, 1), (D1 + D2 + D3, 1)]
+    for di, dj, coincide in zip((D1, D2, D3), (D2, D3, D1), datum.same):
         if not coincide:
             pairs += ((0, -1), (di, 1), (dj, 1), (di + dj, -1))
     shift = datum.A1 + datum.A2 + datum.A3

@@ -18,6 +18,7 @@ from functools import lru_cache
 from .errors import InternalInconsistencyError, InvalidInputError
 from .exact_arith import as_rational
 from .hilbert import (
+    check_generating_E,
     psi_E,
     rank2_constant_term,
     rank_and_twists,
@@ -44,7 +45,7 @@ def is_mu_stable(params, datum):
     return _strict_triangle(datum.D1, datum.D2, datum.D3)
 
 
-def slope_oracle_stability(params, spec, datum):
+def slope_oracle_stability(params, E, datum):
     """Stability decided by comparing modified slopes.
 
     Computes the slope of the bundle from its K-class and the slopes of
@@ -61,13 +62,13 @@ def slope_oracle_stability(params, spec, datum):
     `datum` must be valid for `params` (`TypeIBundle.validate`, which
     `is_mu_stable` runs); it is not checked again here.
     """
-    spec.validate(params)
+    check_generating_E(params, E)
     if min(datum.D1, datum.D2, datum.D3) <= 0 or not datum.points_distinct():
         return False
-    rank_f, tw_f = rank_and_twists(params, spec, rank2_typeI_laurent(datum).items())
+    rank_f, tw_f = rank_and_twists(params, E, rank2_typeI_laurent(datum).items())
     total_a = datum.A1 + datum.A2 + datum.A3
     for opposite in (datum.D2 + datum.D3, datum.D1 + datum.D3, datum.D1 + datum.D2):
-        rank_l, tw_l = rank_and_twists(params, spec, ((opposite + total_a, 1),))
+        rank_l, tw_l = rank_and_twists(params, E, ((opposite + total_a, 1),))
         if min(rank_f, rank_l) <= 0:
             raise InternalInconsistencyError(f"ranks {rank_f}, {rank_l} must be positive")
         if tw_l * rank_f >= tw_f * rank_l:
@@ -185,7 +186,7 @@ def refined_targets(params, c1, lam):
     return alpha, beta
 
 
-def h_vb_specialized(params, spec, c1, lam, max_sum):
+def h_vb_specialized(params, E, c1, lam, max_sum):
     """One-variable series: q to the Hilbert constant term, over stable data.
 
     Every exponent is an integer by the integrality of the constant
@@ -193,8 +194,8 @@ def h_vb_specialized(params, spec, c1, lam, max_sum):
     truncation knob is max_sum).
     """
     coeffs = {}
-    for _, widths in enumerate_stable_triples(params, c1, lam, max_sum):
-        key = (rank2_constant_term(params, spec, c1, lam, *widths),)
+    for A, widths in enumerate_stable_triples(params, c1, lam, max_sum):
+        key = (rank2_constant_term(params, E, A, *widths),)
         coeffs[key] = coeffs.get(key, 0) + 1
     return Series(("q",), coeffs, None)
 
@@ -236,7 +237,7 @@ def _form_bound(params, E, c1, q):
 
 
 def _triangle_widths(params, c1, lam, low, high):
-    """Widths (D1, D2, D3) of the stable triples with low < q <= high.
+    """The stable triples (A, (D1, D2, D3)) with low < q <= high.
 
     x, y, z >= 1 of the parity of c1 (x + y + z = D1 + D2 + D3) give
     D1 = (y+z)/2, D2 = (x+z)/2, D3 = (x+y)/2 with strict triangles, and
@@ -254,12 +255,13 @@ def _triangle_widths(params, c1, lam, low, high):
             z_low = max(s, (low - x * y) // (x + y) + 1)
             for z in range(z_low + (z_low - s) % 2, z_top + 1, 2):
                 d1, d2 = (y + z) // 2, (x + z) // 2
-                if d1 % b or d2 % c or (-(c1 + x + y + z) // 2 - lam) % params.d:
+                A = -(c1 + x + y + z) // 2
+                if d1 % b or d2 % c or (A - lam) % params.d:
                     continue
-                yield d1, d2, (x + y) // 2
+                yield A, (d1, d2, (x + y) // 2)
 
 
-def h_vb_window(params, spec, c1, lam, depth):
+def h_vb_window(params, E, c1, lam, depth):
     """The specialized series, complete on its top `depth` exponents.
 
     Every width is a multiple of d, so a stable datum has total s = 0
@@ -274,20 +276,19 @@ def h_vb_window(params, spec, c1, lam, depth):
     so no exponent at or above the final floor is missed.
     Returns (series, floor_exponent).
 
-    >>> from wpptoric.hilbert import GeneratingSheafSpec
     >>> from wpptoric.kgroup import WppParams
-    >>> series, floor = h_vb_window(WppParams(4, 6, 12), GeneratingSheafSpec(12), 1, 0, 5)
+    >>> series, floor = h_vb_window(WppParams(4, 6, 12), 12, 1, 0, 5)
     >>> series.coeffs, floor
     ({}, 0)
     """
-    spec.validate(params)
+    check_generating_E(params, E)
     if (c1 + 2 * lam) % params.d:
         return Series(("q",), {}, None), 0
     found = []
     low, high = 0, 3
-    while not found or _form_bound(params, spec.E, c1, low + 1) >= max(found) - depth:
-        for widths in _triangle_widths(params, c1, lam, low, high):
-            found.append(rank2_constant_term(params, spec, c1, lam, *widths))
+    while not found or _form_bound(params, E, c1, low + 1) >= max(found) - depth:
+        for A, widths in _triangle_widths(params, c1, lam, low, high):
+            found.append(rank2_constant_term(params, E, A, *widths))
         low, high = high, 2 * high
     floor = max(found) - depth
     coeffs = {}
@@ -297,7 +298,7 @@ def h_vb_window(params, spec, c1, lam, depth):
     return Series(("q",), coeffs, None), floor
 
 
-def h_full(params, spec, c1, lam, max_order):
+def h_full(params, E, c1, lam, max_order):
     """Product of the specialized series with the squared chart series.
 
     The chart factors count rank-1 data on the three open charts, in
@@ -307,7 +308,7 @@ def h_full(params, spec, c1, lam, max_order):
     factor, where it is exact.
     Returns (series, floor_exponent).
     """
-    vb, floor = h_vb_window(params, spec, c1, lam, max_order)
+    vb, floor = h_vb_window(params, E, c1, lam, max_order)
     if not vb.coeffs:
         return Series(("q",), {}, None), 0
     # vb lives in [floor, floor + max_order], so only correction

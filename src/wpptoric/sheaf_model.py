@@ -29,7 +29,7 @@ gluing equivalence for the rank <= 2 families generated here.
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import inf
@@ -94,7 +94,11 @@ class Rank1Sheaf:
 
 @dataclass(frozen=True)
 class TypeIBundle:
-    """Rank-2 bundle datum: twists, strip widths, one point per chart pair."""
+    """Rank-2 bundle datum: twists, strip widths, one point per chart pair.
+
+    `same[k - 1]` tells whether chart k's points p_k, p_(k+1) (indices
+    mod 3) are equal, decided once after normalizing.
+    """
 
     A1: int
     A2: int
@@ -105,6 +109,7 @@ class TypeIBundle:
     p1: tuple = STANDARD_POINTS[0]
     p2: tuple = STANDARD_POINTS[1]
     p3: tuple = STANDARD_POINTS[2]
+    same: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if min(self.D1, self.D2, self.D3) < 0:
@@ -113,14 +118,15 @@ class TypeIBundle:
             point = getattr(self, name)
             if point is not standard:
                 object.__setattr__(self, name, normalize_point(point))
+        p1, p2, p3 = self.p1, self.p2, self.p3
+        object.__setattr__(self, "same", (p1 == p2, p2 == p3, p3 == p1))
 
     def validate(self, params):
         params.check_widths(self.D1, self.D2, self.D3)
         return self
 
     def points_distinct(self):
-        # the points are normalized, so plain != decides
-        return self.p1 != self.p2 and self.p2 != self.p3 and self.p3 != self.p1
+        return not any(self.same)
 
 
 def minimal_halfwidth(params, sheaf):
@@ -224,8 +230,7 @@ def _deficit(params, sheaf, chart):
         return (sheaf.lam1, sheaf.lam2, sheaf.lam3)[chart - 1]
     _, step1, step2 = params.chart(chart)
     d1, d2 = _pair((sheaf.D1, sheaf.D2, sheaf.D3), chart)
-    pt1, pt2 = _pair((sheaf.p1, sheaf.p2, sheaf.p3), chart)
-    if pt1 == pt2 or not d1:
+    if sheaf.same[chart - 1] or not d1:
         return Partition()
     return Partition((d1 // step1,) * (d2 // step2))
 

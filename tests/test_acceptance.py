@@ -15,7 +15,6 @@ import pytest
 from class_numbers import three_hurwitz
 from partition_enumeration import partitions_of_size
 from wpptoric.hilbert import (
-    GeneratingSheafSpec,
     chi_oracle,
     hilb_fit_oracle,
     hilb_top,
@@ -243,15 +242,15 @@ def test_criterion_10_stability_oracle():
     for weights in product((1, 2, 3, 4), repeat=3):
         params = WppParams(*weights)
         a, b, c = params.weights()
-        specs = (GeneratingSheafSpec(params.m), GeneratingSheafSpec(2 * params.m))
+        Es = (params.m, 2 * params.m)
         for d1 in range(0, 9, b):
             for d2 in range(0, 9, c):
                 for d3 in range(0, 9, a):
                     for pts in ((PT1, PT2, PT3), (PT1, PT1, PT3)):
                         datum = TypeIBundle(0, 1, -1, d1, d2, d3, *pts)
                         expected = is_mu_stable(params, datum)
-                        for spec in specs:
-                            if slope_oracle_stability(params, spec, datum) != expected:
+                        for E in Es:
+                            if slope_oracle_stability(params, E, datum) != expected:
                                 ok = False
     report(10, ok, "classifier == slope oracle on weights <= 4, widths <= 8, E in {m, 2m}")
 
@@ -261,7 +260,7 @@ def test_criterion_11_integrality():
     checked = 0
     for weights in ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)):
         params = WppParams(*weights)
-        spec = GeneratingSheafSpec(params.m if params.m % 2 == 0 else 2 * params.m)
+        E = params.m if params.m % 2 == 0 else 2 * params.m
         a, b, c = params.weights()
         for c1 in range(-3, 4):
             for lam in range(params.d):
@@ -273,7 +272,7 @@ def test_criterion_11_integrality():
                             A = -(c1 + d1 + d2 + d3) // 2
                             if (A - lam) % params.d:
                                 continue
-                            value = rank2_constant_term(params, spec, c1, lam, d1, d2, d3)
+                            value = rank2_constant_term(params, E, A, d1, d2, d3)
                             checked += 1
                             if value.denominator != 1:
                                 ok = False
@@ -281,12 +280,12 @@ def test_criterion_11_integrality():
 
 
 def test_criterion_12_222_vs_plane():
-    spec2 = GeneratingSheafSpec(2)
-    spec1 = GeneratingSheafSpec(1)
+    E2 = 2
+    E1 = 1
     ok = True
     for half in (0, -2, 2):
-        big = h_vb_specialized(WppParams(2, 2, 2), spec2, 2 * half, 0, 14)
-        small = h_vb_specialized(WppParams(1, 1, 1), spec1, 0, 0, 7)
+        big = h_vb_specialized(WppParams(2, 2, 2), E2, 2 * half, 0, 14)
+        small = h_vb_specialized(WppParams(1, 1, 1), E1, 0, 0, 7)
         shift = max(e for (e,) in big.coeffs) - max(e for (e,) in small.coeffs)
         if big != small.shift_exponents(shift):
             ok = False
@@ -327,7 +326,7 @@ def test_criterion_14_klyachko_class_numbers():
             for lam in range(d):
                 if (c1 + 2 * lam) % d or (c1 + 2 * lam) // d % 2 == 0:
                     continue
-                window, floor = h_vb_window(params, GeneratingSheafSpec(d), c1, lam, depth)
+                window, floor = h_vb_window(params, d, c1, lam, depth)
                 top = floor + depth
                 if window.coeffs != {(top - k,): n for k, n in enumerate(expected)}:
                     ok = False

@@ -276,12 +276,20 @@ def test_glue_demo_stdout_pinned(capsys, abc, demo):
      "kclass_222_ABC1_0_-1_widths2_2_4_pair12_check.txt"),
     ("kclass --abc 1 1 2 --ABC 0 0 0 --partitions 2,1;;1 --check",
      "kclass_112_ABC0_0_0_lam21__1_check.txt"),
+    ("kclass --abc 2 2 2 --ABC 1 0 -1 --widths 2 2 4 --points 1:0;1:0;2:2 --check",
+     "kclass_222_ABC1_0_-1_widths2_2_4_pair12_scaled_check.txt"),
+    ("kclass --abc 2 2 2 --ABC 1 0 -1 --widths 2 2 4 --points 1:0;2:0;-3:0 --check",
+     "kclass_222_ABC1_0_-1_widths2_2_4_all_equal_check.txt"),
+    ("hseries --abc 1 1 2 --E 2 --c1 -1 --max 12 --order 6 --check",
+     "hseries_112_E2_c1_-1_max12_order6_check.txt"),
+    ("hseries --abc 2 2 4 --E 4 --c1 0 --lambda 1 --max 16 --order 5 --check",
+     "hseries_224_E4_c1_0_lam1_max16_order5_check.txt"),
 ])
 def test_stdout_pinned(capsys, argv, pin):
     # the whole stdout, so that the chart products of every gseries mode,
     # the line bundle as a rank-1 sheaf, the Laurent-term slope oracle,
-    # the integer Hilbert coefficients and both sheaf kinds' devissage
-    # cannot change a byte of it
+    # the integer Hilbert coefficients, both sheaf kinds' devissage and
+    # the rank-2 series with their refined check cannot change a byte of it
     assert main(argv.split()) == 0
     got = capsys.readouterr().out.split("\n")
     want = (PINS / pin).read_text().split("\n")
@@ -381,6 +389,19 @@ def test_out_of_range_numbers(capsys, argv):
     assert code == 1
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("invalid input:")
+
+
+def test_two_rules_for_E(capsys):
+    # on P(2,2,3) the pairwise gcds are 2, 1, 1 and m = lcm = 6: hilb takes
+    # E = 2, the rank-2 series needs a multiple of 6
+    code, records, _ = run(capsys, "hilb", "--abc", "2", "2", "3", "--r", "1", "--E", "2",
+                           "--check")
+    assert code == 0
+    assert [r for r in records if r["record"] == "verdict"][0]["oracle_match"] is True
+    code = main(["hseries", "--abc", "2", "2", "3", "--E", "2", "--c1", "0"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "invalid input: E must be a positive multiple of lcm(a,b,c)\n"
 
 
 def test_huge_twist_is_refused_promptly(capsys):

@@ -10,7 +10,6 @@ from cyclotomic_field import inverse, rational
 from wpptoric.errors import InvalidInputError
 from wpptoric.exact_arith import Cyclotomic, as_rational, zeta_pow
 from wpptoric.hilbert import (
-    GeneratingSheafSpec,
     HilbTop,
     _psi_sum,
     _root_sum,
@@ -231,13 +230,13 @@ def test_formula_matches_oracle(weights):
 
 def test_hilb_top_E_examples():
     p111 = WppParams(1, 1, 1)
-    t = hilb_top_E(p111, GeneratingSheafSpec(1), 0)
+    t = hilb_top_E(p111, 1, 0)
     assert t == HilbTop(Fraction(1, 2), Fraction(3, 2))
     p112 = WppParams(1, 1, 2)
-    t = hilb_top_E(p112, GeneratingSheafSpec(2), 0)
+    t = hilb_top_E(p112, 2, 0)
     assert t == HilbTop(Fraction(2), Fraction(5))
     p222 = WppParams(2, 2, 2)
-    t = hilb_top_E(p222, GeneratingSheafSpec(2), 1)
+    t = hilb_top_E(p222, 2, 1)
     assert t == HilbTop(Fraction(1, 2), Fraction(5, 2))
 
 
@@ -247,26 +246,25 @@ def test_hilb_top_E_additivity(weights):
     # over the twists r+u (the dual twists point up)
     params = WppParams(*weights)
     for E in (params.m, 2 * params.m):
-        spec = GeneratingSheafSpec(E)
         for r in (-4, 0, 3):
             total_quad = sum((hilb_top(params, r + u).quad for u in range(E)), Fraction(0))
             total_lin = sum((hilb_top(params, r + u).lin for u in range(E)), Fraction(0))
-            t = hilb_top_E(params, spec, r)
+            t = hilb_top_E(params, E, r)
             assert (t.quad, t.lin) == (total_quad, total_lin)
 
 
 def test_hilb_top_E_of_kclass_is_representative_independent():
     params = WppParams(2, 2, 2)
-    spec = GeneratingSheafSpec(2)
+    E = 2
     # the defining relation has vanishing coefficients, so any lift of a
     # class gives the same answer; test on g^9 vs its canonical form
     k = kclass_from_laurent(params, {9: 1})
-    direct = hilb_top_E(params, spec, -9)
-    via_class = hilb_top_E_of_kclass(params, spec, k)
+    direct = hilb_top_E(params, E, -9)
+    via_class = hilb_top_E_of_kclass(params, E, k)
     assert (direct.quad, direct.lin) == (via_class.quad, via_class.lin)
     # point classes are 0-dimensional: top coefficients vanish
     pt = structure_sheaf_point(params, 2, 1)
-    top = hilb_top_E_of_kclass(params, spec, pt)
+    top = hilb_top_E_of_kclass(params, E, pt)
     assert (top.quad, top.lin) == (0, 0)
 
 
@@ -285,9 +283,8 @@ def test_hilb_top_E_matches_termwise_oracle():
     for weights in combinations_with_replacement(range(1, 7), 3):
         params = WppParams(*weights)
         for E in (params.m, 2 * params.m, 3 * params.m):
-            spec = GeneratingSheafSpec(E)
             for r in range(-20, 21):
-                assert hilb_top_E(params, spec, r) == hilb_top_E_oracle(params, E, r), (
+                assert hilb_top_E(params, E, r) == hilb_top_E_oracle(params, E, r), (
                     weights, E, r)
 
 
@@ -295,28 +292,27 @@ def test_hilb_top_E_of_kclass_matches_termwise_sum():
     rng = random.Random(5)
     for weights in ((1, 1, 1), (1, 1, 2), (2, 2, 2), (2, 3, 4), (1, 3, 3), (4, 6, 6)):
         params = WppParams(*weights)
-        spec = GeneratingSheafSpec(params.m)
+        E = params.m
         for _ in range(20):
             coeffs = [rng.choice((0, rng.randint(-5, 5), Fraction(rng.randint(-5, 5), 3)))
                       for _ in range(params.degree)]
             kclass = KClass(params, coeffs)
-            quad = sum((c * hilb_top_E(params, spec, -e).quad
+            quad = sum((c * hilb_top_E(params, E, -e).quad
                         for e, c in enumerate(kclass.coeffs)), Fraction(0))
-            lin = sum((c * hilb_top_E(params, spec, -e).lin
+            lin = sum((c * hilb_top_E(params, E, -e).lin
                        for e, c in enumerate(kclass.coeffs)), Fraction(0))
-            assert hilb_top_E_of_kclass(params, spec, kclass) == HilbTop(quad, lin)
+            assert hilb_top_E_of_kclass(params, E, kclass) == HilbTop(quad, lin)
 
 
 @pytest.mark.parametrize("E", [0, -1, -2])
 def test_hilb_top_E_needs_positive_E(E):
     with pytest.raises(InvalidInputError):
-        hilb_top_E(WppParams(1, 1, 1), GeneratingSheafSpec(E), 0)
+        hilb_top_E(WppParams(1, 1, 1), E, 0)
     with pytest.raises(InvalidInputError):
-        hilb_top_E_of_kclass(WppParams(1, 1, 1), GeneratingSheafSpec(E),
-                             KClass(WppParams(1, 1, 1), [1, 0, 0]))
+        hilb_top_E_of_kclass(WppParams(1, 1, 1), E, KClass(WppParams(1, 1, 1), [1, 0, 0]))
 
 
-def slope_mu(params, spec, quad, lin):
+def slope_mu(params, E, quad, lin):
     """Modified slope lin/quad in `Fraction`s, the reference for the
     integer slope comparison of `rank2.slope_oracle_stability`."""
     if quad == 0:
@@ -326,13 +322,13 @@ def slope_mu(params, spec, quad, lin):
 
 def test_slope_examples():
     params = WppParams(1, 1, 1)
-    spec = GeneratingSheafSpec(1)
-    assert slope_mu(params, spec, Fraction(1, 2), Fraction(3, 2)) == 3
-    assert slope_mu(params, spec, Fraction(1, 2), Fraction(3, 4)) == slope_mu(
-        params, spec, Fraction(2), Fraction(3)
+    E = 1
+    assert slope_mu(params, E, Fraction(1, 2), Fraction(3, 2)) == 3
+    assert slope_mu(params, E, Fraction(1, 2), Fraction(3, 4)) == slope_mu(
+        params, E, Fraction(2), Fraction(3)
     )
     with pytest.raises(InvalidInputError):
-        slope_mu(params, spec, Fraction(0), Fraction(1))
+        slope_mu(params, E, Fraction(0), Fraction(1))
 
 
 @pytest.mark.parametrize("weights", [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)])
@@ -340,21 +336,25 @@ def test_slope_difference_formula(weights):
     # mu(F) - mu(L1) = (D2 + D3 - D1)/m for the distinguished sub-line-bundles
     params = WppParams(*weights)
     a, b, c = params.weights()
-    spec = GeneratingSheafSpec(params.m)
+    E = params.m
     for D in ((b, c, a), (2 * b, c, 2 * a), (3 * b, 2 * c, a)):
         total = sum(D)
         f_class = kclass_from_laurent(params, {0: 1, total: 1})
-        f_top = hilb_top_E_of_kclass(params, spec, f_class)
-        mu_f = slope_mu(params, spec, f_top.quad, f_top.lin)
-        l1_top = hilb_top_E_of_kclass(params, spec, g_power(params, D[1] + D[2]))
-        mu_l1 = slope_mu(params, spec, l1_top.quad, l1_top.lin)
+        f_top = hilb_top_E_of_kclass(params, E, f_class)
+        mu_f = slope_mu(params, E, f_top.quad, f_top.lin)
+        l1_top = hilb_top_E_of_kclass(params, E, g_power(params, D[1] + D[2]))
+        mu_l1 = slope_mu(params, E, l1_top.quad, l1_top.lin)
         assert mu_f - mu_l1 == Fraction(D[1] + D[2] - D[0], params.m)
+
+
+def _twist(c1, D):
+    """The twist A of a type-I datum with first Chern class c1 and widths D."""
+    return -(c1 + sum(D)) // 2
 
 
 def test_rank2_constant_term_p2():
     params = WppParams(1, 1, 1)
-    spec = GeneratingSheafSpec(1)
-    assert rank2_constant_term(params, spec, -1, 0, 1, 1, 1) == 0
+    assert rank2_constant_term(params, 1, -1, 1, 1, 1) == 0
     # quadratic part + (3/2)c1 + 2 on the plane
     for c1, D in ((-1, (2, 2, 1)), (0, (2, 2, 2)), (-3, (1, 2, 2))):
         expected = (
@@ -363,17 +363,16 @@ def test_rank2_constant_term_p2():
             - Fraction(D[0] * D[1] + D[1] * D[2] + D[2] * D[0], 2)
             + Fraction(3 * c1, 2) + 2
         )
-        assert rank2_constant_term(params, spec, c1, 0, *D) == expected
+        assert rank2_constant_term(params, 1, _twist(c1, D), *D) == expected
 
 
 def test_rank2_constant_term_112_display():
     # on (1,1,2) with E=2 the closed form collapses to
     # c1^2/4 + (5/2)c1 + 6 + sum D^2/4 - sum DD'/2
     params = WppParams(1, 1, 2)
-    spec = GeneratingSheafSpec(2)
-    value = rank2_constant_term(params, spec, -2, 0, 1, 2, 1)
+    value = rank2_constant_term(params, 2, _twist(-2, (1, 2, 1)), 1, 2, 1)
     assert value == 1
-    assert rank2_constant_term(params, spec, -2, 0, 1, 2, 3) == (
+    assert rank2_constant_term(params, 2, _twist(-2, (1, 2, 3)), 1, 2, 3) == (
         Fraction(4, 4) + Fraction(5, 2) * (-2) + 6
         + Fraction(1 + 4 + 9, 4) - Fraction(2 + 6 + 3, 2)
     )
@@ -383,9 +382,9 @@ def test_rank2_constant_term_222_display():
     # on (2,2,2) with E=2, lam=0:
     # c1^2/16 + (3/4)c1 + 2 + sum D^2/16 - sum DD'/8
     params = WppParams(2, 2, 2)
-    spec = GeneratingSheafSpec(2)
     for c1, D in ((-2, (2, 2, 2)), (0, (4, 2, 2)), (-4, (4, 4, 4))):
-        got = rank2_constant_term(params, spec, c1, 0, *D)
+        assert _twist(c1, D) % params.d == 0  # lam = 0
+        got = rank2_constant_term(params, 2, _twist(c1, D), *D)
         expected = (
             Fraction(c1 * c1, 16) + Fraction(3 * c1, 4) + 2
             + Fraction(sum(x * x for x in D), 16)
@@ -395,12 +394,14 @@ def test_rank2_constant_term_222_display():
 
 
 def test_rank2_constant_term_guards():
+    # the twist A is an input, so an odd c1 + D1 + D2 + D3 cannot be passed
     params = WppParams(1, 1, 2)
-    spec = GeneratingSheafSpec(2)
     with pytest.raises(InvalidInputError):
-        rank2_constant_term(params, spec, -2, 0, 1, 1, 1)  # c | D2 fails
+        rank2_constant_term(params, 2, -2, 1, 1, 1)  # c | D2 fails
     with pytest.raises(InvalidInputError):
-        rank2_constant_term(params, spec, -1, 0, 1, 2, 1)  # parity fails
+        rank2_constant_term(params, 3, -2, 1, 2, 1)  # lcm(a,b,c) = 2 does not divide E
+    # hilb_top_E needs only the pairwise gcds to divide E: 2 on P(2,2,3), where m = 6
+    assert hilb_top_E(WppParams(2, 2, 3), 2, 1) == hilb_top_E_oracle(WppParams(2, 2, 3), 2, 1)
 
 
 def width_free_bracket_oracle(params, E, c1, Ad):
@@ -443,7 +444,6 @@ def test_rank2_constant_term_matches_fraction_oracle():
         params = WppParams(*weights)
         a, b, c = weights
         for E in (params.m, 2 * params.m):
-            spec = GeneratingSheafSpec(E)
             for c1 in range(-3, 4):
                 for d1 in range(b, 24, b):
                     for d2 in range(c, 24 - d1, c):
@@ -452,8 +452,8 @@ def test_rank2_constant_term_matches_fraction_oracle():
                                 continue
                             if not (d1 < d2 + d3 and d2 < d1 + d3 and d3 < d1 + d2):
                                 continue
-                            lam = -(c1 + d1 + d2 + d3) // 2 % params.d
-                            value = rank2_constant_term(params, spec, c1, lam, d1, d2, d3)
+                            A = _twist(c1, (d1, d2, d3))
+                            value = rank2_constant_term(params, E, A, d1, d2, d3)
                             assert type(value) is int
                             assert value == rank2_constant_term_oracle(
                                 params, E, c1, d1, d2, d3), (weights, E, c1, (d1, d2, d3))
@@ -484,7 +484,6 @@ def test_rank2_constant_term_against_chi_oracle(weights):
     params = WppParams(*weights)
     a, b, c = params.weights()
     E = params.m
-    spec = GeneratingSheafSpec(E)
     for d1 in range(b, 3 * b + 1, b):
         for d2 in range(c, 3 * c + 1, c):
             for d3 in range(a, 3 * a + 1, a):
@@ -499,7 +498,7 @@ def test_rank2_constant_term_against_chi_oracle(weights):
                         _chi_of_class(params, kclass * g_power(params, -u))
                         for u in range(E)
                     )
-                    formula = rank2_constant_term(params, spec, c1, A % params.d, d1, d2, d3)
+                    formula = rank2_constant_term(params, E, A, d1, d2, d3)
                     assert formula == oracle, (weights, (d1, d2, d3), c1)
 
 

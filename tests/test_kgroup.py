@@ -37,6 +37,8 @@ class FakeTypeI:
         self.A1, self.A2, self.A3 = A
         self.D1, self.D2, self.D3 = D
         self.p1, self.p2, self.p3 = points
+        # the pattern TypeIBundle decides once: is each chart's point pair equal
+        self.same = (points[0] == points[1], points[1] == points[2], points[2] == points[0])
 
 
 DISTINCT = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(1), Fraction(1)))

@@ -6,7 +6,6 @@ import pytest
 from class_numbers import three_hurwitz
 from wpptoric.errors import InvalidInputError
 from wpptoric.hilbert import (
-    GeneratingSheafSpec,
     _psi_sum,
     hilb_top_E_of_kclass,
     rank2_constant_term,
@@ -60,7 +59,7 @@ def test_classifier_agrees_with_slope_oracle(weights):
     params = WppParams(*weights)
     a, b, c = params.weights()
     patterns = ((PT1, PT2, PT3), (PT1, PT1, PT3))
-    specs = (GeneratingSheafSpec(params.m), GeneratingSheafSpec(2 * params.m))
+    Es = (params.m, 2 * params.m)
     for d1 in range(0, 9, b) or [0]:
         for d2 in range(0, 9, c):
             for d3 in range(0, 9, a):
@@ -68,7 +67,7 @@ def test_classifier_agrees_with_slope_oracle(weights):
                     datum = TypeIBundle(1, -1, 0, d1, d2, d3, *pts)
                     expected = is_mu_stable(params, datum)
                     verdicts = [
-                        slope_oracle_stability(params, spec, datum) for spec in specs
+                        slope_oracle_stability(params, E, datum) for E in Es
                     ]
                     assert verdicts[0] == verdicts[1] == expected, (weights, (d1, d2, d3), pts)
 
@@ -127,20 +126,19 @@ def test_refined_122_zero_branch():
 )
 def test_refined_specialized_consistency(weights, E, c1):
     params = WppParams(*weights)
-    spec = GeneratingSheafSpec(E)
     for lam in range(params.d):
-        specialized = h_vb_specialized(params, spec, c1, lam, 12)
+        specialized = h_vb_specialized(params, E, c1, lam, 12)
         grouped = {}
         alpha, beta = refined_targets(params, c1, lam)
         for A, widths, chern in enumerate_refined_solutions(params, alpha, beta, 12):
-            e = int(rank2_constant_term(params, spec, c1, lam, *widths))
+            e = int(rank2_constant_term(params, E, A, *widths))
             grouped[(e,)] = grouped.get((e,), 0) + 1
         assert grouped == specialized.coeffs
 
 
 def test_specialized_p2_series_against_direct_formula():
-    spec = GeneratingSheafSpec(1)
-    series = h_vb_specialized(P111, spec, -1, 0, 11)
+    E = 1
+    series = h_vb_specialized(P111, E, -1, 0, 11)
     expected = {}
     for d1 in range(1, 10):
         for d2 in range(1, 10):
@@ -162,31 +160,31 @@ def test_specialized_p2_series_against_direct_formula():
 
 
 def test_222_matches_p2_up_to_shift():
-    spec2 = GeneratingSheafSpec(2)
-    spec1 = GeneratingSheafSpec(1)
+    E2 = 2
+    E1 = 1
     for half_c1 in (0, -2):  # even halves with lam = 0
         c1 = 2 * half_c1
-        big = h_vb_specialized(P222, spec2, c1, 0, 14)
-        small = h_vb_specialized(P111, spec1, 0, 0, 7)
+        big = h_vb_specialized(P222, E2, c1, 0, 14)
+        small = h_vb_specialized(P111, E1, 0, 0, 7)
         shift = max(e for (e,) in big.coeffs) - max(e for (e,) in small.coeffs)
         shifted = small.shift_exponents(shift)
         assert big == shifted, (c1, shift)
 
 
 def test_specialized_symmetry_under_weight_rotation():
-    spec = GeneratingSheafSpec(6)
-    base = h_vb_specialized(WppParams(1, 2, 3), spec, -2, 0, 12)
-    rot1 = h_vb_specialized(WppParams(2, 3, 1), spec, -2, 0, 12)
-    rot2 = h_vb_specialized(WppParams(3, 1, 2), spec, -2, 0, 12)
+    E = 6
+    base = h_vb_specialized(WppParams(1, 2, 3), E, -2, 0, 12)
+    rot1 = h_vb_specialized(WppParams(2, 3, 1), E, -2, 0, 12)
+    rot2 = h_vb_specialized(WppParams(3, 1, 2), E, -2, 0, 12)
     assert base == rot1 == rot2
 
 
 def test_h_vb_window_completeness():
-    spec = GeneratingSheafSpec(1)
-    window, floor = h_vb_window(P111, spec, -1, 0, 3)
+    E = 1
+    window, floor = h_vb_window(P111, E, -1, 0, 3)
     assert floor == -3
     # direct check against a generous fixed-bound enumeration
-    wide = h_vb_specialized(P111, spec, -1, 0, 25)
+    wide = h_vb_specialized(P111, E, -1, 0, 25)
     expected = {k: v for k, v in wide.coeffs.items() if k[0] >= floor}
     assert window.coeffs == expected
     assert expected[(-3,)] == 6  # (3,2,2) and (4,4,1) patterns
@@ -197,16 +195,15 @@ def test_h_vb_window_completeness():
 ])
 def test_h_vb_window_matches_wide_enumeration(weights, E, c1, depth):
     params = WppParams(*weights)
-    spec = GeneratingSheafSpec(E)
-    window, floor = h_vb_window(params, spec, c1, 0, depth)
-    wide = h_vb_specialized(params, spec, c1, 0, 48)
+    window, floor = h_vb_window(params, E, c1, 0, depth)
+    wide = h_vb_specialized(params, E, c1, 0, 48)
     assert window.coeffs
     assert window.coeffs == {k: v for k, v in wide.coeffs.items() if k[0] >= floor}
 
 
 def test_h_vb_window_empty_for_parity_obstruction():
-    spec = GeneratingSheafSpec(2)
-    series, _ = h_vb_window(P222, spec, 1, 0, 4)
+    E = 2
+    series, _ = h_vb_window(P222, E, 1, 0, 4)
     assert series.coeffs == {}
 
 
@@ -216,10 +213,10 @@ WEIGHTS_UP_TO_4 = list(combinations_with_replacement(range(1, 5), 3))
 @pytest.mark.parametrize("weights", list(combinations_with_replacement(range(1, 7), 3)))
 def test_h_vb_window_empty_exactly_when_d_does_not_divide_c1_plus_2lam(weights):
     params = WppParams(*weights)
-    spec = GeneratingSheafSpec(params.m)
+    E = params.m
     for c1 in range(-4, 5):
         for lam in range(params.d):
-            series, floor = h_vb_window(params, spec, c1, lam, 0)
+            series, floor = h_vb_window(params, E, c1, lam, 0)
             if (c1 + 2 * lam) % params.d:
                 assert list(enumerate_stable_triples(params, c1, lam, 40)) == []
                 assert (series.coeffs, floor) == ({}, 0)
@@ -227,28 +224,28 @@ def test_h_vb_window_empty_exactly_when_d_does_not_divide_c1_plus_2lam(weights):
                 assert series.coeffs, (c1, lam)
 
 
-def _constant_term_upper_bound(params, spec, c1, total):
+def _constant_term_upper_bound(params, E, c1, total):
     """Upper bound for the Hilbert constant term at fixed total width.
 
     x + y + z = total with x, y, z >= 1 gives Q = xy + yz + zx >=
     2 total - 3, and the Q bound decreases strictly in Q.
     """
-    return _form_bound(params, spec.E, c1, 2 * total - 3)
+    return _form_bound(params, E, c1, 2 * total - 3)
 
 
 @pytest.mark.parametrize("weights", WEIGHTS_UP_TO_4)
 def test_constant_term_upper_bound_holds_and_strictly_decreases(weights):
     params = WppParams(*weights)
-    for spec in (GeneratingSheafSpec(params.m), GeneratingSheafSpec(2 * params.m)):
+    for E in (params.m, 2 * params.m):
         for c1 in range(-3, 4):
             # widths summing to at most 30 have Q <= 30^2 / 3
-            form_bounds = [_form_bound(params, spec.E, c1, q) for q in range(301)]
+            form_bounds = [_form_bound(params, E, c1, q) for q in range(301)]
             assert all(x > y for x, y in zip(form_bounds, form_bounds[1:]))
-            bounds = [_constant_term_upper_bound(params, spec, c1, s) for s in range(3, 31)]
+            bounds = [_constant_term_upper_bound(params, E, c1, s) for s in range(3, 31)]
             for lam in range(params.d):
                 for A, (d1, d2, d3) in enumerate_stable_triples(params, c1, lam, 30):
                     x, y, z = d2 + d3 - d1, d1 + d3 - d2, d1 + d2 - d3
-                    value = rank2_constant_term(params, spec, c1, lam, d1, d2, d3)
+                    value = rank2_constant_term(params, E, A, d1, d2, d3)
                     assert value <= form_bounds[x * y + y * z + z * x], (c1, lam, A)
                     assert value <= bounds[d1 + d2 + d3 - 3], (c1, lam, A)
 
@@ -256,20 +253,20 @@ def test_constant_term_upper_bound_holds_and_strictly_decreases(weights):
 @pytest.mark.parametrize("weights", WEIGHTS_UP_TO_4)
 def test_h_vb_window_matches_enumeration_to_the_proven_stop(weights):
     params = WppParams(*weights)
-    for spec in (GeneratingSheafSpec(params.m), GeneratingSheafSpec(2 * params.m)):
+    for E in (params.m, 2 * params.m):
         for c1 in range(-3, 4):
             for lam in range(params.d):
                 if (c1 + 2 * lam) % params.d:
                     continue
                 for depth in (0, 2, 5):
-                    window, floor = h_vb_window(params, spec, c1, lam, depth)
+                    window, floor = h_vb_window(params, E, c1, lam, depth)
                     # past T every total's bound, hence every exponent, is below the floor
                     T = 3
-                    while _constant_term_upper_bound(params, spec, c1, T) >= floor:
+                    while _constant_term_upper_bound(params, E, c1, T) >= floor:
                         T += 1
-                    wide = h_vb_specialized(params, spec, c1, lam, T)
+                    wide = h_vb_specialized(params, E, c1, lam, T)
                     cut = {k: v for k, v in wide.coeffs.items() if k[0] >= floor}
-                    assert window.coeffs == cut, (spec.E, c1, lam, depth)
+                    assert window.coeffs == cut, (E, c1, lam, depth)
                     assert max(e for (e,) in cut) == floor + depth
 
 
@@ -287,7 +284,7 @@ def test_three_hurwitz_known_values():
 
 def test_plane_window_counts_klyachko_class_numbers():
     # 3 H(4 c2 - 1) stable toric rank-2 bundles on P^2 with c1 = -1, at q^(1 - c2)
-    window, floor = h_vb_window(P111, GeneratingSheafSpec(1), -1, 0, 400)
+    window, floor = h_vb_window(P111, 1, -1, 0, 400)
     assert floor == -400
     assert window.coeffs == {(1 - c2,): three_hurwitz(4 * c2 - 1) for c2 in range(1, 402)}
 
@@ -302,7 +299,7 @@ def test_gerbe_window_counts_klyachko_class_numbers(d):
         for lam in range(d):
             if (c1 + 2 * lam) % d or (c1 + 2 * lam) // d % 2 == 0:
                 continue
-            window, floor = h_vb_window(params, GeneratingSheafSpec(d), c1, lam, 11)
+            window, floor = h_vb_window(params, d, c1, lam, 11)
             top = floor + 11
             expected = {(top - k,): three_hurwitz(4 * k + 3) for k in range(12)}
             assert window.coeffs == expected, (c1, lam)
@@ -311,9 +308,9 @@ def test_gerbe_window_counts_klyachko_class_numbers(d):
 
 
 def test_h_full_plane():
-    spec = GeneratingSheafSpec(1)
-    full, floor = h_full(P111, spec, -1, 0, 4)
-    vb, _ = h_vb_window(P111, spec, -1, 0, 4)
+    E = 1
+    full, floor = h_full(P111, E, -1, 0, 4)
+    vb, _ = h_vb_window(P111, E, -1, 0, 4)
     eta6 = eta_inv_pow(6, 4)
     # H(X) = sum_n vb(X + n) * eta6(n)
     for (x,), coeff in full.coeffs.items():
@@ -325,17 +322,17 @@ def test_h_full_plane():
     assert full.coefficient((-1,)) == 3 + 1 * 6  # new bundles plus six point escapes
 
 
-def slope_stability_oracle(params, spec, datum):
+def slope_stability_oracle(params, E, datum):
     """Stability by comparing the `Fraction` slopes lin/quad."""
     if min(datum.D1, datum.D2, datum.D3) <= 0:
         return False
     if datum.p1 == datum.p2 or datum.p2 == datum.p3 or datum.p3 == datum.p1:
         return False
-    top_f = hilb_top_E_of_kclass(params, spec, rank2_typeI_class(params, datum))
+    top_f = hilb_top_E_of_kclass(params, E, rank2_typeI_class(params, datum))
     mu_f = top_f.lin / top_f.quad
     total_a = datum.A1 + datum.A2 + datum.A3
     for opposite in (datum.D2 + datum.D3, datum.D1 + datum.D3, datum.D1 + datum.D2):
-        top_l = hilb_top_E_of_kclass(params, spec, g_power(params, opposite + total_a))
+        top_l = hilb_top_E_of_kclass(params, E, g_power(params, opposite + total_a))
         if top_l.lin / top_l.quad >= mu_f:
             return False
     return True
@@ -349,16 +346,16 @@ def test_integer_slope_test_matches_fraction_slopes(weights):
     a, b, c = params.weights()
     patterns = ((PT1, PT2, PT3), (PT1, PT1, PT3), (PT1, PT2, PT2), (PT3, PT2, PT3))
     seen = set()
-    for spec in (GeneratingSheafSpec(params.m), GeneratingSheafSpec(3 * params.m)):
+    for E in (params.m, 3 * params.m):
         for d1 in range(0, 4 * b + 1, b):
             for d2 in range(0, 4 * c + 1, c):
                 for d3 in range(0, 4 * a + 1, a):
                     for pts in patterns:
                         for A in ((0, 0, 0), (2, -1, 5), (0, 0, -9)):
                             datum = TypeIBundle(*A, d1, d2, d3, *pts)
-                            verdict = slope_oracle_stability(params, spec, datum)
-                            assert verdict == slope_stability_oracle(params, spec, datum), (
-                                weights, spec.E, datum)
+                            verdict = slope_oracle_stability(params, E, datum)
+                            assert verdict == slope_stability_oracle(params, E, datum), (
+                                weights, E, datum)
                             seen.add(verdict)
     assert seen == {True, False}
 
@@ -370,7 +367,7 @@ def test_rank_and_twists_of_laurent_terms_matches_canonical_class(weights):
     params = WppParams(*weights)
     a, b, c = params.weights()
     patterns = ((PT1, PT2, PT3), (PT1, PT1, PT3), (PT1, PT2, PT2), (PT3, PT3, PT3))
-    for spec in (GeneratingSheafSpec(params.m), GeneratingSheafSpec(2 * params.m)):
+    for E in (params.m, 2 * params.m):
         for d1 in range(0, 3 * b + 1, b):
             for d2 in range(0, 3 * c + 1, c):
                 for d3 in range(0, 3 * a + 1, a):
@@ -379,17 +376,17 @@ def test_rank_and_twists_of_laurent_terms_matches_canonical_class(weights):
                             datum = TypeIBundle(*A, d1, d2, d3, *pts)
                             terms = rank2_typeI_laurent(datum).items()
                             canonical = enumerate(rank2_typeI_class(params, datum).coeffs)
-                            assert (rank_and_twists(params, spec, terms)
-                                    == rank_and_twists(params, spec, canonical)), (weights, datum)
+                            assert (rank_and_twists(params, E, terms)
+                                    == rank_and_twists(params, E, canonical)), (weights, datum)
 
 
 @pytest.mark.parametrize("weights", [(1, 1, 1), (2, 3, 5), (2, 2, 4), (4, 6, 12)])
 def test_rank_and_twists_of_a_single_power(weights):
     params = WppParams(*weights)
-    spec = GeneratingSheafSpec(params.m)
+    E = params.m
     for e in range(-200, 201):
-        assert (rank_and_twists(params, spec, ((e, 1),))
-                == rank_and_twists(params, spec, enumerate(g_power(params, e).coeffs))), e
+        assert (rank_and_twists(params, E, ((e, 1),))
+                == rank_and_twists(params, E, enumerate(g_power(params, e).coeffs))), e
 
 
 def color_zero_walk(spec, max_zeros):
@@ -422,9 +419,9 @@ def color_zero_walk(spec, max_zeros):
     return counts, largest
 
 
-def _h_full_untruncated(params, spec, c1, lam, max_order):
+def _h_full_untruncated(params, E, c1, lam, max_order):
     """h_full with walked chart factors and the correction multiplied out in full."""
-    vb, floor = h_vb_window(params, spec, c1, lam, max_order)
+    vb, floor = h_vb_window(params, E, c1, lam, max_order)
     if not vb.coeffs:
         return Series(("q",), {}, None), 0
     correction = Series(("q",), {(0,): 1}, None)
@@ -506,17 +503,16 @@ HSERIES_SLOTS = [
 @pytest.mark.parametrize("weights, E, c1, lam, order", HSERIES_SLOTS)
 def test_h_full_matches_untruncated_correction(weights, E, c1, lam, order):
     params = WppParams(*weights)
-    spec = GeneratingSheafSpec(E)
-    expected = _h_full_untruncated(params, spec, c1, lam, order)
-    assert h_full(params, spec, c1, lam, order) == expected
+    expected = _h_full_untruncated(params, E, c1, lam, order)
+    assert h_full(params, E, c1, lam, order) == expected
 
 
 def test_psi_cache_is_keyed_on_residues():
     params = WppParams(2, 2, 6)
-    spec = GeneratingSheafSpec(params.m)
+    E = params.m
     _psi_sum.cache_clear()
     for depth in (7, 40):
-        series, _ = h_vb_window(params, spec, 0, 0, depth)
+        series, _ = h_vb_window(params, E, 0, 0, depth)
         assert series.coeffs
     bound = sum(n ** 3 for n in (params.d12, params.d13, params.d23))
     assert 0 < _psi_sum.cache_info().currsize <= bound

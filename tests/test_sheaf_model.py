@@ -13,6 +13,7 @@ from wpptoric.kgroup import (
     line_bundle_class,
     rank1_class,
     rank2_typeI_class,
+    rank2_typeI_laurent,
 )
 from wpptoric.partitions import Partition
 from wpptoric.sheaf_model import (
@@ -21,6 +22,7 @@ from wpptoric.sheaf_model import (
     TypeIBundle,
     TruncatedSFamily,
     Window,
+    _deficit,
     check_gluing,
     coherence_check,
     kclass_by_devissage,
@@ -293,6 +295,48 @@ def test_points_distinct():
     assert TypeIBundle(0, 0, 0, 1, 1, 1).points_distinct()
     for points in ((PT1, PT1, PT3), (PT1, PT2, PT2), (PT3, PT2, (2, 2))):
         assert not TypeIBundle(0, 0, 0, 1, 1, 1, *points).points_distinct()
+
+
+@st.composite
+def point_patterns(draw):
+    """Weights <= 4, divisible widths and three points, scaled copies of one to three bases."""
+    weights = draw(st.tuples(*[st.integers(1, 4)] * 3))
+    a, b, c = weights
+    widths = [w * draw(st.integers(0, 2)) for w in (b, c, a)]
+    coord = st.integers(-3, 3)
+    bases = draw(st.lists(st.tuples(coord, coord).filter(any), min_size=1, max_size=3))
+    scale = st.sampled_from([1, -1, 2, -3, Fraction(1, 2)])
+    points = [tuple(draw(scale) * x for x in draw(st.sampled_from(bases))) for _ in range(3)]
+    return weights, widths, points
+
+
+@given(point_patterns())
+@settings(max_examples=300, deadline=None)
+def test_same_decides_every_point_comparison(case):
+    weights, widths, points = case
+    params = WppParams(*weights)
+    datum = TypeIBundle(0, 1, -1, *widths, *points)
+    # (x1:y1) = (x2:y2) exactly when x1 y2 = x2 y1, scaled duplicates included
+    pairs = list(zip(points, points[1:] + points[:1]))
+    expected = tuple(p[0] * q[1] == q[0] * p[1] for p, q in pairs)
+    assert datum.same == expected
+    assert datum.points_distinct() == (not any(expected))
+    # _deficit cuts chart k's corner rectangle exactly when p_k and p_(k+1) differ
+    for chart in (1, 2, 3):
+        _, step1, step2 = params.chart(chart)
+        d1, d2 = widths[chart - 1], widths[chart % 3]
+        cut = 0 if expected[chart - 1] else (d1 // step1) * (d2 // step2)
+        assert _deficit(params, datum, chart).size() == cut, chart
+    # the class, shifted by A1 + A2 + A3 = 0, drops the pair term
+    # (1 - g^Di)(1 - g^Dj) of each coincident pair
+    D1, D2, D3 = widths
+    terms = Counter((0, D1 + D2 + D3))
+    for (di, dj), same in zip(((D1, D2), (D2, D3), (D3, D1)), expected):
+        if not same:
+            for e, sign in ((0, -1), (di, 1), (dj, 1), (di + dj, -1)):
+                terms[e] += sign
+    laurent = rank2_typeI_laurent(datum)
+    assert {e: x for e, x in laurent.items() if x} == {e: x for e, x in terms.items() if x}
 
 
 def test_rank2_gluing_matched_point_patterns():
