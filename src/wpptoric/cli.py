@@ -27,10 +27,10 @@ E >= 1 that every pairwise gcd of the weights divides, `hseries --E`
 only positive multiples of lcm(a,b,c).
 
 Input limits: `hilb` accepts |r| <= 10^6 and E <= 10^5.  The counting
-oracle it always runs costs O(|r|), and the generating-sheaf oracle one
-integer numerator per u < E, its root sums cached by residue; each
-takes well under a second at its limit and would run for seconds to
-forever beyond it.
+oracle it always runs costs O(|r|): well under a second at the limit,
+seconds to forever beyond it.  The generating-sheaf check costs one
+period of integer numerators whatever E is
+(`hilbert.lin_numerator_window`).
 """
 
 import json
@@ -46,10 +46,10 @@ from .hilbert import (
     check_generating_E,
     chi_oracle,
     hilb_fit_oracle,
-    hilb_lin_numerator,
     hilb_top,
     hilb_top_E,
     hilb_top_from_sums,
+    lin_numerator_window,
     rank2_constant_term,
 )
 from .inertia import tch_of_kclass
@@ -95,8 +95,8 @@ class _OracleMismatch(Exception):
 
 
 def _rat(x):
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    """An int or a `Fraction` as "p" or "p/q"; both carry numerator and denominator."""
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 # one encoder for every record: json.dumps(record, sort_keys=True) builds
@@ -186,14 +186,10 @@ def cmd_hilb(args, out):
     if args.E is not None:
         out.emit({"record": "hilb", "source": "generating-sheaf",
                   "E": args.E, "quad": _rat(te.quad), "lin": _rat(te.lin)})
-        # termwise over u < E, independent of the closed form of
-        # hilb_top_E: the twists r+u with d | r+u and their numerators
-        count = lin_sum = 0
-        for u in range(args.E):
-            if (args.r + u) % params.d == 0:
-                count += 1
-                lin_sum += hilb_lin_numerator(params, args.r + u)
-        agree = agree and hilb_top_from_sums(params, count, lin_sum) == te
+        # the numerators of the twists r+u with d | r+u, pair sums
+        # included, independent of the closed form of hilb_top_E
+        agree = agree and hilb_top_from_sums(
+            params, *lin_numerator_window(params, args.r, args.E)) == te
     out.emit({"record": "verdict", "oracle_match": agree})
     if not agree:
         raise _OracleMismatch("Hilbert coefficients disagree with the oracle")

@@ -7,10 +7,18 @@ and are computed here in closed form.  The independent oracle counts
 monomials: chi(O(r)) = N(r) + N(-r-a-b-c) with N(s) the number of
 weighted monomials of degree s, using that middle cohomology of a line
 bundle vanishes on these surfaces.  The constant term of a twist of
-the structure sheaf comes only from the oracle's quadratic fit; the one
-constant term in closed form is that of the modified Hilbert polynomial
-of a rank-2 bundle (`rank2_constant_term`), which the tests check
-against `chi_oracle`.
+the structure sheaf comes only from the oracle's quadratic fit, made in
+integers (`hilb_fit_oracle`); the one constant term in closed form is
+that of the modified Hilbert polynomial of a rank-2 bundle
+(`rank2_constant_term`), which the tests check against `chi_oracle`.
+
+The modified coefficients twist by the generating sheaf, the sum of
+O(-u) over u < E.  Their closed form (`hilb_top_E`) is O(1) because
+the pair sums cancel over every window of E twists.  The check of it
+keeps the pair sums explicit and still costs no more than one period
+P = lcm(d12, d13, d23) of twists, P/d numerators: a numerator
+changes by a fixed integer from one period to the next
+(`lin_numerator_window`).
 
 The twisted-sector contributions are sums over roots of unity with
 rational values (Fourier-Dedekind sums).  They are computed as integer
@@ -22,7 +30,7 @@ sum of a power of zeta_n over a set of exponents is an integer
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InternalInconsistencyError, InvalidInputError
 from .kgroup import WppParams
@@ -131,6 +139,29 @@ def hilb_lin_numerator(params, r):
     return lin
 
 
+def lin_numerator_window(params, r, E):
+    """The twists r + u, u < E, with d | r + u: their count and the sum of their L.
+
+    E must pass `_check_E`, checked here, so the period
+    P = lcm(d12, d13, d23) divides E.  L(s) depends on s only through
+    its linear term and s mod each d_ij, so L(s + P) - L(s) = 2 P d G
+    with G = d12 d13 d23.  The window is B = E/P copies of the period
+    [r, r + P): each rho there with d | rho stands for rho + kP, k < B,
+    whose numerators sum to B L(rho) + P d G B(B - 1).  The count is
+    E/d.  The pair sums of each L stay explicit, so this sum does not
+    assume that they cancel over the window, which `hilb_top_E` does.
+    """
+    _check_E(params, E)
+    d = params.d
+    gcd_product = params.d12 * params.d13 * params.d23
+    period = lcm(params.d12, params.d13, params.d23)
+    B = E // period
+    per_period = sum(hilb_lin_numerator(params, rho)
+                     for rho in range(r + (-r) % d, r + period, d))
+    # P/d residues, each adding P d G B(B - 1)
+    return E // d, B * per_period + period * period * gcd_product * B * (B - 1)
+
+
 def hilb_top_from_sums(params, count, lin_numerator):
     """HilbTop of a sum of `count` twists r with d | r and L(r) summing to `lin_numerator`.
 
@@ -217,6 +248,11 @@ def rank_and_twists(params, E, terms):
     is twists * d / (rank * E * m).
     """
     _check_E(params, E)
+    return _rank_and_twists(params, E, terms)
+
+
+def _rank_and_twists(params, E, terms):
+    """`rank_and_twists` for an E that already passed `_check_E`."""
     rank = 0
     twists = 0
     for e, coeff in terms:
@@ -272,22 +308,23 @@ def chi_oracle(params, r):
 def hilb_fit_oracle(params, r):
     """Quadratic fit of chi through t = 0, 1, 2, with a t = 3 self-check.
 
-    Samples chi(O(r + mt)) and Lagrange-fits the quadratic; if the t = 3
-    sample misses the fit, the values were not quadratic and something
-    is deeply wrong.
-    Returns (quad, lin, const).
+    Samples y_t = chi(O(r + mt)) and fits the quadratic in integers:
+    twice its coefficients are 2quad = y2 - 2y1 + y0 and 2lin =
+    2(y1 - y0) - 2quad, and const = y0.  If the t = 3 sample misses the
+    fit (9 2quad + 3 2lin + 2y0 != 2y3), the values were not quadratic
+    and something is deeply wrong.
+    Returns (quad, lin, const): quad and lin as `Fraction`s, const an int.
     """
     m = params.m
     samples = [chi_oracle(params, r + m * t) for t in range(4)]
-    y0, y1, y2, y3 = (Fraction(v) for v in samples)
-    quad = (y2 - 2 * y1 + y0) / 2
-    lin = y1 - y0 - quad
-    const = y0
-    if quad * 9 + lin * 3 + const != y3:
+    y0, y1, y2, y3 = samples
+    quad2 = y2 - 2 * y1 + y0
+    lin2 = 2 * (y1 - y0) - quad2
+    if 9 * quad2 + 3 * lin2 + 2 * y0 != 2 * y3:
         raise InternalInconsistencyError(
             f"chi values {samples} for r={r} do not lie on a quadratic"
         )
-    return (quad, lin, const)
+    return (Fraction(quad2, 2), Fraction(lin2, 2), y0)
 
 
 @lru_cache(maxsize=128)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,8 +12,9 @@ import pytest
 
 import wpptoric
 from cyclotomic_field import euler_phi
-from wpptoric import cli, kgroup, partitions
+from wpptoric import cli, hilbert, kgroup, partitions
 from wpptoric.cli import main
+from wpptoric.hilbert import HilbTop
 
 PINS = Path(__file__).parent / "stdout_pins"
 
@@ -402,6 +404,62 @@ def test_two_rules_for_E(capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == "invalid input: E must be a positive multiple of lcm(a,b,c)\n"
+
+
+def _lin_off_by_half(top):
+    return HilbTop(top.quad, top.lin + Fraction(1, 2))
+
+
+HILB_E = ["hilb", "--abc", "6", "8", "15", "--r", "-9", "--E", "240", "--check"]
+
+
+def test_hilb_exits_2_on_a_wrong_generating_sheaf_form(capsys, monkeypatch):
+    original = cli.hilb_top_E
+    monkeypatch.setattr(cli, "hilb_top_E", lambda *a: _lin_off_by_half(original(*a)))
+    code, records, err = run(capsys, *HILB_E)
+    assert code == 2
+    assert records[-1] == {"record": "verdict", "oracle_match": False}
+    assert err.startswith("oracle mismatch:")
+
+
+def test_hilb_exits_2_on_a_wrong_closed_form(capsys, monkeypatch):
+    original = cli.hilb_top
+    monkeypatch.setattr(cli, "hilb_top", lambda *a: _lin_off_by_half(original(*a)))
+    code, records, _ = run(capsys, *HILB_E)
+    assert code == 2
+    assert records[-1] == {"record": "verdict", "oracle_match": False}
+
+
+def test_hilb_exits_3_on_chi_samples_off_a_quadratic(capsys, monkeypatch):
+    # the t = 1 sample chi(O(r + m)) of P(6,8,15), r = -9, m = 120
+    original = hilbert.chi_oracle
+    monkeypatch.setattr(hilbert, "chi_oracle", lambda p, s: original(p, s) + (s == 111))
+    code, _, err = run(capsys, *HILB_E)
+    assert code == 3
+    assert err.startswith("internal inconsistency:")
+
+
+@pytest.mark.parametrize("abc, r, E", [
+    ((2, 3, 5), 7, 99990), ((6, 8, 15), -9, 99990), ((4, 12, 22), -2, 264),
+    ((2, 2, 4), 1, 40), ((2, 2, 4), 2, 40), ((6, 10, 15), 11, 3000),
+])
+def test_hilb_E_reads_one_period_of_numerators(capsys, monkeypatch, abc, r, E):
+    # the window check reads P/d numerators, P = lcm(d12, d13, d23),
+    # and the closed form hilb_top one more when d | r
+    calls = []
+    original = hilbert.hilb_lin_numerator
+
+    def counted(params, s):
+        calls.append(s)
+        return original(params, s)
+
+    monkeypatch.setattr(hilbert, "hilb_lin_numerator", counted)
+    code, _, _ = run(capsys, "hilb", "--abc", *map(str, abc), "--r", str(r), "--E", str(E),
+                     "--check")
+    assert code == 0
+    params = kgroup.WppParams(*abc)
+    period = math.lcm(params.d12, params.d13, params.d23)
+    assert len(calls) == period // params.d + (r % params.d == 0)
 
 
 def test_huge_twist_is_refused_promptly(capsys):

@@ -20,6 +20,7 @@ from wpptoric.hilbert import (
     hilb_top_E,
     hilb_top_E_of_kclass,
     hilb_top_from_sums,
+    lin_numerator_window,
     psi_E,
     rank2_constant_term,
 )
@@ -148,6 +149,36 @@ def test_lin_numerator_matches_per_twist_formula():
                 weights, r)
 
 
+def lin_numerator_window_per_twist(params, r, E):
+    """`lin_numerator_window` one twist at a time: the u < E with d | r+u."""
+    count = lin_sum = 0
+    for u in range(E):
+        if (r + u) % params.d == 0:
+            count += 1
+            lin_sum += hilb_lin_numerator(params, r + u)
+    return count, lin_sum
+
+
+def test_lin_numerator_window_matches_per_twist_loop():
+    # one period of twists and B = E/P copies of its drift against every
+    # numerator of the window, for E = P, m, 2m, 3m
+    for weights in combinations_with_replacement(range(1, 9), 3):
+        params = WppParams(*weights)
+        period = lcm(params.d12, params.d13, params.d23)
+        for E in (period, params.m, 2 * params.m, 3 * params.m):
+            for r in range(-12, 13):
+                assert lin_numerator_window(params, r, E) == (
+                    lin_numerator_window_per_twist(params, r, E)), (weights, r, E)
+
+
+def test_lin_numerator_window_needs_the_rule_of_hilb_top_E():
+    params = WppParams(2, 4, 6)  # pairwise gcds 2, 2, 2
+    with pytest.raises(InvalidInputError):
+        lin_numerator_window(params, 0, 3)
+    with pytest.raises(InvalidInputError):
+        lin_numerator_window(params, 0, 0)
+
+
 def test_hilb_top_from_sums_adds_twists():
     params = WppParams(4, 12, 22)
     twists = [r for r in range(-20, 21) if r % params.d == 0]
@@ -215,6 +246,22 @@ def test_fit_oracle_examples():
     quad, lin, _ = hilb_fit_oracle(WppParams(1, 2, 3), 5)
     top = hilb_top(WppParams(1, 2, 3), 5)
     assert (quad, lin) == (top.quad, top.lin) == (Fraction(3), top.lin)
+
+
+def fit_oracle_lagrange(params, r):
+    """The quadratic through chi(O(r + mt)), t = 0, 1, 2, fitted in `Fraction`s."""
+    m = params.m
+    y0, y1, y2 = (Fraction(chi_oracle(params, r + m * t)) for t in range(3))
+    quad = (y2 - 2 * y1 + y0) / 2
+    lin = y1 - y0 - quad
+    return (quad, lin, y0)
+
+
+def test_integer_fit_matches_fraction_fit():
+    for weights in combinations_with_replacement(range(1, 7), 3):
+        params = WppParams(*weights)
+        for r in range(-20, 21):
+            assert hilb_fit_oracle(params, r) == fit_oracle_lagrange(params, r), (weights, r)
 
 
 @pytest.mark.parametrize(
