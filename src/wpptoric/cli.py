@@ -30,7 +30,9 @@ Input limits: `hilb` accepts |r| <= 10^6 and E <= 10^5.  The counting
 oracle it always runs costs O(|r|): well under a second at the limit,
 seconds to forever beyond it.  The generating-sheaf check costs one
 period of integer numerators whatever E is
-(`hilbert.lin_numerator_window`).
+(`hilbert.lin_numerator_window`).  `kclass` accepts weights with
+lcm(a,b,c) <= 10^6 (`kgroup.MAX_PERIOD`): its twists g^e reduce g^m from
+a list of m + 1 coefficients, about a second and 70 MB at the limit.
 """
 
 import json
@@ -126,7 +128,7 @@ def _series_records(out, series, label):
     for exps, coeff in series.items():
         monomial = {v: e for v, e in zip(series.vars, exps) if e}
         out.emit({"record": "term", "series": label, "monomial": monomial,
-                  "coeff": coeff if isinstance(coeff, int) else _rat(coeff)})
+                  "coeff": coeff})
 
 
 def _require_nonnegative(args, *names):

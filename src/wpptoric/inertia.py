@@ -14,7 +14,7 @@ complete equality test.
 The coefficients on the sector f = p/n live in Q(zeta_n), and they are
 stored there, at order n = f.denominator, and written there by
 `ChernVector.to_records`: each record names its order.  The character
-of a K-class is folded in integers, over the common denominator of its
+of a K-class is folded in integers, since the class has integer
 coefficients, and divided by k! once, as the denominator of the
 degree-k coefficient.
 """
@@ -22,7 +22,7 @@ degree-k coefficient.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial
 
 from .errors import InvalidInputError
 from .exact_arith import Cyclotomic, zeta_pow
@@ -160,15 +160,13 @@ def tch_of_kclass(kclass):
 
     On the sector f = p/n, g maps to w e^(-x) with w = zeta_n^(-p),
     truncated at the sector dimension, so the degree-k coefficient of
-    sum_e c_e g^e is (1/k!) sum_e c_e (-e)^k w^e.  With L the common
-    denominator of the c_e, the integers L c_e (-e)^k are summed by
-    e mod n, the sums are placed at the exponents -p e mod n and reduced
-    modulo Phi_n, and L k! becomes the denominator.
+    sum_e c_e g^e is (1/k!) sum_e c_e (-e)^k w^e.  The integers
+    c_e (-e)^k are summed by e mod n, the sums are placed at the
+    exponents -p e mod n and reduced modulo Phi_n, and k! becomes the
+    denominator.
     """
     params = kclass.params
-    den = lcm(*(c.denominator for c in kclass.coeffs))
-    terms = [(e, c.numerator * (den // c.denominator))
-             for e, c in enumerate(kclass.coeffs) if c]
+    terms = [(e, c) for e, c in enumerate(kclass.coeffs) if c]
     moments = {}  # (n, k) -> sums of c_e (-e)^k over the residues e mod n
     entries = {}
     for sector in sectors(params):
@@ -184,7 +182,7 @@ def tch_of_kclass(kclass):
             folded = [0] * n
             for s, x in enumerate(sums):
                 folded[-p * s % n] = x
-            entry.append(Cyclotomic.from_integers(n, folded, den * factorial(k)))
+            entry.append(Cyclotomic.from_integers(n, folded, factorial(k)))
         entries[sector] = entry
     return ChernVector(params, entries)
 

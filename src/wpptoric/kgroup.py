@@ -1,20 +1,19 @@
-"""The rational Grothendieck ring of a weighted projective plane.
+"""The Grothendieck ring of a weighted projective plane.
 
-For weights (a, b, c) the ring is Q[g, 1/g] modulo the principal ideal
+For weights (a, b, c) the ring is Z[g, 1/g] modulo the principal ideal
 generated by P(g) = (1 - g^a)(1 - g^b)(1 - g^c), where g is the class
-of the tautological line bundle O(-1).  Since P has constant term 1, g
-is already invertible in Q[g]/(P), so every class has a unique
-representative of degree < a + b + c.  Equality of classes is equality
-of those coefficient vectors.
+of the tautological line bundle O(-1).  Since P has constant term 1 and
+leading coefficient -1, g is already invertible in Z[g]/(P), and every
+class has a unique integer representative of degree < a + b + c.
+Equality of classes is equality of those coefficient vectors.
 
-Every class built here is an integer Laurent polynomial in g.  The
+Every class of a toric sheaf is an integer Laurent polynomial in g.  The
 chart-i point class P/(1 - g^w_i) is the product of the two other
 factors of P, and a sheaf's class is one integer sum of cached
 representatives (`kclass_sum`), with no division and no object per term.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -77,14 +76,6 @@ def relation_poly(params):
     return tuple(out)
 
 
-def _scalar(value):
-    """Prefer plain ints for integral values; Fraction otherwise."""
-    if type(value) is int:
-        return value
-    f = Fraction(value)
-    return int(f) if f.denominator == 1 else f
-
-
 @lru_cache(maxsize=128)
 def _relation_tail(params):
     """(j, P_j) for the nonzero terms of P below its leading one.
@@ -98,12 +89,11 @@ def _relation_tail(params):
 
 def _reduce(params, coeffs):
     """Canonical representative, by division-free reduction modulo P."""
-    rem = reduce_by_tail(coeffs, params.degree, _relation_tail(params))
-    return tuple(_scalar(x) for x in rem)
+    return tuple(reduce_by_tail(coeffs, params.degree, _relation_tail(params)))
 
 
 class KClass:
-    """A class in the rational K-group, by its canonical representative."""
+    """A class in the integral K-group, by its canonical representative."""
 
     __slots__ = ("params", "coeffs")
 
@@ -118,8 +108,6 @@ class KClass:
             raise InvalidInputError("K-classes live over different weights")
 
     def __add__(self, other):
-        if type(other) is not KClass and isinstance(other, (int, Fraction)):
-            other = kclass_scalar(self.params, other)
         self._check(other)
         return KClass(
             self.params,
@@ -127,30 +115,15 @@ class KClass:
             reduce=False,
         )
 
-    __radd__ = __add__
-
     def __neg__(self):
         return KClass(self.params, tuple(-x for x in self.coeffs), reduce=False)
 
     def __sub__(self, other):
-        if type(other) is not KClass and isinstance(other, (int, Fraction)):
-            other = kclass_scalar(self.params, other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if type(other) is not KClass and isinstance(other, (int, Fraction)):
-            return KClass(
-                self.params,
-                tuple(_scalar(x * other) for x in self.coeffs),
-                reduce=False,
-            )
         self._check(other)
         return KClass(self.params, poly_mul(list(self.coeffs), list(other.coeffs)))
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         return (
@@ -163,12 +136,8 @@ class KClass:
         return hash((self.params, self.coeffs))
 
     def to_triples(self):
-        """Serialize as ordered (exponent, numerator, denominator) triples."""
-        return [
-            (e, c.numerator, c.denominator)
-            for e, c in enumerate(self.coeffs)
-            if c != 0
-        ]
+        """Serialize as ordered (exponent, coefficient, 1) triples."""
+        return [(e, c, 1) for e, c in enumerate(self.coeffs) if c != 0]
 
     def __repr__(self):
         terms = " + ".join(f"{c}*g^{e}" for e, c in enumerate(self.coeffs) if c != 0)
@@ -176,8 +145,12 @@ class KClass:
 
 
 def kclass_scalar(params, value):
-    coeffs = [_scalar(value)] + [0] * (params.degree - 1)
+    coeffs = [value] + [0] * (params.degree - 1)
     return KClass(params, coeffs, reduce=False)
+
+
+# g^m is reduced from a list of m + 1 coefficients, so m bounds time and memory
+MAX_PERIOD = 10**6
 
 
 @lru_cache(maxsize=128)
@@ -186,6 +159,10 @@ def _period_nilpotent(params):
 
     Each factor 1 - g^w of the relation divides 1 - g^m, so N^3 = 0.
     """
+    if params.m > MAX_PERIOD:
+        raise InvalidInputError(
+            f"lcm(a,b,c) = {params.m} exceeds {MAX_PERIOD}, the largest K-group period"
+        )
     nil = kclass_scalar(params, 1) - KClass(params, [0] * params.m + [1])
     return nil, nil * nil
 
@@ -220,7 +197,7 @@ def kclass_sum(params, pairs):
             for j, x in enumerate(cls.coeffs):
                 if x:
                     out[j] += coeff * x
-    return KClass(params, map(_scalar, out), reduce=False)
+    return KClass(params, out, reduce=False)
 
 
 def kclass_from_laurent(params, terms):

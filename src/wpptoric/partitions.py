@@ -16,7 +16,6 @@ every stored exponent is an integer and comparisons align lowest-order
 terms.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, inf, isqrt
 from operator import add
@@ -115,7 +114,7 @@ def _natural_var_key(name):
 
 
 class Series:
-    """Sparse formal series: exponent vector -> rational coefficient.
+    """Sparse formal series: exponent vector -> integer coefficient.
 
     `truncation` bounds the total degree of stored monomials (None means
     unbounded).  Products re-truncate to the smaller operand bound.
@@ -145,10 +144,6 @@ class Series:
     def one(vars, truncation=None):
         return Series(vars, {(0,) * len(tuple(vars)): 1}, truncation)
 
-    @staticmethod
-    def monomial(vars, exps, coeff=1, truncation=None):
-        return Series(vars, {tuple(exps): coeff}, truncation)
-
     # -- ring operations ----------------------------------------------------
 
     def _common_truncation(self, other):
@@ -159,16 +154,12 @@ class Series:
         return min(self.truncation, other.truncation)
 
     def __add__(self, other):
-        if type(other) is not Series and isinstance(other, (int, Fraction)):
-            other = Series.monomial(self.vars, (0,) * len(self.vars), other)
         if self.vars != other.vars:
             raise InvalidInputError("series variable mismatch")
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) + c
         return Series(self.vars, out, self._common_truncation(other))
-
-    __radd__ = __add__
 
     def __neg__(self):
         return Series(self.vars, {e: -c for e, c in self.coeffs.items()}, self.truncation)
@@ -177,12 +168,6 @@ class Series:
         return self + (-other)
 
     def __mul__(self, other):
-        if type(other) is not Series and isinstance(other, (int, Fraction)):
-            return Series(
-                self.vars,
-                {e: c * other for e, c in self.coeffs.items()},
-                self.truncation,
-            )
         if self.vars != other.vars:
             raise InvalidInputError("series variable mismatch")
         trunc = self._common_truncation(other)
@@ -198,8 +183,6 @@ class Series:
                 e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return Series(self.vars, out, trunc)
-
-    __rmul__ = __mul__
 
     def __pow__(self, k):
         if k < 0:
@@ -218,12 +201,6 @@ class Series:
     def items(self):
         """Monomials in canonical order: by total degree, then exponents."""
         return sorted(self.coeffs.items(), key=lambda item: (sum(item[0]), item[0]))
-
-    def shift_exponents(self, offset):
-        """Multiply a one-variable series by q^offset."""
-        if len(self.vars) != 1:
-            raise InvalidInputError("shift_exponents needs a one-variable series")
-        return Series(self.vars, {(e[0] + offset,): c for e, c in self.coeffs.items()}, None)
 
     def __eq__(self, other):
         return (

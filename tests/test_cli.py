@@ -384,6 +384,8 @@ def test_pipe_closed_before_any_output_exits_1_silently():
     ["gseries", "--abc", "1", "1", "1", "--order", "-1"],
     ["hilb", "--abc", "1", "1", "1", "--r", "-1000001"],
     ["hilb", "--abc", "1", "1", "1", "--r", "0", "--E", "100001"],
+    # lcm 125,275,074,973: the K-group period would be a list that long
+    ["kclass", "--abc", "4999", "5003", "5009", "--ABC", "0", "0", "0"],
 ])
 def test_out_of_range_numbers(capsys, argv):
     code = main(argv)

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import lcm
 
@@ -80,7 +79,7 @@ def test_series_ring_ops():
     cube = s ** 3
     assert cube.coefficient((0, 3)) == 8
     assert (s - s).coeffs == {}
-    assert (s + 1).coefficient((0, 0)) == 1
+    assert (s + Series.one(s.vars)).coefficient((0, 0)) == 1
 
 
 def test_series_truncation_semantics():
@@ -108,7 +107,7 @@ def _random_series(rng, nvars, truncation, low):
     coeffs = {}
     for _ in range(rng.randint(0, 12)):
         exps = tuple(rng.randint(low, 6) for _ in range(nvars))
-        coeffs[exps] = rng.choice((rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+        coeffs[exps] = rng.choice((rng.randint(-5, 5), rng.randint(-10**12, 10**12)))
     return Series(tuple(f"x{i}" for i in range(nvars)), coeffs, truncation)
 
 
