@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclotomic_field import poly_divmod, poly_mod
+from test_sheaf_model import chart_sheaves
 from wpptoric import kgroup
 from wpptoric.errors import InvalidInputError
 from wpptoric.kgroup import (
@@ -25,7 +26,7 @@ from wpptoric.kgroup import (
     verify_relations,
 )
 from wpptoric.partitions import Partition, chart_spec, color_count, variable_relations
-from wpptoric.sheaf_model import Rank1Sheaf, TypeIBundle, kclass_by_devissage
+from wpptoric.sheaf_model import Rank1Sheaf, kclass_by_devissage
 
 P111 = WppParams(1, 1, 1)
 P112 = WppParams(1, 1, 2)
@@ -339,26 +340,10 @@ def test_kclass_sum_keeps_integers_integral():
     assert kclass_sum(P234, []) == kclass_scalar(P234, 0)
 
 
-@st.composite
-def sheaves(draw):
-    """Weights <= 8 with a rank-1 sheaf or a rank-2 type-I bundle over them."""
-    weights = draw(st.tuples(*[st.integers(1, 8)] * 3))
-    a, b, c = weights
-    twists = [draw(st.integers(-40, 40)) for _ in range(3)]
-    if draw(st.booleans()):
-        rows = st.lists(st.integers(1, 4), max_size=3)
-        lams = [Partition(tuple(sorted(draw(rows), reverse=True))) for _ in range(3)]
-        return weights, Rank1Sheaf(*twists, *lams)
-    widths = [w * draw(st.integers(0, 3)) for w in (b, c, a)]
-    points = draw(st.lists(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 3)]),
-                           min_size=3, max_size=3))
-    return weights, TypeIBundle(*twists, *widths, *points)
-
-
-@given(sheaves(), st.integers(min_value=-10**6, max_value=10**6))
+@given(chart_sheaves(max_weight=8), st.integers(min_value=-10**6, max_value=10**6))
 @settings(max_examples=200, deadline=None)
 def test_classes_have_int_coefficients(case, e):
-    weights, sheaf = case
+    weights, sheaf, _, _ = case
     params = WppParams(*weights)
     if isinstance(sheaf, Rank1Sheaf):
         closed = rank1_class(params, sheaf.A, sheaf.B, sheaf.C,

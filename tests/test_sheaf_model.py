@@ -119,9 +119,9 @@ def test_typeI_zero_widths_are_two_line_bundles():
 
 
 @st.composite
-def chart_sheaves(draw):
-    """A weight triple <= 4, a rank-1 sheaf or type-I bundle on it, a chart, a shift."""
-    weights = draw(st.tuples(*[st.integers(1, 4)] * 3))
+def chart_sheaves(draw, max_weight=4):
+    """A weight triple <= max_weight, a rank-1 sheaf or type-I bundle on it, a chart, a shift."""
+    weights = draw(st.tuples(*[st.integers(1, max_weight)] * 3))
     labels = draw(st.tuples(*[st.integers(-4, 4)] * 3))
     chart, shift = draw(st.integers(1, 3)), draw(st.integers(0, 3))
     if draw(st.booleans()):

@@ -2,14 +2,15 @@
 
 Usage (stdlib only):
 
-    python3 tools/stdout_digest.py CHECKOUT [--seeds 1 2]
+    python3 tools/stdout_digest.py CHECKOUT
 
 CHECKOUT is a repository root with `src/` and `bench/`.  For each
-workload of its `bench/streams.py` this replays every request of the
-given seeds in one process through the checkout's `wpptoric.cli.main`,
-as a benchmark worker does, and prints one line: the workload, the
-number of requests and the sha256 of their exit codes and stdout in
-stream order.  Two checkouts whose lines are equal print the same
+workload of its `bench/streams.py` this replays every request of seeds
+1 and 2 in one process through the checkout's `wpptoric.cli.main`, as a
+benchmark worker does, and prints one line: the workload, the number of
+requests and the sha256 of their outcomes and stdout in stream order.
+An outcome is the exit code, or the name of an exception that escaped
+`main`.  Two checkouts whose lines are equal print the same
 bytes and exit codes on every request.  No bytecode is written into
 the checkout.
 """
@@ -21,9 +22,11 @@ import io
 import sys
 from pathlib import Path
 
+SEEDS = (1, 2)
 
-def digests(checkout, seeds):
-    """{workload: (requests, sha256 hex)} for the streams of `seeds`."""
+
+def digests(checkout):
+    """{workload: (requests, sha256 hex)} for the streams of `SEEDS`."""
     root = Path(checkout).resolve()
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
@@ -35,13 +38,16 @@ def digests(checkout, seeds):
     out = {}
     for workload in streams.WORKLOADS:
         digest, count = hashlib.sha256(), 0
-        for seed in seeds:
+        for seed in SEEDS:
             for _, argv in streams.build(workload, seed):
                 stdout = io.StringIO()
-                with contextlib.redirect_stdout(stdout), \
-                        contextlib.redirect_stderr(io.StringIO()):
-                    code = cli.main(argv)
-                digest.update(f"{code}\n{stdout.getvalue()}\0".encode())
+                try:
+                    with contextlib.redirect_stdout(stdout), \
+                            contextlib.redirect_stderr(io.StringIO()):
+                        outcome = cli.main(argv)
+                except Exception as exc:  # an escaped exception is an outcome too
+                    outcome = type(exc).__name__
+                digest.update(f"{outcome}\n{stdout.getvalue()}\0".encode())
                 count += 1
         out[workload] = (count, digest.hexdigest())
     return out
@@ -50,9 +56,8 @@ def digests(checkout, seeds):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     args = parser.parse_args(argv)
-    for workload, (count, hexdigest) in digests(args.checkout, args.seeds).items():
+    for workload, (count, hexdigest) in digests(args.checkout).items():
         print(f"{workload} requests={count} sha256={hexdigest}")
 
 
