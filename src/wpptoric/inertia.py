@@ -13,10 +13,12 @@ complete equality test.
 
 The coefficients on the sector f = p/n live in Q(zeta_n), and they are
 stored there, at order n = f.denominator, and written there by
-`ChernVector.to_records`: each record names its order.  The character
-of a K-class is folded in integers, since the class has integer
-coefficients, and divided by k! once, as the denominator of the
-degree-k coefficient.
+`ChernVector.to_records`: each record names its order.  Each one is an
+integer combination of powers of omega = zeta_n^(-p) over a small
+integer, and `sector_value` builds it from those integers in one fold,
+with no cyclotomic arithmetic: the character of a K-class from the
+moments of its integer coefficients over k!, the rank-2 closed form
+from the terms of its display.
 """
 
 from dataclasses import dataclass
@@ -25,7 +27,7 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import InvalidInputError
-from .exact_arith import Cyclotomic, zeta_pow
+from .exact_arith import Cyclotomic
 
 KIND_RANK = {"2dim": 0, "1dim": 1, "0dim": 2}
 
@@ -78,42 +80,37 @@ def sectors(params):
     return tuple(sorted(out, key=Sector.sort_key))
 
 
-def _root(f, exponent=1):
-    """e^(-2 pi i f exponent) in Q(zeta_n), n = f.denominator."""
-    return zeta_pow(f.denominator, -f.numerator * exponent)
+def sector_value(f, terms, den=1):
+    """sum c omega^e / den over the pairs (e, c) of terms, on the sector f = p/n.
 
-
-def _at_order(value, n):
-    """A rational or a cyclotomic number of order dividing n, at order n."""
-    if not isinstance(value, Cyclotomic):
-        return Cyclotomic(n, [value])
-    if value.order == n:
-        return value
-    return value.embed(n)
+    omega = zeta_n^(-p) is the root of unity g acts by on the sector, so
+    omega^e is zeta_n at the slot -p e mod n: the integers c are placed
+    there and the value is built at order n in one step.
+    """
+    n, p = f.denominator, f.numerator
+    folded = [0] * n
+    for e, c in terms:
+        folded[-p * e % n] += c
+    return Cyclotomic.from_integers(n, folded, den)
 
 
 class ChernVector:
     """Per-sector truncated polynomials in the sector hyperplane class.
 
-    Entries are tuples of cyclotomic coefficients in ascending degree
-    (length dim+1).  Every entry of the sector f is stored at order
-    f.denominator, so that equality is plain coefficient comparison;
-    rationals and numbers of a dividing order are brought there on
-    input.  Codegree k of a sector of dimension n is the degree n-k
-    coefficient.
+    Entries are sequences of cyclotomic coefficients in ascending degree
+    (length dim+1), every entry of the sector f at order f.denominator,
+    so that equality is plain coefficient comparison.  Codegree k of a
+    sector of dimension n is the degree n-k coefficient.
     """
 
     __slots__ = ("params", "entries")
 
     def __init__(self, params, entries):
-        self.params = params
-        fixed = {}
         for sector, coeffs in entries.items():
             if len(coeffs) != sector.dim + 1:
                 raise InvalidInputError("sector entry length must be dim + 1")
-            n = sector.f.denominator
-            fixed[sector] = tuple(_at_order(c, n) for c in coeffs)
-        self.entries = fixed
+        self.params = params
+        self.entries = entries
 
     def sector_list(self):
         return tuple(sorted(self.entries, key=Sector.sort_key))
@@ -161,16 +158,15 @@ def tch_of_kclass(kclass):
     On the sector f = p/n, g maps to w e^(-x) with w = zeta_n^(-p),
     truncated at the sector dimension, so the degree-k coefficient of
     sum_e c_e g^e is (1/k!) sum_e c_e (-e)^k w^e.  The integers
-    c_e (-e)^k are summed by e mod n, the sums are placed at the
-    exponents -p e mod n and reduced modulo Phi_n, and k! becomes the
-    denominator.
+    c_e (-e)^k are summed by e mod n once for each order n and k, and
+    `sector_value` folds the sums with k! as the denominator.
     """
     params = kclass.params
     terms = [(e, c) for e, c in enumerate(kclass.coeffs) if c]
     moments = {}  # (n, k) -> sums of c_e (-e)^k over the residues e mod n
     entries = {}
     for sector in sectors(params):
-        n, p = sector.f.denominator, sector.f.numerator
+        n = sector.f.denominator
         entry = []
         for k in range(sector.dim + 1):
             sums = moments.get((n, k))
@@ -179,10 +175,7 @@ def tch_of_kclass(kclass):
                 for e, c in terms:
                     sums[e % n] += c * (-e) ** k
                 moments[(n, k)] = sums
-            folded = [0] * n
-            for s, x in enumerate(sums):
-                folded[-p * s % n] = x
-            entry.append(Cyclotomic.from_integers(n, folded, factorial(k)))
+            entry.append(sector_value(sector.f, enumerate(sums), factorial(k)))
         entries[sector] = entry
     return ChernVector(params, entries)
 
@@ -192,7 +185,8 @@ def tch_rank2_closed_form(params, datum):
 
     Requires positive widths, mutually distinct points, the divisibility
     b | D1, c | D2, a | D3 and the normalization A1 = A2 = 0; the whole
-    character is then a function of A = A3 and the widths.
+    character is then a function of A = A3 and the widths.  Each entry
+    of the display is a short list of (power of omega, integer) terms.
     """
     params.check_widths(datum.D1, datum.D2, datum.D3)
     if min(datum.D1, datum.D2, datum.D3) <= 0:
@@ -209,22 +203,21 @@ def tch_rank2_closed_form(params, datum):
     pair_roles = {(1, 2): (1, 0, 2), (2, 3): (2, 1, 0), (1, 3): (0, 2, 1)}
     entries = {}
     for sector in sectors(params):
-        omega_a = _root(sector.f, A)
+        f = sector.f
         if sector.kind == "2dim":
             entries[sector] = (
-                2 * omega_a,
-                -(2 * A + sum_d) * omega_a,
-                (Fraction(A * A) + sum_d * A + Fraction(sum_d2, 2)) * omega_a,
+                sector_value(f, [(A, 2)]),
+                sector_value(f, [(A, -(2 * A + sum_d))]),
+                sector_value(f, [(A, 2 * A * A + 2 * sum_d * A + sum_d2)], 2),
             )
         elif sector.kind == "1dim":
             j_idx, i_idx, k_idx = pair_roles[sector.which]
-            twist = _root(sector.f, D[j_idx])
-            const = (1 + twist) * omega_a
-            linear = -((1 + twist) * A + D[i_idx] + twist * D[j_idx] + D[k_idx]) * omega_a
-            entries[sector] = (const, linear)
+            dj = D[j_idx]
+            entries[sector] = (
+                sector_value(f, [(A, 1), (A + dj, 1)]),
+                sector_value(f, [(A, -(A + D[i_idx] + D[k_idx])), (A + dj, -(A + dj))]),
+            )
         else:
             (i,) = sector.which
-            di = D[i - 1]
-            dnext = D[i % 3]
-            entries[sector] = ((_root(sector.f, di) + _root(sector.f, dnext)) * omega_a,)
+            entries[sector] = (sector_value(f, [(A + D[i - 1], 1), (A + D[i % 3], 1)]),)
     return ChernVector(params, entries)

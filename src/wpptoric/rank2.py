@@ -16,7 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InternalInconsistencyError, InvalidInputError
-from .exact_arith import as_rational
 from .hilbert import (
     _rank_and_twists,
     check_generating_E,
@@ -24,7 +23,7 @@ from .hilbert import (
     rank2_constant_term,
     width_free_bracket_12,
 )
-from .inertia import _root, sectors, tch_rank2_closed_form
+from .inertia import sector_value, sectors, tch_rank2_closed_form
 from .kgroup import rank2_typeI_laurent
 from .partitions import Series, chart_spec, color_zero_series
 from .sheaf_model import TypeIBundle
@@ -142,10 +141,9 @@ def enumerate_refined_solutions(params, alpha, beta, max_sum):
     beta0 = beta.get(Fraction(0))
     if beta0 is None:
         raise InvalidInputError("beta must constrain the untwisted sector f = 0")
-    beta0 = as_rational(beta0)
-    if beta0 is None or beta0.denominator != 1:
+    if beta0.den != 1:  # order 1: the value is nums[0] / den
         raise InvalidInputError("the f = 0 component of beta must be an integer")
-    beta0 = int(beta0)
+    beta0 = beta0.nums[0]
     checks = []  # (sector, codegree, target)
     for sector in sectors(params):
         if sector.kind == "2dim" and alpha.get(sector.f) is not None:
@@ -181,9 +179,8 @@ def refined_targets(params, c1, lam):
     for sector in sectors(params):
         if sector.kind != "2dim":
             continue
-        omega = _root(sector.f, lam)
-        alpha[sector.f] = 2 * omega
-        beta[sector.f] = c1 * omega
+        alpha[sector.f] = sector_value(sector.f, [(lam, 2)])
+        beta[sector.f] = sector_value(sector.f, [(lam, c1)])
     return alpha, beta
 
 
@@ -202,14 +199,13 @@ def h_vb_specialized(params, E, c1, lam, max_sum):
 
 
 def _psi_bound(E, m1, n, weight_product):
-    """Largest value of the character-sum term over all residue classes."""
-    best = Fraction(0)
-    for r2 in range(n):
-        for r3 in range(n):
-            value = psi_E(E, m1, r2, r3, n) / weight_product
-            if value > best:
-                best = value
-    return best
+    """Largest value of the character-sum term over all residue classes.
+
+    psi_E(E, m1, r2, r3, n) = -E (T(r3) + T(r3 + r2)) / n^2 for one
+    function T of a residue (`_psi_sum`), so no pair (r2, r3) beats
+    twice the largest -E T / n^2, which r2 = 0 reaches: one row suffices.
+    """
+    return max(Fraction(0), *(psi_E(E, m1, 0, r3, n) for r3 in range(n))) / weight_product
 
 
 @lru_cache(maxsize=128)

@@ -1,16 +1,21 @@
-"""Division in Q[x] and in Q(zeta_n), for the oracles of the tests.
+"""The field Q(zeta_n) and division in Q[x], for the oracles of the tests.
 
-The library divides nowhere: `Cyclotomic` offers only the ring
-operations, K-classes and cyclotomic numbers are reduced without
-division, and the point class is a product.  The references that need
-a quotient live here: `poly_divmod`/`poly_mod` (the division routes of
-the point class, K-class reduction and the Chern fold), and the
-inverse behind the cyclotomic `psi_E` and `hilb_top` oracles, by
-extended Euclid against Phi_n in Q[x].  Euler's totient and rationals
-as cyclotomic numbers of order 1 serve the tests as well.
+The library does no arithmetic on cyclotomic numbers and divides
+nowhere: `Cyclotomic` values are built from integers and compared, and
+K-classes are reduced without division.  The references that compute
+in the field live here.  `Cyc` is an element of Q(zeta_n) = Q[x]/(Phi_n)
+with Fraction coordinates in the power basis, reduced by `poly_mod`;
+its ring operations and equality take any mix of orders, rationals and
+library `Cyclotomic` values, embedded into Q(zeta_lcm) via
+zeta_n -> zeta_N^(N/n).  `inverse` works by extended Euclid against
+Phi_n in Q[x].  `poly_divmod`/`poly_mod` are also the division routes of
+the point class, K-class reduction and the Chern fold, and Euler's
+totient serves the tests as well.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 from wpptoric.errors import InvalidInputError
 from wpptoric.exact_arith import Cyclotomic, cyclotomic_poly, poly_mul, poly_trim
@@ -28,12 +33,6 @@ def euler_phi(n):
     if m > 1:
         result -= result // m
     return result
-
-
-def rational(q):
-    """The rational q as a Cyclotomic of order 1."""
-    q = Fraction(q)
-    return Cyclotomic.from_integers(1, [q.numerator], q.denominator)
 
 
 def poly_divmod(p, q):
@@ -82,23 +81,97 @@ def poly_ext_gcd(p, q):
     return r0, s0, t0
 
 
+_phi_poly = lru_cache(maxsize=None)(cyclotomic_poly)
+
+
+class Cyc:
+    """An element of Q(zeta_n): Fraction power-basis coordinates, reduced mod Phi_n."""
+
+    def __init__(self, order, coords):
+        self.order = order
+        phi_n = _phi_poly(order)
+        degree = len(phi_n) - 1
+        rem = poly_mod(coords, phi_n) if len(coords) > degree else list(map(Fraction, coords))
+        self.coords = tuple(rem) + (Fraction(0),) * (degree - len(rem))
+
+    def embed(self, target_order):
+        """The image in Q(zeta_N) for order | N, via zeta_n -> zeta_N^(N/n)."""
+        step = target_order // self.order
+        if step == 1:
+            return self
+        spread = [0] * (len(self.coords) * step)
+        spread[::step] = self.coords
+        return Cyc(target_order, spread)
+
+    def _common(self, other):
+        """(N, coordinates of self, coordinates of other) in Q(zeta_N), N the lcm."""
+        other = field(other)
+        N = lcm(self.order, other.order)
+        return N, self.embed(N).coords, other.embed(N).coords
+
+    def __add__(self, other):
+        N, a, b = self._common(other)
+        return Cyc(N, [x + y for x, y in zip(a, b)])
+
+    def __sub__(self, other):
+        N, a, b = self._common(other)
+        return Cyc(N, [x - y for x, y in zip(a, b)])
+
+    def __rsub__(self, other):
+        return field(other) - self
+
+    def __neg__(self):
+        return Cyc(self.order, [-x for x in self.coords])
+
+    def __mul__(self, other):
+        N, a, b = self._common(other)
+        return Cyc(N, poly_mul(a, b))
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        _, a, b = self._common(other)
+        return a == b
+
+    def as_rational(self):
+        """The Fraction value if it is rational, else None (the coordinates are unique)."""
+        return None if any(self.coords[1:]) else self.coords[0]
+
+    def __repr__(self):
+        return f"Cyc({self.order}, {list(map(str, self.coords))})"
+
+
+def field(value):
+    """A Cyc for a Cyc, a library `Cyclotomic` or a rational."""
+    if isinstance(value, Cyc):
+        return value
+    if isinstance(value, Cyclotomic):
+        return Cyc(value.order, value.coeffs)
+    return Cyc(1, [value])
+
+
+def zeta(n, k=1):
+    """zeta_n^k in Q(zeta_n)."""
+    return Cyc(n, [0] * (k % n) + [1])
+
+
 def inverse(a):
-    """Multiplicative inverse of a nonzero Cyclotomic (or rational)."""
-    if not isinstance(a, Cyclotomic):
-        a = rational(a)
+    """Multiplicative inverse of a nonzero element (or rational)."""
+    a = field(a)
     if a == 0:
         raise InvalidInputError("division by zero in a cyclotomic field")
-    g, s, _ = poly_ext_gcd(a.coeffs, cyclotomic_poly(a.order))
+    g, s, _ = poly_ext_gcd(a.coords, _phi_poly(a.order))
     # Phi_n is irreducible over Q, so the gcd with a nonzero residue is 1.
     assert g == [Fraction(1)]
-    return Cyclotomic(a.order, s)
+    return Cyc(a.order, s)
 
 
 def power(a, e):
     """a**e by repeated squaring; a negative e inverts first."""
     if e < 0:
         return power(inverse(a), -e)
-    result = rational(1)
+    result = field(1)
     while e:
         if e & 1:
             result = result * a

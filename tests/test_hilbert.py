@@ -6,9 +6,8 @@ from math import gcd, lcm
 
 import pytest
 
-from cyclotomic_field import inverse, rational
+from cyclotomic_field import field, inverse, zeta
 from wpptoric.errors import InvalidInputError
-from wpptoric.exact_arith import Cyclotomic, as_rational, zeta_pow
 from wpptoric.hilbert import (
     HilbTop,
     _psi_sum,
@@ -39,10 +38,9 @@ from wpptoric.kgroup import (
 
 def phi_E(E, x):
     """x + 2x^2 + ... + (E-1)x^(E-1), evaluated exactly."""
-    if not isinstance(x, Cyclotomic):
-        x = rational(x)
-    total = rational(0)
-    power = rational(1)
+    x = field(x)
+    total = field(0)
+    power = field(1)
     for u in range(1, E):
         power = power * x
         total = total + u * power
@@ -51,25 +49,25 @@ def phi_E(E, x):
 
 @lru_cache(maxsize=None)
 def _phi_E_at_root(E, n, k):
-    return phi_E(E, zeta_pow(n, k))
+    return phi_E(E, zeta(n, k))
 
 
 @lru_cache(maxsize=None)
 def _inv_one_minus_root(n, k):
     """1/(1 - zeta_n^k), by extended Euclid in Q(zeta_n)."""
-    return inverse(1 - zeta_pow(n, k))
+    return inverse(1 - zeta(n, k))
 
 
 def psi_E_oracle(E, m1, m2, m3, n):
     """psi_E summed over k in Q(zeta_n), with one field inverse per term."""
     excluder = n // gcd(m1, n)
-    total = rational(0)
+    total = field(0)
     for k in range(1, n):
         if k % excluder == 0:
             continue
-        numer = (1 + zeta_pow(n, -k * m2)) * zeta_pow(n, -k * m3) * _phi_E_at_root(E, n, k)
+        numer = (1 + zeta(n, -k * m2)) * zeta(n, -k * m3) * _phi_E_at_root(E, n, k)
         total = total + numer * _inv_one_minus_root(n, -k * m1 % n)
-    value = as_rational(total)
+    value = total.as_rational()
     assert value is not None, (E, m1, m2, m3, n)
     return value
 
@@ -85,12 +83,12 @@ def hilb_top_oracle(params, r):
     for (dij, khat), (wi, wj) in zip(
         ((params.d12, c), (params.d13, b), (params.d23, a)), ((a, b), (a, c), (b, c))
     ):
-        total = rational(0)
+        total = field(0)
         for h in range(1, dij):
             if h % (dij // d) == 0:
                 continue
-            total = total + zeta_pow(dij, -h * r) * _inv_one_minus_root(dij, h * khat % dij)
-        value = as_rational(total)
+            total = total + zeta(dij, -h * r) * _inv_one_minus_root(dij, h * khat % dij)
+        value = total.as_rational()
         assert value is not None, (params, r)
         lin += Fraction(1, wi * wj) * value
     return (Fraction(d * m * m, 2 * abc), m * lin)
@@ -205,9 +203,9 @@ def test_psi_E_needs_n_dividing_E():
 
 
 def test_phi_E_examples():
-    assert phi_E(1, zeta_pow(3, 1)) == 0
+    assert phi_E(1, zeta(3, 1)) == 0
     assert phi_E(2, Fraction(-1)) == -1
-    assert phi_E(4, zeta_pow(2, 1)) == -2
+    assert phi_E(4, zeta(2, 1)) == -2
 
 
 def test_psi_E_examples():

@@ -4,10 +4,12 @@ from itertools import product
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cyclotomic_field import poly_mod, rational
+from cyclotomic_field import Cyc, field, poly_mod, zeta
 from wpptoric.errors import InvalidInputError
-from wpptoric.exact_arith import Cyclotomic, cyclotomic_poly, zeta_pow
+from wpptoric.exact_arith import cyclotomic_poly
 from wpptoric.inertia import ChernVector, Sector, sectors, tch_of_kclass, tch_rank2_closed_form
 from wpptoric.kgroup import (
     WppParams,
@@ -31,14 +33,14 @@ def tch_oracle(kclass):
     out = {}
     for sector in sectors(params):
         length = sector.dim + 1
-        omega = zeta_pow(m, -sector.f.numerator * (m // sector.f.denominator))
+        omega = zeta(m, -sector.f.numerator * (m // sector.f.denominator))
         image_g = [omega * c for c in (1, -1, Fraction(1, 2))[:length]]
-        power = [Cyclotomic(m, [1])] + [Cyclotomic(m, [])] * (length - 1)
-        acc = [Cyclotomic(m, [])] * length
+        power = [Cyc(m, [1])] + [Cyc(m, [])] * (length - 1)
+        acc = [Cyc(m, [])] * length
         for coeff in kclass.coeffs:
             acc = [acc[i] + coeff * power[i] for i in range(length)]
             power = [
-                sum((power[i] * image_g[k - i] for i in range(k + 1)), Cyclotomic(m, []))
+                sum((power[i] * image_g[k - i] for i in range(k + 1)), Cyc(m, []))
                 for k in range(length)
             ]
         out[sector] = acc
@@ -50,7 +52,8 @@ def tch_fraction_fold(kclass):
 
     The degree-k coefficient on the sector f = p/n is the vector
     sum_e c_e (-e)^k / k! at the exponents -p e mod n, reduced by
-    `poly_mod`; the fast path folds the same sums in integers.
+    `poly_mod`, as an element of the tests' field; the fast path folds
+    the same sums in integers.
     """
     params = kclass.params
     entries = {}
@@ -63,24 +66,35 @@ def tch_fraction_fold(kclass):
                 if coeff:
                     folded[-p * e % n] += coeff * (-e) ** k
             folded = [x / factorial(k) for x in folded]
-            entry.append(Cyclotomic(n, poly_mod(folded, list(cyclotomic_poly(n)))))
+            entry.append(Cyc(n, poly_mod(folded, list(cyclotomic_poly(n)))))
         entries[sector] = entry
-    return ChernVector(params, entries)
+    return entries
 
 
-def lcm_records(chern):
-    """`ChernVector.to_records` as it was: every entry in the order-lcm(a,b,c) field."""
-    m = chern.params.m
+def in_field(chern):
+    """The entries of a ChernVector as elements of the tests' field."""
+    return {sector: [field(c) for c in coeffs] for sector, coeffs in chern.entries.items()}
+
+
+def field_records(params, entries):
+    """`ChernVector.to_records` of entries in the tests' field, each at its own order."""
     return [
         {
             "f": [sector.f.numerator, sector.f.denominator],
             "kind": sector.kind,
             "which": list(sector.which),
-            "coeffs": [[m, [[x.numerator, x.denominator] for x in c.embed(m).coeffs]]
-                       for c in chern.entries[sector]],
+            "coeffs": [[c.order, [[x.numerator, x.denominator] for x in c.coords]]
+                       for c in entries[sector]],
         }
-        for sector in chern.sector_list()
+        for sector in sectors(params)
     ]
+
+
+def lcm_records(chern):
+    """`ChernVector.to_records` as it was: every entry in the order-lcm(a,b,c) field."""
+    m = chern.params.m
+    return field_records(chern.params, {sector: [field(c).embed(m) for c in coeffs]
+                                        for sector, coeffs in chern.entries.items()})
 
 
 def _assert_matches_oracle(kclass):
@@ -90,7 +104,7 @@ def _assert_matches_oracle(kclass):
     assert set(chern.entries) == set(expected)
     for sector, coeffs in chern.entries.items():
         assert all(c.order == sector.f.denominator for c in coeffs), sector
-        assert [c.embed(m).coeffs for c in coeffs] == [c.coeffs for c in expected[sector]]
+        assert [field(c).embed(m).coords for c in coeffs] == [c.coords for c in expected[sector]]
 
 
 P1 = (Fraction(1), Fraction(0))
@@ -139,33 +153,32 @@ def test_sector_partition_is_disjoint_and_complete(weights):
 
 def test_tch_of_identity_and_g():
     p111 = WppParams(1, 1, 1)
-    one = tch_of_kclass(kclass_scalar(p111, 1))
+    one = in_field(tch_of_kclass(kclass_scalar(p111, 1)))
     sector = sectors(p111)[0]
-    assert one.entries[sector][0] == 1
-    assert one.entries[sector][1] == 0 and one.entries[sector][2] == 0
-    g = tch_of_kclass(g_power(p111, 1))
-    assert [c for c in g.entries[sector]] == [1, -1, Fraction(1, 2)]
+    assert one[sector] == [1, 0, 0]
+    g = in_field(tch_of_kclass(g_power(p111, 1)))
+    assert g[sector] == [1, -1, Fraction(1, 2)]
 
     p112 = WppParams(1, 1, 2)
-    g = tch_of_kclass(g_power(p112, 1))
+    g = in_field(tch_of_kclass(g_power(p112, 1)))
     zero_dim = sectors(p112)[1]
-    assert g.entries[zero_dim][0] == -1
+    assert g[zero_dim] == [-1]
 
 
 def test_tch_multiplicativity():
     params = WppParams(2, 3, 4)
     k1 = kclass_from_laurent(params, {0: 1, 2: -3, 5: 7})
     k2 = kclass_from_laurent(params, {1: 2, -3: 1})
-    lhs = tch_of_kclass(k1 * k2)
-    t1, t2 = tch_of_kclass(k1), tch_of_kclass(k2)
+    lhs = in_field(tch_of_kclass(k1 * k2))
+    t1, t2 = in_field(tch_of_kclass(k1)), in_field(tch_of_kclass(k2))
     for sector in sectors(params):
         n = sector.dim + 1
-        a, b = t1.entries[sector], t2.entries[sector]
-        prod = [rational(0) for _ in range(n)]
+        a, b = t1[sector], t2[sector]
+        prod = [field(0) for _ in range(n)]
         for i in range(n):
             for j in range(n - i):
                 prod[i + j] = prod[i + j] + a[i] * b[j]
-        assert all(prod[i] == lhs.entries[sector][i] for i in range(n))
+        assert prod == lhs[sector]
 
 
 def test_tch_ring_map_kills_relation():
@@ -185,9 +198,9 @@ def test_closed_form_first_display_entries():
     chv = tch_rank2_closed_form(params, datum)
     sector = sectors(params)[0]
     A, sum_d = -1, 4
-    assert chv.codegree(sector, 2) == 2
-    assert chv.codegree(sector, 1) == -(2 * A + sum_d)
-    assert chv.codegree(sector, 0) == A * A + sum_d * A + Fraction(4 + 1 + 1, 2)
+    assert field(chv.codegree(sector, 2)) == 2
+    assert field(chv.codegree(sector, 1)) == -(2 * A + sum_d)
+    assert field(chv.codegree(sector, 0)) == A * A + sum_d * A + Fraction(4 + 1 + 1, 2)
 
 
 def test_closed_form_zero_dim_sector_112():
@@ -196,7 +209,7 @@ def test_closed_form_zero_dim_sector_112():
     chv = tch_rank2_closed_form(params, datum)
     zd = sectors(params)[1]
     # (-1)^A ((-1)^D1 + (-1)^D3)
-    assert chv.entries[zd][0] == -((-1) ** 1 + (-1) ** 1)
+    assert field(chv.entries[zd][0]) == -((-1) ** 1 + (-1) ** 1)
 
 
 def test_closed_form_guards():
@@ -232,6 +245,49 @@ def test_closed_form_matches_kclass_route(weights):
         assert direct == closed, (weights, (datum.D1, datum.D2, datum.D3), datum.A3)
 
 
+def closed_form_display(params, datum):
+    """The rank-2 display evaluated term by term in the tests' field.
+
+    omega^e = zeta_n^(-p e) on the sector f = p/n; the entries are the
+    products and sums of the display as written.
+    """
+    A = datum.A3
+    D = (datum.D1, datum.D2, datum.D3)
+    sum_d, sum_d2 = sum(D), sum(x * x for x in D)
+    pair_roles = {(1, 2): (1, 0, 2), (2, 3): (2, 1, 0), (1, 3): (0, 2, 1)}
+    entries = {}
+    for sector in sectors(params):
+        n, p = sector.f.denominator, sector.f.numerator
+        omega_a = zeta(n, -p * A)
+        if sector.kind == "2dim":
+            entries[sector] = [2 * omega_a, -(2 * A + sum_d) * omega_a,
+                               (A * A + sum_d * A + Fraction(sum_d2, 2)) * omega_a]
+        elif sector.kind == "1dim":
+            j, i, k = pair_roles[sector.which]
+            twist = zeta(n, -p * D[j])
+            entries[sector] = [(1 + twist) * omega_a,
+                               -((1 + twist) * A + D[i] + twist * D[j] + D[k]) * omega_a]
+        else:
+            (i,) = sector.which
+            entries[sector] = [(zeta(n, -p * D[i - 1]) + zeta(n, -p * D[i % 3])) * omega_a]
+    return entries
+
+
+@given(st.tuples(*[st.integers(1, 6)] * 3), st.tuples(*[st.integers(1, 3)] * 3),
+       st.integers(-6, 6))
+@settings(max_examples=150, deadline=None)
+def test_closed_form_fold_matches_display_in_field(weights, steps, A):
+    # the integer fold of tch_rank2_closed_form against the display it
+    # replaces, in value and in the records written out
+    params = WppParams(*weights)
+    a, b, c = weights
+    datum = type_i((0, 0, A), (b * steps[0], c * steps[1], a * steps[2]))
+    chern = tch_rank2_closed_form(params, datum)
+    expected = closed_form_display(params, datum)
+    assert in_field(chern) == expected
+    assert chern.to_records() == field_records(params, expected)
+
+
 CHERN_ORACLE_WEIGHTS = [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2), (1, 2, 3),
                         (2, 2, 4), (3, 3, 3), (2, 3, 4), (2, 4, 6), (2, 3, 5)]
 
@@ -253,16 +309,13 @@ def test_tch_matches_power_table_oracle_on_rank2_classes():
             _assert_matches_oracle(rank2_typeI_class(params, type_i((0, 0, A), widths)))
 
 
-def test_chern_vector_coerces_to_sector_order():
+def test_chern_vector_checks_entry_length():
     params = WppParams(2, 2, 4)
-    entries = {}
-    for sector in sectors(params):
-        entries[sector] = [zeta_pow(1, 0)] + [Fraction(1, 2)] * sector.dim
-    chern = ChernVector(params, entries)
+    chern = tch_of_kclass(g_power(params, 3))
     for sector, coeffs in chern.entries.items():
         assert all(c.order == sector.f.denominator for c in coeffs)
-    with pytest.raises(InvalidInputError):
-        ChernVector(params, {sectors(params)[0]: [zeta_pow(4, 1), 0, 0]})
+        with pytest.raises(InvalidInputError):
+            ChernVector(params, {sector: list(coeffs)[1:]})
 
 
 def _seeded_kclasses(seed):
@@ -280,8 +333,9 @@ def _seeded_kclasses(seed):
 def test_integer_fold_matches_fraction_fold(seed):
     params, kclasses = _seeded_kclasses(seed)
     for kclass in kclasses:
-        # same-order equality compares the canonical numerators and denominator
-        assert tch_of_kclass(kclass) == tch_fraction_fold(kclass), (params, kclass)
+        chern, expected = tch_of_kclass(kclass), tch_fraction_fold(kclass)
+        assert in_field(chern) == expected, (params, kclass)
+        assert chern.to_records() == field_records(params, expected)
 
 
 @pytest.mark.parametrize("seed", range(16))
@@ -295,9 +349,9 @@ def test_natural_order_records_embed_to_lcm_records(seed):
             lifted = []
             for order, coords in record["coeffs"]:
                 assert order == record["f"][1]
-                value = Cyclotomic(order, [Fraction(num, den) for num, den in coords])
+                value = Cyc(order, [Fraction(num, den) for num, den in coords])
                 lifted.append([m, [[x.numerator, x.denominator]
-                                   for x in value.embed(m).coeffs]])
+                                   for x in value.embed(m).coords]])
             assert {**record, "coeffs": lifted} == old
 
 

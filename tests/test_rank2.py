@@ -2,16 +2,20 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from class_numbers import three_hurwitz
+from cyclotomic_field import field, zeta
 from wpptoric.errors import InvalidInputError
 from wpptoric.hilbert import (
     _psi_sum,
     hilb_top_E_of_kclass,
+    psi_E,
     rank2_constant_term,
     rank_and_twists,
 )
-from wpptoric.inertia import sectors
+from wpptoric.inertia import sector_value, sectors
 from wpptoric.kgroup import WppParams, g_power, rank2_typeI_class, rank2_typeI_laurent
 from wpptoric.partitions import (
     ColoringSpec,
@@ -25,6 +29,7 @@ from wpptoric.partitions import (
 )
 from wpptoric.rank2 import (
     _form_bound,
+    _psi_bound,
     enumerate_refined_solutions,
     enumerate_stable_triples,
     h_full,
@@ -111,14 +116,30 @@ def test_refined_122_zero_branch():
     # and the codegree-0 entry is +-(D3 - D1 - D2)
     f_half = Fraction(1, 2)
     alpha, beta = refined_targets(P122, -1, 0)
-    beta[f_half] = 0
-    for A, widths, chern in enumerate_refined_solutions(P122, alpha, beta, 11):
+    beta[f_half] = sector_value(f_half, [])
+    solutions = list(enumerate_refined_solutions(P122, alpha, beta, 11))
+    assert solutions
+    for A, widths, chern in solutions:
         d1, d2, d3 = widths
         assert d3 % 2 == 1
         sector = [s for s in sectors(P122) if s.f == f_half][0]
         value = chern.codegree(sector, 0)
         sign = (-1) ** ((-1 + d1 + d2 + d3) // 2)
-        assert value == sign * (-d1 - d2 + d3)
+        assert field(value) == sign * (-d1 - d2 + d3)
+
+
+@given(st.tuples(*[st.integers(1, 6)] * 3), st.integers(-3, 3), st.integers(-6, 6))
+@settings(max_examples=150, deadline=None)
+def test_refined_targets_match_roots_in_field(weights, c1, lam):
+    # the integer fold of refined_targets against 2 omega^lam and c1 omega^lam
+    params = WppParams(*weights)
+    alpha, beta = refined_targets(params, c1, lam)
+    two_dim = [s.f for s in sectors(params) if s.kind == "2dim"]
+    assert list(alpha) == list(beta) == two_dim
+    for f in two_dim:
+        omega = zeta(f.denominator, -f.numerator * lam)
+        assert alpha[f].order == beta[f].order == f.denominator
+        assert field(alpha[f]) == 2 * omega and field(beta[f]) == c1 * omega
 
 
 @pytest.mark.parametrize(
@@ -505,6 +526,26 @@ def test_h_full_matches_untruncated_correction(weights, E, c1, lam, order):
     params = WppParams(*weights)
     expected = _h_full_untruncated(params, E, c1, lam, order)
     assert h_full(params, E, c1, lam, order) == expected
+
+
+def _psi_bound_grid(E, m1, n, weight_product):
+    """The largest character-sum term over all n^2 residue pairs (r2, r3)."""
+    best = Fraction(0)
+    for r2 in range(n):
+        for r3 in range(n):
+            value = psi_E(E, m1, r2, r3, n) / weight_product
+            if value > best:
+                best = value
+    return best
+
+
+def test_psi_bound_reads_one_row():
+    for n in range(1, 13):
+        for m1 in range(2 * n + 1):
+            for E in (n, 2 * n, 6 * n):
+                for weight_product in (1, 2, 6):
+                    expected = _psi_bound_grid(E, m1, n, weight_product)
+                    assert _psi_bound(E, m1, n, weight_product) == expected, (E, m1, n)
 
 
 def test_psi_cache_is_keyed_on_residues():
