@@ -202,14 +202,12 @@ def cmd_gseries(args, out):
     _require_nonnegative(args, "order")
     _meta(out, "gseries", {"abc": args.abc, "beta": args.beta,
                            "order": args.order, "specialize": args.specialize})
-    # color0 and total rename each chart's colors before the product;
+    # color0 and total count each chart's boxes straight into q and t;
     # t counts the boxes of nonzero color and is printed at t = 1; none
     # keeps the chart variables, so it has no t to set
     others = {"none": None, "color0": "t", "total": "q"}[args.specialize]
     series = g_series(params, args.beta, args.order, others)
-    shown = series
-    if "t" in series.vars:
-        shown = specialize(series, {v: 1 if v == "t" else v for v in series.vars})
+    shown = series if others is None else specialize(series, {"q": "q", "t": 1})
     _series_records(out, shown, f"g[{args.specialize}]")
     if args.check:
         merged = total_count_specialization(series)

@@ -5,11 +5,11 @@ box at column l1 of row l2 carries color (offset + l1*w1 + l2*w2) mod n.
 Generating functions over colored partitions are sparse `Series` in one
 formal variable per color.  Variable relations among the three charts
 of a weighted projective plane are never imposed on stored series; the
-example identities are checked after explicit specialization.  The
-rank-1 count `g_series` is one product over the three charts; a
-specialization that keeps only color-0 and other-color box counts
-renames each chart's colors before that product, so the multicolor
-product is never built for it.
+example identities are checked after explicit specialization.  Every
+count is one row DP fed by a per-color table; in the rank-1 product
+`g_series` that table names the variable a box of each color counts
+in, so a count of color-0 and other boxes never builds the multicolor
+product.
 
 All fractional series prefactors (q^(1/6) and friends) are dropped:
 every stored exponent is an integer and comparisons align lowest-order
@@ -17,6 +17,7 @@ terms.
 """
 
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, inf, isqrt
 from operator import add
 
@@ -332,36 +333,28 @@ def _row_sums(period, caps, trunc, grade, mono):
 
 
 @lru_cache(maxsize=32)
-def _colored_vectors(n, w1, w2, offset, max_order):
-    """Color-count vector -> number of partitions with <= max_order boxes.
+def _chart_levels(n, w1, w2, offset, table, caps, trunc):
+    """`_row_sums` levels of a chart coloring, a box of color l adding table[l].
 
-    The row DP graded by size, with the color-count vector coded in base
-    max_order + 1 (no count exceeds the size).  Row colors repeat with
-    the row index mod n / gcd(w2, n).  Conjugation swaps w1 and w2, so
-    callers pass them sorted.
+    table[l] = (grade, code); rows are at most caps long.  Row colors
+    repeat with the row index mod n / gcd(w2, n).  Conjugation swaps w1
+    and w2, so callers pass them sorted.
     """
     period = n // gcd(w2, n)
-    base = max_order + 1
-    sizes = [range(max_order + 1)] * period
-    codes = []
+    grade, mono = [], []
     for r in range(period):
-        code = [0]
-        for l1 in range(max_order):
-            code.append(code[-1] + base ** ((offset + r * w2 + l1 * w1) % n))
-        codes.append(code)
-    out = {}
-    for level in _row_sums(period, max_order, max_order, sizes, codes):
-        for code, count in level.items():
-            digits = []
-            for _ in range(n):
-                code, digit = divmod(code, base)
-                digits.append(digit)
-            out[tuple(digits)] = count
-    return out
+        boxes = [table[(offset + r * w2 + l1 * w1) % n] for l1 in range(caps)]
+        grade.append(list(accumulate((g for g, _ in boxes), initial=0)))
+        mono.append(list(accumulate((m for _, m in boxes), initial=0)))
+    return _row_sums(period, caps, trunc, grade, mono)
 
 
-def colored_series(spec, max_order, vars=None):
+def colored_series(spec, max_order, vars=None, slots=None):
     """Sum over partitions with <= max_order boxes of the color monomials.
+
+    Color l counts in vars[slots[l]], by default in its own q_l: a box
+    adds base^slot to a code whose digits, base max_order + 1, are the
+    exponents.
 
     >>> s = colored_series(ColoringSpec(1, 0, 0), 4)
     >>> [s.coefficient((k,)) for k in range(5)]
@@ -372,32 +365,19 @@ def colored_series(spec, max_order, vars=None):
     if max_order < 0:
         raise InvalidInputError("max_order must be nonnegative")
     n = spec.modulus
-    if vars is None:
-        vars = tuple(f"q{l}" for l in range(n))
+    vars = tuple(f"q{l}" for l in range(n)) if vars is None else vars
+    slots = range(n) if slots is None else slots
+    low, high, base = min(slots), max(slots), max_order + 1
+    table = tuple((1, base ** (s - low)) for s in slots)
     w1, w2 = sorted((spec.w1, spec.w2))
-    return Series(vars, _colored_vectors(n, w1, w2, spec.offset, max_order), max_order)
-
-
-@lru_cache(maxsize=32)
-def _color_zero_counts(n, w1, w2, max_order):
-    """Numbers of partitions with k <= max_order boxes of color 0, offset 0.
-
-    The row DP graded by color-0 boxes.  Row 0 of length L holds
-    ceil(L / p) of them, p = n / gcd(w1, n), so no row is longer than
-    p * max_order; and every turn of n / gcd(w2, n) rows starts one row
-    at a box of color 0.  Conjugation swaps w1 and w2, so callers pass
-    them sorted.
-    """
-    period = n // gcd(w2, n)
-    caps = n // gcd(w1, n) * max_order
-    zeros = []
-    for r in range(period):
-        count = [0]
-        for l1 in range(caps):
-            count.append(count[-1] + ((r * w2 + l1 * w1) % n == 0))
-        zeros.append(count)
-    levels = _row_sums(period, caps, max_order, zeros, [[0] * (caps + 1)] * period)
-    return tuple(level.get(0, 0) for level in levels)
+    out = {}
+    for level in _chart_levels(n, w1, w2, spec.offset, table, max_order, max_order):
+        for code, count in level.items():
+            exps = [0] * len(vars)
+            for s in range(low, high + 1):
+                code, exps[s] = divmod(code, base)
+            out[tuple(exps)] = count
+    return Series(vars, out, max_order)
 
 
 def color_zero_series(spec, max_order):
@@ -405,7 +385,9 @@ def color_zero_series(spec, max_order):
 
     Equals colored_series with every other color sent to 1, without a
     bound on the number of boxes.  The coloring must have offset 0: with
-    another offset a coefficient can be infinite.
+    another offset a coefficient can be infinite.  Row 0 has color 0
+    every p = n / gcd(w1, n) boxes, so no row is longer than p *
+    max_order; every turn of n / gcd(w2, n) rows starts one at color 0.
 
     >>> color_zero_series(ColoringSpec(7, 1, 1), 1).coeffs
     {(0,): 1, (1,): 1429}
@@ -414,9 +396,11 @@ def color_zero_series(spec, max_order):
         raise InvalidInputError("max_order must be nonnegative")
     if spec.offset:
         raise InvalidInputError("color-0 counts need a coloring with offset 0")
+    n = spec.modulus
     w1, w2 = sorted((spec.w1, spec.w2))
-    counts = _color_zero_counts(spec.modulus, w1, w2, max_order)
-    return Series(("q",), {(k,): c for k, c in enumerate(counts)}, max_order)
+    table = ((1, 0),) + ((0, 0),) * (n - 1)
+    levels = _chart_levels(n, w1, w2, 0, table, n // gcd(w1, n) * max_order, max_order)
+    return Series(("q",), {(k,): level.get(0, 0) for k, level in enumerate(levels)}, max_order)
 
 
 def chart_variables(params):
@@ -428,57 +412,30 @@ def chart_variables(params):
     )
 
 
-def chart_series(params, chart, beta, max_order):
-    """Generating function of one chart's colored partitions.
-
-    Counts all partitions with the chart coloring at offset -beta, one
-    variable per color of the chart's cyclic group.
-    """
-    spec = chart_spec(params, chart, -beta)
-    vars = tuple(f"{'pqr'[chart - 1]}{l}" for l in range(spec.modulus))
-    return colored_series(spec, max_order, vars)
-
-
 def g_series(params, beta, max_order, others=None):
-    """Product of the three chart series, each renamed before the product.
+    """Product of the three chart series at offset -beta.
 
     With `others` None every color keeps its variable of
     `chart_variables`; the cross-chart variable relations are not
     imposed, and callers compare series only after an explicit
-    specialization.  Otherwise color 0 of each chart goes to q and the
-    other colors to `others`, in the variables (q, t): "t" gives the
+    specialization.  Otherwise color 0 of each chart counts in q and the
+    other colors in `others`, in the variables (q, t): "t" gives the
     color-0 grading with t counting the other boxes, "q" the total box
     count.  Either way the product keeps at most max_order boxes in all.
     """
     vars = chart_variables(params) if others is None else ("q", "t")
     result = Series.one(vars, max_order)
-    for chart in (1, 2, 3):
-        factor = chart_series(params, chart, beta, max_order)
-        assignment = {v: v if others is None else "q" if _is_color_zero(v) else others
-                      for v in factor.vars}
-        result = result * specialize(factor, assignment, vars)
+    for chart, start in zip((1, 2, 3), (0, params.a, params.a + params.b)):
+        spec = chart_spec(params, chart, -beta)
+        n = spec.modulus
+        slots = range(start, start + n) if others is None else (0,) + (vars.index(others),) * (n - 1)
+        result = result * colored_series(spec, max_order, vars, slots)
     return result
 
 
 def total_count_specialization(series, target="q"):
     """Send every variable to the same q, turning colors into box counts."""
     return specialize(series, {v: target for v in series.vars})
-
-
-def _is_color_zero(var):
-    """True for the index-0 variable of a letter block (p0, q0, r0)."""
-    return var[len(var.rstrip("0123456789")):] == "0"
-
-
-def color_zero_specialization(series, target="q"):
-    """Track only the index-0 variable of each letter block.
-
-    p0, q0, r0 go to the target variable; every other variable goes
-    to 1.  This is the Euler-characteristic grading of the point
-    classes: the twisted point sheaves with nonzero twist have
-    vanishing holomorphic Euler characteristic.
-    """
-    return specialize(series, {v: target if _is_color_zero(v) else 1 for v in series.vars})
 
 
 # ---------------------------------------------------------------------------

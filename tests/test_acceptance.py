@@ -13,7 +13,7 @@ from math import lcm
 import pytest
 
 from class_numbers import three_hurwitz
-from partition_enumeration import partitions_of_size
+from partition_enumeration import color_zero_specialization, partitions_of_size
 from wpptoric.hilbert import (
     chi_oracle,
     hilb_fit_oracle,
@@ -33,7 +33,6 @@ from wpptoric.partitions import (
     balanced_rhs,
     balanced_spec,
     colored_series,
-    color_zero_specialization,
     eta_inv_pow,
     g_series,
     one_cc_closed_form,

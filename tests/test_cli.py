@@ -304,8 +304,8 @@ def test_stdout_pinned(capsys, argv, pin):
 
 @pytest.mark.parametrize("mode", ["total", "color0"])
 def test_specialized_gseries_never_builds_g_series(capsys, monkeypatch, mode):
-    # the specialized modes rename each chart's colors to q, t before the
-    # product, so the multicolor g_series is never built; the none mode
+    # the specialized modes count each chart's boxes in q and t from the
+    # start, so the multicolor g_series is never built; the none mode
     # shows that the wrapper sees a product in all a + b + c colors
     widths = []
     mul = partitions.Series.__mul__

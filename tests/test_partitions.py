@@ -3,24 +3,27 @@ from itertools import combinations_with_replacement, product
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from partition_enumeration import enumerate_partitions, partitions_of_size
+from partition_enumeration import (
+    color_zero_specialization,
+    enumerate_partitions,
+    partitions_of_size,
+)
 from wpptoric.errors import InvalidInputError
 from wpptoric.kgroup import WppParams
 from wpptoric.partitions import (
     ColoringSpec,
     Partition,
     Series,
-    _color_zero_counts,
-    _colored_vectors,
+    _chart_levels,
     balanced_rhs,
     balanced_spec,
-    chart_series,
     chart_spec,
     chart_variables,
     color_count,
     color_zero_series,
-    color_zero_specialization,
     colored_series,
     eta_inv_pow,
     g_series,
@@ -181,12 +184,12 @@ def test_specialize_rejects_a_pair_target():
 
 def test_chart_series_examples():
     p111 = WppParams(1, 1, 1)
-    s = chart_series(p111, 2, 0, 3)
+    s = colored_series(chart_spec(p111, 2, 0), 3, ("q0",))
     assert s.coeffs == {(0,): 1, (1,): 1, (2,): 2, (3,): 3}
     p112 = WppParams(1, 1, 2)
-    s3 = chart_series(p112, 3, 0, 3)
+    s3 = colored_series(chart_spec(p112, 3, 0), 3, ("r0", "r1"))
     assert s3.coefficient((1, 1)) == 2  # partitions (2) and (1,1)
-    assert chart_series(p112, 3, 0, 0).coeffs == {(0, 0): 1}
+    assert colored_series(chart_spec(p112, 3, 0), 0, ("r0", "r1")).coeffs == {(0, 0): 1}
 
 
 def test_chart_series_total_specialization_is_uncolored():
@@ -394,6 +397,42 @@ def test_colored_series_matches_partition_oracle():
     assert colored_series(spec, 30) == colored_series_oracle(spec, 30)
 
 
+def g_series_oracle(params, beta, max_order, others):
+    """(vars, coeffs) of g_series by coloring every triple of partitions.
+
+    Chart i's boxes are colored by `chart_spec` at offset -beta; a box
+    of color l counts in the chart's variable l, or, with `others`
+    given, in q for color 0 and in `others` for the rest.
+    """
+    vars = chart_variables(params) if others is None else ("q", "t")
+    specs = [chart_spec(params, chart, -beta) for chart in (1, 2, 3)]
+    coeffs = {}
+    for triple in product(list(enumerate_partitions(max_order)), repeat=3):
+        if sum(lam.size() for lam in triple) > max_order:
+            continue
+        exps = dict.fromkeys(vars, 0)
+        for letter, lam, spec in zip("pqr", triple, specs):
+            for color, count in enumerate(color_count(lam, spec)):
+                if others is None:
+                    exps[f"{letter}{color}"] += count
+                else:
+                    exps["q" if color == 0 else others] += count
+        key = tuple(exps.values())
+        coeffs[key] = coeffs.get(key, 0) + 1
+    return vars, coeffs
+
+
+@given(st.tuples(*[st.integers(1, 6)] * 3), st.integers(-3, 3), st.integers(0, 5),
+       st.sampled_from([None, "t", "q"]))
+@settings(max_examples=200, deadline=None)
+def test_g_series_matches_the_triples_of_partitions(weights, beta, order, others):
+    # every mode of the chart product against a count that lists the
+    # partition triples and never enters the row DP
+    params = WppParams(*weights)
+    g = g_series(params, beta, order, others)
+    assert (g.vars, g.coeffs) == g_series_oracle(params, beta, order, others)
+
+
 def test_colored_series_cache_is_not_aliased():
     spec = ColoringSpec(3, 1, 2, 1)
     first = colored_series(spec, 6)
@@ -407,11 +446,9 @@ def test_colored_series_rejects_negative_order():
 
 
 def test_row_dp_caches_are_bounded():
-    _color_zero_counts.cache_clear()
-    _colored_vectors.cache_clear()
+    _chart_levels.cache_clear()
     for order in range(1, 41):
         color_zero_series(ColoringSpec(4, 1, 3), order)
         colored_series(ColoringSpec(2, 1, 1), order)
-    for cached in (_color_zero_counts, _colored_vectors):
-        info = cached.cache_info()
-        assert info.maxsize is not None and 0 < info.currsize <= info.maxsize < 40
+    info = _chart_levels.cache_info()
+    assert info.maxsize is not None and 0 < info.currsize <= info.maxsize < 40

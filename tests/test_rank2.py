@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from class_numbers import three_hurwitz
 from cyclotomic_field import field, zeta
+from partition_enumeration import color_zero_specialization
 from wpptoric.errors import InvalidInputError
 from wpptoric.hilbert import (
     _psi_sum,
@@ -24,7 +25,6 @@ from wpptoric.partitions import (
     balanced_spec,
     chart_spec,
     color_zero_series,
-    color_zero_specialization,
     eta_inv_pow,
 )
 from wpptoric.rank2 import (
