@@ -235,7 +235,7 @@ def hilb_top_E(params, E, r):
 
 
 def rank_and_twists(params, E, terms):
-    """The two integers behind hilb_top_E_of_kclass: rank and twist sum.
+    """The rank and twist sum of a class, for an E that passed `check_generating_E`.
 
     `terms` are (exponent, coeff) pairs of any Laurent representative
     of a class: the sum of coeff * g^e, g^e = [O(-e)].  The rank is the
@@ -244,15 +244,11 @@ def rank_and_twists(params, E, terms):
     P(g) g^j has coefficients summing to P(1) = 0, all its exponents lie
     in one residue class mod d, where _twist_window_sum is affine, and
     the alternating sum of an affine function over the eight corners of
-    (1 - g^a)(1 - g^b)(1 - g^c) vanishes.  The modified slope lin/quad
-    is twists * d / (rank * E * m).
+    (1 - g^a)(1 - g^b)(1 - g^c) vanishes.  The modified coefficients
+    of the class are `_top_E(params, E, rank, twists)`, so its modified
+    slope lin/quad is twists * d / (rank * E * m).  E is not checked
+    here: the caller checks it once for all the classes it compares.
     """
-    _check_E(params, E)
-    return _rank_and_twists(params, E, terms)
-
-
-def _rank_and_twists(params, E, terms):
-    """`rank_and_twists` for an E that already passed `_check_E`."""
     rank = 0
     twists = 0
     for e, coeff in terms:
@@ -260,15 +256,6 @@ def _rank_and_twists(params, E, terms):
             rank += coeff
             twists += coeff * _twist_window_sum(params, E, -e)
     return rank, twists
-
-
-def hilb_top_E_of_kclass(params, E, kclass):
-    """Extend hilb_top_E linearly over a K-class.
-
-    The canonical representative writes the class as a sum of powers
-    g^e = [O(-e)], and the Hilbert coefficients are additive.
-    """
-    return _top_E(params, E, *rank_and_twists(params, E, enumerate(kclass.coeffs)))
 
 
 @lru_cache(maxsize=4096)

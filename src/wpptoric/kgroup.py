@@ -19,7 +19,7 @@ from math import gcd, lcm
 
 from .errors import InvalidInputError
 from .exact_arith import poly_mul, reduce_by_tail
-from .partitions import chart_spec, color_count, variable_relations
+from .partitions import chart_spec, color_count
 
 
 @dataclass(frozen=True)
@@ -278,24 +278,3 @@ def rank2_typeI_class(params, datum):
     """Class of a rank-2 bundle with one box summand per chart (`rank2_typeI_laurent`)."""
     params.check_widths(datum.D1, datum.D2, datum.D3)
     return kclass_from_laurent(params, rank2_typeI_laurent(datum))
-
-
-def verify_relations(params):
-    """Check the identification rows of `partitions.variable_relations`.
-
-    A variable p_j, q_j or r_j stands for the twisted point class
-    structure_sheaf_point(params, chart, j) of chart 1, 2 or 3; each
-    monomial of a row is summed as one class, and the row holds when
-    all its canonical representatives agree.
-    """
-    for row in variable_relations(params):
-        sums = {
-            kclass_sum(params, (
-                (exp, structure_sheaf_point(params, "pqr".index(var[0]) + 1, int(var[1:])))
-                for var, exp in mono.items()
-            ))
-            for mono in row
-        }
-        if len(sums) != 1:
-            return False
-    return True

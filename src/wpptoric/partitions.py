@@ -1,24 +1,23 @@
-"""Colored 2D partitions, sparse multivariate series, q-series checkers.
+"""Colored 2D partitions, sparse multivariate series, colored counts.
 
 A partition is a weakly decreasing tuple of positive row lengths; its
 box at column l1 of row l2 carries color (offset + l1*w1 + l2*w2) mod n.
 Generating functions over colored partitions are sparse `Series` in one
-formal variable per color.  Variable relations among the three charts
-of a weighted projective plane are never imposed on stored series; the
-example identities are checked after explicit specialization.  Every
-count is one row DP fed by a per-color table; in the rank-1 product
-`g_series` that table names the variable a box of each color counts
-in, so a count of color-0 and other boxes never builds the multicolor
-product.
+formal variable per color.  The relations among the variables of the
+three charts of a weighted projective plane are never imposed on stored
+series; a caller that compares series specializes them explicitly.
+Every count is one row DP fed by a per-color table; in the rank-1
+product `g_series` that table names the variable a box of each color
+counts in, so a count of color-0 and other boxes never builds the
+multicolor product.
 
-All fractional series prefactors (q^(1/6) and friends) are dropped:
-every stored exponent is an integer and comparisons align lowest-order
-terms.
+`eta_inv_pow` drops the eta prefactor q^(-r/24): every stored exponent
+is an integer.
 """
 
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, inf, isqrt
+from math import gcd, inf
 from operator import add
 
 from .errors import InternalInconsistencyError, InvalidInputError
@@ -40,9 +39,6 @@ class Partition:
         if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
             raise InvalidInputError("partition rows must be weakly decreasing")
         self.rows = rows
-
-    def size(self):
-        return sum(self.rows)
 
     def boxes(self):
         """Yield the boxes (l1, l2): column l1 of row l2."""
@@ -154,20 +150,6 @@ class Series:
             return self.truncation
         return min(self.truncation, other.truncation)
 
-    def __add__(self, other):
-        if self.vars != other.vars:
-            raise InvalidInputError("series variable mismatch")
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return Series(self.vars, out, self._common_truncation(other))
-
-    def __neg__(self):
-        return Series(self.vars, {e: -c for e, c in self.coeffs.items()}, self.truncation)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if self.vars != other.vars:
             raise InvalidInputError("series variable mismatch")
@@ -184,17 +166,6 @@ class Series:
                 e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return Series(self.vars, out, trunc)
-
-    def __pow__(self, k):
-        if k < 0:
-            raise InvalidInputError("negative series powers are not supported")
-        result = Series.one(self.vars, self.truncation)
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def truncate(self, bound):
-        return Series(self.vars, self.coeffs, bound)
 
     def coefficient(self, exps):
         return self.coeffs.get(tuple(exps), 0)
@@ -223,20 +194,6 @@ class Series:
             terms.append(f"{coeff}{'*' + mono if mono else ''}")
         more = " + ..." if len(self.coeffs) > 8 else ""
         return f"Series({' + '.join(terms) or '0'}{more})"
-
-
-def geometric_factor(vars, exps, truncation, power=1):
-    """(1 - m)^(-power) expanded to the truncation bound, m a monomial."""
-    deg = sum(exps)
-    if deg <= 0:
-        raise InvalidInputError("geometric factor needs a positive-degree monomial")
-    base = Series.one(vars, truncation)
-    if truncation is not None:
-        terms = {}
-        for k in range(truncation // deg + 1):
-            terms[tuple(k * e for e in exps)] = 1
-        base = Series(vars, terms, truncation)
-    return base ** power
 
 
 def specialize(series, assignment, result_vars=None):
@@ -439,75 +396,7 @@ def total_count_specialization(series, target="q"):
 
 
 # ---------------------------------------------------------------------------
-# balanced-coloring closed formula
-# ---------------------------------------------------------------------------
-
-def balanced_spec(k, offset=0):
-    """The coloring of the balanced cyclic action: steps (1, k-1) mod k."""
-    return ColoringSpec(k, 1, k - 1, offset)
-
-
-def balanced_rhs(k, max_order):
-    """Closed-form series for balanced k-colorings, truncated.
-
-    Product of k inverse Euler factors in the full-cycle monomial Q =
-    q0*...*q(k-1) times the rank-(k-1) lattice theta sum
-
-        sum over n in Z^(k-1) of Q^(sum n_i^2 - sum n_i n_{i+1})
-                                 * q1^(n1) * ... * q(k-1)^(n_{k-1}).
-
-    The reference display garbles the theta factor for k >= 3 (its
-    exponents q_{k-r}^(r^2/2 + n1*r - r/2) depend on n1 alone and already
-    miss the constant term); the form above is fixed by the brute-force
-    enumeration, with which it agrees coefficient-by-coefficient, and
-    reduces to the same series for k <= 2.  Every variable exponent is a
-    nonnegative integer; a violation signals an internal inconsistency.
-    """
-    if k < 1:
-        raise InvalidInputError("k must be positive")
-    vars = tuple(f"q{l}" for l in range(k))
-    full_cycle = (1,) * k
-    prefactor = Series.one(vars, max_order)
-    j = 1
-    while j * k <= max_order:
-        prefactor = prefactor * geometric_factor(vars, tuple(j * e for e in full_cycle), max_order, power=k)
-        j += 1
-
-    # The full-cycle exponent is Q(n) = (n1^2 + n_{k-1}^2 +
-    # sum (n_i - n_{i+1})^2)/2, half the squared steps of the walk
-    # 0, n1, ..., n_{k-1}, 0.  The walk is extended one step at a time
-    # and a prefix is dropped once its squared steps exceed 2N.
-    theta_terms = {}
-    limit = 2 * max_order
-
-    def extend(n, squares):
-        last = n[-1] if n else 0
-        if len(n) == k - 1:
-            if squares + last * last > limit:
-                return
-            q_form = sum(x * x for x in n) - sum(n[i] * n[i + 1] for i in range(k - 2))
-            exps = [q_form] * k
-            for r in range(1, k):
-                exps[r] += n[r - 1]
-            if sum(exps) > max_order:
-                return
-            if any(e < 0 for e in exps):
-                raise InternalInconsistencyError(
-                    f"negative theta exponent at n={n}: {exps}"
-                )
-            key = tuple(exps)
-            theta_terms[key] = theta_terms.get(key, 0) + 1
-            return
-        reach = isqrt(limit - squares)
-        for x in range(last - reach, last + reach + 1):
-            extend(n + (x,), squares + (x - last) ** 2)
-
-    extend((), 0)
-    return prefactor * Series(vars, theta_terms, max_order)
-
-
-# ---------------------------------------------------------------------------
-# one-variable q-series: eta, theta, affine character combinations
+# the partition function
 # ---------------------------------------------------------------------------
 
 def eta_inv_pow(r, max_order):
@@ -527,119 +416,6 @@ def eta_inv_pow(r, max_order):
             for k in range(n, max_order + 1):
                 coeffs[k] += coeffs[k - n]
     return Series(("q",), {(k,): c for k, c in enumerate(coeffs)}, max_order)
-
-
-def theta3(max_order, scale=1):
-    """sum over n in Z of q^(scale*n^2), truncated."""
-    coeffs = {(0,): 1}
-    n = 1
-    while scale * n * n <= max_order:
-        coeffs[(scale * n * n,)] = 2
-        n += 1
-    return Series(("q",), coeffs, max_order)
-
-
-def theta2_pair(max_order):
-    """Integer-normalized theta2(q) * theta2(q^3).
-
-    The two quarter-power prefactors combine to a single power of q, so
-    the product has integer exponents: 4*q*sum q^(n^2+n+3m^2+3m).
-    """
-    coeffs = {}
-    n = 0
-    while n * n + n + 1 <= max_order:
-        m = 0
-        while n * n + n + 3 * (m * m + m) + 1 <= max_order:
-            e = n * n + n + 3 * (m * m + m) + 1
-            coeffs[(e,)] = coeffs.get((e,), 0) + 4
-            m += 1
-        n += 1
-    return Series(("q",), coeffs, max_order)
-
-
-def su_k_character_proxy(k, max_order):
-    """Integer-normalized numerator of the k-color single-variable count.
-
-    For k=2 this is theta3(q); for k=3 it is the hexagonal lattice theta
-    theta3(q)theta3(q^3) + theta2(q)theta2(q^3).
-    """
-    if k == 2:
-        return theta3(max_order)
-    if k == 3:
-        return theta3(max_order) * theta3(max_order, scale=3) + theta2_pair(max_order)
-    raise InvalidInputError("character proxy implemented for k = 2, 3 only")
-
-
-# ---------------------------------------------------------------------------
-# the (1, c, c) closed form
-# ---------------------------------------------------------------------------
-
-def one_cc_closed_form(c, max_order, leading_power=3):
-    """Closed-form count for the (1, c, c) weights, in variables r0..r(c-1).
-
-    With R = r0*...*r(c-1) this is
-
-        prod_{k>0} (1 - R^k)^(-leading_power)
-        * [ prod_{k>0} prod_{i=0}^{c-2} (1 - r0...ri R^(k-1)) ]^(-2).
-
-    The reference display in the literature prints leading_power = 1,
-    which contradicts both the brute-force count and the formula's own
-    degeneration at c = 1; the mathematically consistent value is 3.
-    Callers can evaluate either.
-    """
-    if c < 1:
-        raise InvalidInputError("c must be positive")
-    vars = tuple(f"r{l}" for l in range(c))
-    full = (1,) * c
-    out = Series.one(vars, max_order)
-    j = 1
-    while j * c <= max_order:
-        out = out * geometric_factor(vars, tuple(j * e for e in full), max_order, power=leading_power)
-        j += 1
-    for i in range(c - 1):
-        k = 1
-        while True:
-            exps = tuple((1 if l <= i else 0) + (k - 1) for l in range(c))
-            if sum(exps) > max_order:
-                break
-            out = out * geometric_factor(vars, exps, max_order, power=2)
-            k += 1
-    return out
-
-
-# ---------------------------------------------------------------------------
-# cross-chart variable relations
-# ---------------------------------------------------------------------------
-
-def variable_relations(params):
-    """The identification rows among the point-class variables.
-
-    Each row is a list of monomials (as {variable: exponent} dicts) that
-    stand for equal zero-dimensional K-classes: d rows relating all
-    three charts, then pairwise rows for each d_ij.  Stored series never
-    impose these; they are data for specialization choices and for the
-    K-class cross-check.
-    """
-    a, b, c = params.a, params.b, params.c
-    d, d12, d13, d23 = params.d, params.d12, params.d13, params.d23
-
-    def monomial(letter, modulus, step, shift):
-        mono = {}
-        for i in range(modulus // step):
-            var = f"{letter}{i * step + shift}"
-            mono[var] = mono.get(var, 0) + 1
-        return mono
-
-    rows = []
-    for t in range(d):
-        rows.append([monomial("p", a, d, t), monomial("q", b, d, t), monomial("r", c, d, t)])
-    for t in range(d12):
-        rows.append([monomial("p", a, d12, t), monomial("q", b, d12, t)])
-    for t in range(d23):
-        rows.append([monomial("q", b, d23, t), monomial("r", c, d23, t)])
-    for t in range(d13):
-        rows.append([monomial("p", a, d13, t), monomial("r", c, d13, t)])
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,10 @@ from functools import lru_cache
 
 from .errors import InternalInconsistencyError, InvalidInputError
 from .hilbert import (
-    _rank_and_twists,
     check_generating_E,
     psi_E,
     rank2_constant_term,
+    rank_and_twists,
     width_free_bracket_12,
 )
 from .inertia import sector_value, sectors, tch_rank2_closed_form
@@ -54,10 +54,11 @@ def slope_oracle_stability(params, E, datum):
     Rank and twist sum are read from the Laurent polynomial of the
     class, each line bundle being the single term g^e: they descend to
     the K-group (`rank_and_twists`), so no canonical representative is
-    built; E is checked once, by `check_generating_E`, which implies
-    the rule of `rank_and_twists`.  The slope of a class is twists * d
-    / (rank * E * m), so with positive ranks the test mu_l >= mu_f is
-    the integer comparison twists_l * rank_f >= twists_f * rank_l.
+    built.  `rank_and_twists` does not check E; it is checked once here,
+    by `check_generating_E`, before the four classes are read.  The
+    slope of a class is twists * d / (rank * E * m), so with positive
+    ranks the test mu_l >= mu_f is the integer comparison twists_l *
+    rank_f >= twists_f * rank_l.
 
     `datum` must be valid for `params` (`TypeIBundle.validate`, which
     `is_mu_stable` runs); it is not checked again here.
@@ -65,10 +66,10 @@ def slope_oracle_stability(params, E, datum):
     check_generating_E(params, E)
     if min(datum.D1, datum.D2, datum.D3) <= 0 or not datum.points_distinct():
         return False
-    rank_f, tw_f = _rank_and_twists(params, E, rank2_typeI_laurent(datum).items())
+    rank_f, tw_f = rank_and_twists(params, E, rank2_typeI_laurent(datum).items())
     total_a = datum.A1 + datum.A2 + datum.A3
     for opposite in (datum.D2 + datum.D3, datum.D1 + datum.D3, datum.D1 + datum.D2):
-        rank_l, tw_l = _rank_and_twists(params, E, ((opposite + total_a, 1),))
+        rank_l, tw_l = rank_and_twists(params, E, ((opposite + total_a, 1),))
         if min(rank_f, rank_l) <= 0:
             raise InternalInconsistencyError(f"ranks {rank_f}, {rank_l} must be positive")
         if tw_l * rank_f >= tw_f * rank_l:

@@ -1,0 +1,214 @@
+"""Closed forms that check the package's counts from outside.
+
+No `wpptoric` command evaluates these; each is the oracle of a path
+that one does:
+
+* `balanced_rhs` (Euler factors times a lattice theta sum) of
+  `colored_series` and `color_zero_series` on the balanced colorings;
+* `su_k_character_proxy`, with `theta3` and `theta2_pair`, of the
+  color-0 count of `colored_series` on the balanced colorings, and
+  theta3 / eta^4 of the color-0 fold of `g_series` on P(1,1,2);
+* `one_cc_closed_form` of `g_series` on P(1,c,c), after the
+  cross-chart relations are imposed;
+* `geometric_factor` of `eta_inv_pow`;
+* `hilb_top_E_of_kclass` (the canonical representative, term by term)
+  of the integer slopes of `rank2.slope_oracle_stability`, which read
+  any Laurent representative through `hilbert.rank_and_twists`.
+
+All fractional series prefactors (q^(1/6) and friends) are dropped:
+every exponent is an integer, and comparisons align lowest-order terms.
+A power of a series is a loop of products.
+"""
+
+from math import isqrt
+
+from wpptoric.errors import InternalInconsistencyError, InvalidInputError
+from wpptoric.hilbert import _check_E, _top_E, rank_and_twists
+from wpptoric.partitions import ColoringSpec, Series
+
+
+def geometric_factor(vars, exps, truncation, power=1):
+    """(1 - m)^(-power) expanded to the truncation bound, m a monomial."""
+    deg = sum(exps)
+    if deg <= 0:
+        raise InvalidInputError("geometric factor needs a positive-degree monomial")
+    if power < 0:
+        raise InvalidInputError("negative series powers are not supported")
+    base = Series.one(vars, truncation)
+    if truncation is not None:
+        terms = {}
+        for k in range(truncation // deg + 1):
+            terms[tuple(k * e for e in exps)] = 1
+        base = Series(vars, terms, truncation)
+    result = Series.one(vars, truncation)
+    for _ in range(power):
+        result = result * base
+    return result
+
+
+# ---------------------------------------------------------------------------
+# balanced-coloring closed formula
+# ---------------------------------------------------------------------------
+
+def balanced_spec(k, offset=0):
+    """The coloring of the balanced cyclic action: steps (1, k-1) mod k."""
+    return ColoringSpec(k, 1, k - 1, offset)
+
+
+def balanced_rhs(k, max_order):
+    """Closed-form series for balanced k-colorings, truncated.
+
+    Product of k inverse Euler factors in the full-cycle monomial Q =
+    q0*...*q(k-1) times the rank-(k-1) lattice theta sum
+
+        sum over n in Z^(k-1) of Q^(sum n_i^2 - sum n_i n_{i+1})
+                                 * q1^(n1) * ... * q(k-1)^(n_{k-1}).
+
+    The reference display garbles the theta factor for k >= 3 (its
+    exponents q_{k-r}^(r^2/2 + n1*r - r/2) depend on n1 alone and already
+    miss the constant term); the form above is fixed by the brute-force
+    enumeration, with which it agrees coefficient-by-coefficient, and
+    reduces to the same series for k <= 2.  Every variable exponent is a
+    nonnegative integer; a violation signals an internal inconsistency.
+    """
+    if k < 1:
+        raise InvalidInputError("k must be positive")
+    vars = tuple(f"q{l}" for l in range(k))
+    full_cycle = (1,) * k
+    prefactor = Series.one(vars, max_order)
+    j = 1
+    while j * k <= max_order:
+        prefactor = prefactor * geometric_factor(vars, tuple(j * e for e in full_cycle), max_order, power=k)
+        j += 1
+
+    # The full-cycle exponent is Q(n) = (n1^2 + n_{k-1}^2 +
+    # sum (n_i - n_{i+1})^2)/2, half the squared steps of the walk
+    # 0, n1, ..., n_{k-1}, 0.  The walk is extended one step at a time
+    # and a prefix is dropped once its squared steps exceed 2N.
+    theta_terms = {}
+    limit = 2 * max_order
+
+    def extend(n, squares):
+        last = n[-1] if n else 0
+        if len(n) == k - 1:
+            if squares + last * last > limit:
+                return
+            q_form = sum(x * x for x in n) - sum(n[i] * n[i + 1] for i in range(k - 2))
+            exps = [q_form] * k
+            for r in range(1, k):
+                exps[r] += n[r - 1]
+            if sum(exps) > max_order:
+                return
+            if any(e < 0 for e in exps):
+                raise InternalInconsistencyError(
+                    f"negative theta exponent at n={n}: {exps}"
+                )
+            key = tuple(exps)
+            theta_terms[key] = theta_terms.get(key, 0) + 1
+            return
+        reach = isqrt(limit - squares)
+        for x in range(last - reach, last + reach + 1):
+            extend(n + (x,), squares + (x - last) ** 2)
+
+    extend((), 0)
+    return prefactor * Series(vars, theta_terms, max_order)
+
+
+# ---------------------------------------------------------------------------
+# one-variable q-series: theta, affine character combinations
+# ---------------------------------------------------------------------------
+
+def theta3(max_order, scale=1):
+    """sum over n in Z of q^(scale*n^2), truncated."""
+    coeffs = {(0,): 1}
+    n = 1
+    while scale * n * n <= max_order:
+        coeffs[(scale * n * n,)] = 2
+        n += 1
+    return Series(("q",), coeffs, max_order)
+
+
+def theta2_pair(max_order):
+    """Integer-normalized theta2(q) * theta2(q^3).
+
+    The two quarter-power prefactors combine to a single power of q, so
+    the product has integer exponents: 4*q*sum q^(n^2+n+3m^2+3m).
+    """
+    coeffs = {}
+    n = 0
+    while n * n + n + 1 <= max_order:
+        m = 0
+        while n * n + n + 3 * (m * m + m) + 1 <= max_order:
+            e = n * n + n + 3 * (m * m + m) + 1
+            coeffs[(e,)] = coeffs.get((e,), 0) + 4
+            m += 1
+        n += 1
+    return Series(("q",), coeffs, max_order)
+
+
+def su_k_character_proxy(k, max_order):
+    """Integer-normalized numerator of the k-color single-variable count.
+
+    For k=2 this is theta3(q); for k=3 it is the hexagonal lattice theta
+    theta3(q)theta3(q^3) + theta2(q)theta2(q^3).
+    """
+    if k == 2:
+        return theta3(max_order)
+    if k == 3:
+        coeffs = dict((theta3(max_order) * theta3(max_order, scale=3)).coeffs)
+        for e, c in theta2_pair(max_order).coeffs.items():
+            coeffs[e] = coeffs.get(e, 0) + c
+        return Series(("q",), coeffs, max_order)
+    raise InvalidInputError("character proxy implemented for k = 2, 3 only")
+
+
+# ---------------------------------------------------------------------------
+# the (1, c, c) closed form
+# ---------------------------------------------------------------------------
+
+def one_cc_closed_form(c, max_order, leading_power=3):
+    """Closed-form count for the (1, c, c) weights, in variables r0..r(c-1).
+
+    With R = r0*...*r(c-1) this is
+
+        prod_{k>0} (1 - R^k)^(-leading_power)
+        * [ prod_{k>0} prod_{i=0}^{c-2} (1 - r0...ri R^(k-1)) ]^(-2).
+
+    The reference display in the literature prints leading_power = 1,
+    which contradicts both the brute-force count and the formula's own
+    degeneration at c = 1; the mathematically consistent value is 3.
+    Callers can evaluate either.
+    """
+    if c < 1:
+        raise InvalidInputError("c must be positive")
+    vars = tuple(f"r{l}" for l in range(c))
+    full = (1,) * c
+    out = Series.one(vars, max_order)
+    j = 1
+    while j * c <= max_order:
+        out = out * geometric_factor(vars, tuple(j * e for e in full), max_order, power=leading_power)
+        j += 1
+    for i in range(c - 1):
+        k = 1
+        while True:
+            exps = tuple((1 if l <= i else 0) + (k - 1) for l in range(c))
+            if sum(exps) > max_order:
+                break
+            out = out * geometric_factor(vars, exps, max_order, power=2)
+            k += 1
+    return out
+
+
+# ---------------------------------------------------------------------------
+# modified Hilbert coefficients of a class
+# ---------------------------------------------------------------------------
+
+def hilb_top_E_of_kclass(params, E, kclass):
+    """Extend hilb_top_E linearly over a K-class.
+
+    The canonical representative writes the class as a sum of powers
+    g^e = [O(-e)], and the Hilbert coefficients are additive.  E must
+    pass the rule of `hilb_top_E`.
+    """
+    _check_E(params, E)
+    return _top_E(params, E, *rank_and_twists(params, E, enumerate(kclass.coeffs)))

@@ -13,7 +13,9 @@ from math import lcm
 import pytest
 
 from class_numbers import three_hurwitz
+from closed_forms import balanced_rhs, balanced_spec, one_cc_closed_form, theta3
 from partition_enumeration import color_zero_specialization, partitions_of_size
+from point_relations import verify_relations
 from wpptoric.hilbert import (
     chi_oracle,
     hilb_fit_oracle,
@@ -25,20 +27,15 @@ from wpptoric.kgroup import (
     WppParams,
     rank1_class,
     rank2_typeI_class,
-    verify_relations,
 )
 from wpptoric.partitions import (
     Partition,
     Series,
-    balanced_rhs,
-    balanced_spec,
     colored_series,
     eta_inv_pow,
     g_series,
-    one_cc_closed_form,
     reference_113_report,
     specialize,
-    theta3,
     total_count_specialization,
 )
 from wpptoric.rank2 import (

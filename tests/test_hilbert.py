@@ -6,6 +6,7 @@ from math import gcd, lcm
 
 import pytest
 
+from closed_forms import hilb_top_E_of_kclass
 from cyclotomic_field import field, inverse, zeta
 from wpptoric.errors import InvalidInputError
 from wpptoric.hilbert import (
@@ -17,7 +18,6 @@ from wpptoric.hilbert import (
     hilb_lin_numerator,
     hilb_top,
     hilb_top_E,
-    hilb_top_E_of_kclass,
     hilb_top_from_sums,
     lin_numerator_window,
     psi_E,

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import point_relations
 from cyclotomic_field import poly_divmod, poly_mod
+from point_relations import variable_relations, verify_relations
 from test_sheaf_model import chart_sheaves
-from wpptoric import kgroup
 from wpptoric.errors import InvalidInputError
 from wpptoric.kgroup import (
     KClass,
@@ -23,9 +24,8 @@ from wpptoric.kgroup import (
     rank2_typeI_class,
     relation_poly,
     structure_sheaf_point,
-    verify_relations,
 )
-from wpptoric.partitions import Partition, chart_spec, color_count, variable_relations
+from wpptoric.partitions import Partition, chart_spec, color_count
 from wpptoric.sheaf_model import Rank1Sheaf, kclass_by_devissage
 
 P111 = WppParams(1, 1, 1)
@@ -324,7 +324,7 @@ def test_verify_relations_sees_a_perturbed_row(monkeypatch, weights):
         perturbed = [[dict(mono) for mono in row] for row in rows]
         var = next(iter(perturbed[k][0]))
         perturbed[k][0][var] += 1
-        monkeypatch.setattr(kgroup, "variable_relations", lambda _, rows=perturbed: rows)
+        monkeypatch.setattr(point_relations, "variable_relations", lambda _, rows=perturbed: rows)
         assert not verify_relations(params), (weights, k)
 
 

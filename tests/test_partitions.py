@@ -6,11 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closed_forms import (
+    balanced_rhs,
+    balanced_spec,
+    geometric_factor,
+    one_cc_closed_form,
+    su_k_character_proxy,
+    theta3,
+)
 from partition_enumeration import (
     color_zero_specialization,
     enumerate_partitions,
     partitions_of_size,
 )
+from point_relations import variable_relations
 from wpptoric.errors import InvalidInputError
 from wpptoric.kgroup import WppParams
 from wpptoric.partitions import (
@@ -18,8 +27,6 @@ from wpptoric.partitions import (
     Partition,
     Series,
     _chart_levels,
-    balanced_rhs,
-    balanced_spec,
     chart_spec,
     chart_variables,
     color_count,
@@ -27,14 +34,9 @@ from wpptoric.partitions import (
     colored_series,
     eta_inv_pow,
     g_series,
-    geometric_factor,
-    one_cc_closed_form,
     reference_113_report,
     specialize,
-    su_k_character_proxy,
-    theta3,
     total_count_specialization,
-    variable_relations,
 )
 
 
@@ -42,9 +44,9 @@ def test_enumerate_counts():
     assert [p.rows for p in enumerate_partitions(0)] == [()]
     by_size = {}
     for p in enumerate_partitions(4):
-        by_size.setdefault(p.size(), []).append(p)
+        by_size.setdefault(sum(p.rows), []).append(p)
     assert [len(by_size.get(n, [])) for n in range(5)] == [1, 1, 2, 3, 5]
-    exactly_ten = [p for p in enumerate_partitions(10) if p.size() == 10]
+    exactly_ten = [p for p in enumerate_partitions(10) if sum(p.rows) == 10]
     assert len(exactly_ten) == 42
 
 
@@ -79,17 +81,13 @@ def test_series_ring_ops():
     assert t.coefficient((2, 0)) == 1
     assert t.coefficient((1, 1)) == 4
     assert t.coefficient((0, 2)) == 4
-    cube = s ** 3
-    assert cube.coefficient((0, 3)) == 8
-    assert (s - s).coeffs == {}
-    assert (s + Series.one(s.vars)).coefficient((0, 0)) == 1
 
 
 def test_series_truncation_semantics():
     s = geometric_factor(("q",), (1,), 5)
     assert s.coefficient((5,)) == 1
     assert s.coefficient((6,)) == 0
-    t = s.truncate(2) * s
+    t = Series(s.vars, s.coeffs, 2) * s
     assert t.truncation == 2
     assert t.coefficient((3,)) == 0
 
@@ -408,7 +406,7 @@ def g_series_oracle(params, beta, max_order, others):
     specs = [chart_spec(params, chart, -beta) for chart in (1, 2, 3)]
     coeffs = {}
     for triple in product(list(enumerate_partitions(max_order)), repeat=3):
-        if sum(lam.size() for lam in triple) > max_order:
+        if sum(sum(lam.rows) for lam in triple) > max_order:
             continue
         exps = dict.fromkeys(vars, 0)
         for letter, lam, spec in zip("pqr", triple, specs):

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from class_numbers import three_hurwitz
+from closed_forms import balanced_rhs, balanced_spec, hilb_top_E_of_kclass
 from cyclotomic_field import field, zeta
 from partition_enumeration import color_zero_specialization
 from wpptoric.errors import InvalidInputError
 from wpptoric.hilbert import (
     _psi_sum,
-    hilb_top_E_of_kclass,
     psi_E,
     rank2_constant_term,
     rank_and_twists,
@@ -21,8 +21,6 @@ from wpptoric.kgroup import WppParams, g_power, rank2_typeI_class, rank2_typeI_l
 from wpptoric.partitions import (
     ColoringSpec,
     Series,
-    balanced_rhs,
-    balanced_spec,
     chart_spec,
     color_zero_series,
     eta_inv_pow,
