@@ -76,7 +76,6 @@ from .rank2 import (
 from .sheaf_model import (
     Rank1Sheaf,
     TypeIBundle,
-    Window,
     check_gluing,
     kclass_by_devissage,
     minimal_halfwidth,
@@ -322,12 +321,12 @@ def cmd_glue(args, out):
         case = "mutated-width"
         sheaf = TypeIBundle(0, 1, -1, params.b, 2 * params.c, params.a)
         mutated = TypeIBundle(0, 1, -1, params.b, 2 * params.c, 2 * params.a)
-    window = Window.symmetric(max(minimal_halfwidth(params, sheaf),
-                                  minimal_halfwidth(params, mutated)))
-    fams = [sfamily(params, sheaf, ch, window=window) for ch in (1, 2, 3)]
+    halfwidth = max(minimal_halfwidth(params, sheaf), minimal_halfwidth(params, mutated))
+    fams = [sfamily(params, sheaf, ch, halfwidth=halfwidth) for ch in (1, 2, 3)]
     ok, _ = check_gluing(params, *fams)
     out.emit({"record": "glue", "case": "matched-data", "pass": ok})
-    bad_ok, diag = check_gluing(params, *fams[:2], sfamily(params, mutated, 3, window=window))
+    bad_ok, diag = check_gluing(params, *fams[:2],
+                                sfamily(params, mutated, 3, halfwidth=halfwidth))
     out.emit({"record": "glue", "case": case, "pass": bad_ok, "diagnostics": diag[:2]})
     expected = ok and not bad_ok
     out.emit({"record": "verdict", "demo_behaved": expected})

@@ -215,23 +215,20 @@ def _twist_window_sum(params, E, r):
     return k * (2 * (r + (-r) % d) + params.degree) + d * k * (k - 1)
 
 
-def _top_E(params, E, rank, twists):
-    """HilbTop from sum(coeff) and sum(coeff * _twist_window_sum) over g^e."""
-    abc = params.a * params.b * params.c
-    m = params.m
-    return HilbTop(Fraction(rank * E * m * m, 2 * abc), Fraction(twists * m * params.d, 2 * abc))
-
-
 def hilb_top_E(params, E, r):
     """Top two modified Hilbert coefficients of the r-th twist of O.
 
     Tensoring with the dual of the generating sheaf turns the single
     twist r into the twists r+u for u < E; the pair sums cancel because
     every pairwise gcd divides E, leaving only the u with d | r + u,
-    each adding (2r + 2u + a+b+c) m d/(2abc) to the linear term.
+    each adding (2r + 2u + a+b+c) m d/(2abc) to the linear term.  So
+    there are E/d twists, and their numerators L sum to d G times
+    `_twist_window_sum`, G = d12 d13 d23.
     """
     _check_E(params, E)
-    return _top_E(params, E, 1, _twist_window_sum(params, E, r))
+    gcd_product = params.d12 * params.d13 * params.d23
+    return hilb_top_from_sums(params, E // params.d,
+                              params.d * gcd_product * _twist_window_sum(params, E, r))
 
 
 def rank_and_twists(params, E, terms):
@@ -245,9 +242,11 @@ def rank_and_twists(params, E, terms):
     in one residue class mod d, where _twist_window_sum is affine, and
     the alternating sum of an affine function over the eight corners of
     (1 - g^a)(1 - g^b)(1 - g^c) vanishes.  The modified coefficients
-    of the class are `_top_E(params, E, rank, twists)`, so its modified
-    slope lin/quad is twists * d / (rank * E * m).  E is not checked
-    here: the caller checks it once for all the classes it compares.
+    of the class are `hilb_top_from_sums(params, rank * E // d,
+    d * G * twists)`, G = d12 d13 d23, as in `hilb_top_E`, so its
+    modified slope lin/quad is twists * d / (rank * E * m).  E is not
+    checked here: the caller checks it once for all the classes it
+    compares.
     """
     rank = 0
     twists = 0

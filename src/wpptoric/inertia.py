@@ -13,7 +13,9 @@ complete equality test.
 
 The coefficients on the sector f = p/n live in Q(zeta_n), and they are
 stored there, at order n = f.denominator, and written there by
-`ChernVector.to_records`: each record names its order.  Each one is an
+`ChernVector.to_records`, one record per sector in `sectors` order: each
+record names its order, and each coordinate is a reduced [numerator,
+denominator] pair read off the integers it is stored as.  Each one is an
 integer combination of powers of omega = zeta_n^(-p) over a small
 integer, and `sector_value` builds it from those integers in one fold,
 with no cyclotomic arithmetic: the character of a K-class from the
@@ -24,7 +26,7 @@ from the terms of its display.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 
 from .errors import InvalidInputError
 from .exact_arith import Cyclotomic
@@ -97,10 +99,11 @@ def sector_value(f, terms, den=1):
 class ChernVector:
     """Per-sector truncated polynomials in the sector hyperplane class.
 
-    Entries are sequences of cyclotomic coefficients in ascending degree
+    Entries are tuples of cyclotomic coefficients in ascending degree
     (length dim+1), every entry of the sector f at order f.denominator,
-    so that equality is plain coefficient comparison.  Codegree k of a
-    sector of dimension n is the degree n-k coefficient.
+    built in `sectors(params)` order, so that equality is plain
+    comparison of the entries.  Codegree k of a sector of dimension n is
+    the degree n-k coefficient.
     """
 
     __slots__ = ("params", "entries")
@@ -112,31 +115,25 @@ class ChernVector:
         self.params = params
         self.entries = entries
 
-    def sector_list(self):
-        return tuple(sorted(self.entries, key=Sector.sort_key))
-
     def codegree(self, sector, k):
         return self.entries[sector][sector.dim - k]
 
     def __eq__(self, other):
-        if not isinstance(other, ChernVector) or self.params != other.params:
-            return False
-        if set(self.entries) != set(other.entries):
-            return False
-        for sector, coeffs in self.entries.items():
-            theirs = other.entries[sector]
-            if any(a != b for a, b in zip(coeffs, theirs)):
-                return False
-        return True
+        return (isinstance(other, ChernVector) and self.params == other.params
+                and self.entries == other.entries)
 
     __hash__ = None
 
     def to_records(self):
-        """JSON-ready records, every coefficient at its sector's order f.denominator."""
+        """JSON-ready records, every coefficient at its sector's order f.denominator.
+
+        A coordinate x / den is written in lowest terms, [x // g, den // g]
+        with g = gcd(x, den), straight from the integer numerators.
+        """
         records = []
-        for sector in self.sector_list():
+        for sector in sectors(self.params):
             coeffs = [
-                [c.order, [[x.numerator, x.denominator] for x in c.coeffs]]
+                [c.order, [[x // (g := gcd(x, c.den)), c.den // g] for x in c.nums]]
                 for c in self.entries[sector]
             ]
             records.append({
@@ -148,7 +145,7 @@ class ChernVector:
         return records
 
     def __repr__(self):
-        parts = [f"{s.f}:{s.kind}" for s in self.sector_list()]
+        parts = [f"{s.f}:{s.kind}" for s in sectors(self.params)]
         return f"ChernVector({', '.join(parts)})"
 
 
@@ -176,7 +173,7 @@ def tch_of_kclass(kclass):
                     sums[e % n] += c * (-e) ** k
                 moments[(n, k)] = sums
             entry.append(sector_value(sector.f, enumerate(sums), factorial(k)))
-        entries[sector] = entry
+        entries[sector] = tuple(entry)
     return ChernVector(params, entries)
 
 

@@ -205,7 +205,6 @@ def kclass_from_laurent(params, terms):
     return kclass_sum(params, ((c, g_power(params, e)) for e, c in terms.items() if c))
 
 
-@lru_cache(maxsize=1024)
 def structure_sheaf_point(params, i, j=0):
     """Class of the chart-i fixed point's structure sheaf, twisted by g^j.
 
@@ -224,16 +223,6 @@ def line_bundle_class(params, A, B, C):
     return g_power(params, A + B + C)
 
 
-@lru_cache(maxsize=1024)
-def _rank1_chart_deficit(params, chart, offset, lam):
-    """Sum of twisted point classes cut out by one chart's partition."""
-    counts = color_count(lam, chart_spec(params, chart, offset))
-    return kclass_sum(params, (
-        (count, structure_sheaf_point(params, chart, color))
-        for color, count in enumerate(counts) if count
-    ))
-
-
 def rank1_class(params, A, B, C, lam1, lam2, lam3):
     """Class of the rank-1 torsion-free sheaf with reflexive hull (A, B, C).
 
@@ -245,10 +234,12 @@ def rank1_class(params, A, B, C, lam1, lam2, lam3):
     exponent modulo the chart weight.)
     """
     offset = A + B + C
-    return kclass_sum(params, [(1, line_bundle_class(params, A, B, C))] + [
-        (-1, _rank1_chart_deficit(params, chart, offset % params.chart(chart)[0], lam))
-        for chart, lam in ((1, lam1), (2, lam2), (3, lam3))
-    ])
+    pairs = [(1, line_bundle_class(params, A, B, C))]
+    for chart, lam in ((1, lam1), (2, lam2), (3, lam3)):
+        counts = color_count(lam, chart_spec(params, chart, offset))
+        pairs += ((-count, structure_sheaf_point(params, chart, color))
+                  for color, count in enumerate(counts) if count)
+    return kclass_sum(params, pairs)
 
 
 def rank2_typeI_laurent(datum):

@@ -2,7 +2,10 @@
 
 A toric sheaf on one chart is a lattice-indexed family of fine-graded
 vector spaces; here a family is stored as a finite window of multisets
-of fine weights, one multiset per box summand and lattice point.  The
+of fine weights, one multiset per box summand and lattice point.  A
+window is the square [-h, h]^2 of lattice points, fixed by one
+halfwidth h: `minimal_halfwidth` is the smallest h at which a sheaf's
+families have stabilized, and `sfamily` refuses a smaller one.  The
 charts follow `WppParams.chart`, the one source of this table: chart i
 has fine group Z_(w_i) and weight steps (w_(i+1), w_(i+2)), indices mod
 3, and its box and corner come from labels i and i + 1, label k split by
@@ -23,7 +26,8 @@ that description and `kclass_by_devissage` peels its K-class from it.
 The gluing verifier compares, along each pairwise chart overlap and for
 every line index, two doubly-graded dimension multisets obtained from
 the one-directional limits of the families, with the character twists
-the overlap demands.  Subspace moduli (which line sits where) enter
+the overlap demands, on the lines -h..h of the smaller of the two
+halfwidths.  Subspace moduli (which line sits where) enter
 only through the dimension patterns; that is a faithful shadow of the
 gluing equivalence for the rank <= 2 families generated here.
 """
@@ -36,28 +40,6 @@ from math import inf
 from .errors import InsufficientWindowError, InvalidInputError
 from .kgroup import g_power, kclass_scalar, kclass_sum, line_bundle_class
 from .partitions import Partition
-
-
-@dataclass(frozen=True)
-class Window:
-    l1min: int
-    l1max: int
-    l2min: int
-    l2max: int
-
-    def __post_init__(self):
-        if self.l1min > self.l1max or self.l2min > self.l2max:
-            raise InvalidInputError("empty window")
-
-    def contains(self, other):
-        return (
-            self.l1min <= other.l1min and self.l1max >= other.l1max
-            and self.l2min <= other.l2min and self.l2max >= other.l2max
-        )
-
-    @staticmethod
-    def symmetric(halfwidth):
-        return Window(-halfwidth, halfwidth, -halfwidth, halfwidth)
 
 
 def normalize_point(point):
@@ -144,14 +126,14 @@ def minimal_halfwidth(params, sheaf):
 
 
 class TruncatedSFamily:
-    """One chart's family on a window: (box, l1, l2) -> fine-weight multiset."""
+    """One chart's family: (box, l1, l2) -> fine-weight multiset, |l1|, |l2| <= halfwidth."""
 
-    __slots__ = ("params", "chart", "window", "dims", "_boxes")
+    __slots__ = ("params", "chart", "halfwidth", "dims", "_boxes")
 
-    def __init__(self, params, chart, window, dims):
+    def __init__(self, params, chart, halfwidth, dims):
         self.params = params
         self.chart = chart
-        self.window = window
+        self.halfwidth = halfwidth
         self.dims = {key: tuple(sorted(val)) for key, val in dims.items() if val}
         self._boxes = sorted({key[0] for key in self.dims})
 
@@ -170,12 +152,11 @@ class TruncatedSFamily:
         dimension (0 for a box the family leaves empty).
         """
         mod, step1, step2 = self.params.chart(self.chart)
+        edge = self.halfwidth
         if direction == 1:
-            edge, step = self.window.l1max, step1
-            cell = lambda l: (box, l, coord)
+            step, cell = step1, lambda l: (box, l, coord)
         else:
-            edge, step = self.window.l2max, step2
-            cell = lambda l: (box, coord, l)
+            step, cell = step2, lambda l: (box, coord, l)
         last = sorted((w - edge * step) % mod for w in self.dims.get(cell(edge), ()))
         prev = sorted((w - (edge - 1) * step) % mod for w in self.dims.get(cell(edge - 1), ()))
         if last != prev:
@@ -228,7 +209,7 @@ def _deficit(params, sheaf, chart):
     return Partition((d1 // step1,) * (d2 // step2))
 
 
-def sfamily(params, sheaf, chart, window=None, fine_shift=0):
+def sfamily(params, sheaf, chart, halfwidth=None, fine_shift=0):
     """Family of a rank-1 sheaf or a type-I bundle on one chart.
 
     A cell's dimension is the number of hull staircases that contain it,
@@ -236,13 +217,13 @@ def sfamily(params, sheaf, chart, window=None, fine_shift=0):
     Every summand has the one fine weight that walks away from the corner
     weight, the first hull's label sum, by the chart steps.  `fine_shift`
     twists every fine weight (used to probe that gluing pins the fine
-    grading down).
+    grading down).  The window is the square [-halfwidth, halfwidth]^2.
     """
-    needed = Window.symmetric(minimal_halfwidth(params, sheaf))
-    if window is None:
-        window = needed
-    elif not window.contains(needed):
-        raise InvalidInputError(f"window too small; need {needed}")
+    needed = minimal_halfwidth(params, sheaf)
+    if halfwidth is None:
+        halfwidth = needed
+    elif halfwidth < needed:
+        raise InvalidInputError(f"halfwidth {halfwidth} too small; need {needed}")
     hulls = _hulls(sheaf)
     box, (c1, c2) = _box_and_corner(params, hulls[0], chart)
     f1 = f2 = inf  # the second staircase's corner, seen from the first
@@ -253,16 +234,16 @@ def sfamily(params, sheaf, chart, window=None, fine_shift=0):
     mod, step1, step2 = params.chart(chart)
     offset = sum(hulls[0]) + fine_shift
     dims = {}
-    for l1 in range(max(window.l1min, c1), window.l1max + 1):
+    for l1 in range(max(-halfwidth, c1), halfwidth + 1):
         u = l1 - c1
         past1, base = u >= f1, offset + u * step1
         height = sum(row > u for row in rows)  # cells v < height of this column are cut
-        for l2 in range(max(window.l2min, c2), window.l2max + 1):
+        for l2 in range(max(-halfwidth, c2), halfwidth + 1):
             v = l2 - c2
             dim = 1 + (past1 and v >= f2) - (v < height)
             if dim:
                 dims[(box, l1, l2)] = ((base + v * step2) % mod,) * dim
-    return TruncatedSFamily(params, chart, window, dims)
+    return TruncatedSFamily(params, chart, halfwidth, dims)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +274,8 @@ def check_gluing(params, f1, f2, f3):
     For every overlap line index, both sides are computed as multisets
     of doubly-graded dimensions (the two finite cyclic gradings of the
     overlap), including the character twists; the verdict is their
-    equality for all indices the windows cover past stabilization.
+    equality for every index -h..h, h the smaller halfwidth of the two
+    families.
     Returns (ok, diagnostics), with the first eight mismatches.
 
     Equation st glues chart s to chart t = s + 1 across the outer index
@@ -311,12 +293,9 @@ def check_gluing(params, f1, f2, f3):
         def grade(x, y):
             return (y % wt, x % ws) if s > t else (x % ws, y % wt)
 
-        lo = max(left.window.l2min, right.window.l1min)
-        hi = min(left.window.l2max, right.window.l1max)
-        if lo > hi:
-            raise InsufficientWindowError(f"no overlap range for equation {name}")
+        h = min(left.halfwidth, right.halfwidth)
         for j in range(wu):
-            for ell in range(lo, hi + 1):
+            for ell in range(-h, h + 1):
                 lhs = _overlap_profile(left, 1, ell, j, 2, wt, lambda i, l: grade(l - i, i))
                 shift = j + ell * wu
                 rhs = _overlap_profile(
@@ -352,16 +331,6 @@ def _point_class(params, chart, twist):
     return (one - g_power(params, w1)) * (one - g_power(params, w2)) * g_power(params, twist)
 
 
-@lru_cache(maxsize=1024)
-def _devissage_chart_deficit(params, chart, offset, lam):
-    """Per-cell sum of twisted point classes over one chart's partition."""
-    mod, step1, step2 = params.chart(chart)
-    return kclass_sum(params, (
-        (1, _point_class(params, chart, (offset + l1 * step1 + l2 * step2) % mod))
-        for l1, l2 in lam.boxes()
-    ))
-
-
 def kclass_by_devissage(params, sheaf):
     """K-class by peeling weight spaces into twisted point classes.
 
@@ -374,7 +343,7 @@ def kclass_by_devissage(params, sheaf):
     terms = [(1, line_bundle_class(params, *hull)) for hull in hulls]
     offset = sum(hulls[0])
     for chart in (1, 2, 3):
-        modulus = params.chart(chart)[0]
-        terms.append((-1, _devissage_chart_deficit(
-            params, chart, offset % modulus, _deficit(params, sheaf, chart))))
+        mod, step1, step2 = params.chart(chart)
+        terms += ((-1, _point_class(params, chart, (offset + l1 * step1 + l2 * step2) % mod))
+                  for l1, l2 in _deficit(params, sheaf, chart).boxes())
     return kclass_sum(params, terms)

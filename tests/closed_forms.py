@@ -23,7 +23,7 @@ A power of a series is a loop of products.
 from math import isqrt
 
 from wpptoric.errors import InternalInconsistencyError, InvalidInputError
-from wpptoric.hilbert import _check_E, _top_E, rank_and_twists
+from wpptoric.hilbert import _check_E, hilb_top_from_sums, rank_and_twists
 from wpptoric.partitions import ColoringSpec, Series
 
 
@@ -211,4 +211,6 @@ def hilb_top_E_of_kclass(params, E, kclass):
     pass the rule of `hilb_top_E`.
     """
     _check_E(params, E)
-    return _top_E(params, E, *rank_and_twists(params, E, enumerate(kclass.coeffs)))
+    rank, twists = rank_and_twists(params, E, enumerate(kclass.coeffs))
+    gcd_product = params.d12 * params.d13 * params.d23
+    return hilb_top_from_sums(params, rank * E // params.d, params.d * gcd_product * twists)

@@ -5,13 +5,13 @@ No `wpptoric` command asks these of a family; they are the oracle of
 deficit partition must be coherent and torsion-free; a line bundle's or
 a type-I bundle's must be reflexive, and a rank-1 sheaf's with a
 nonempty partition must not.  They read the family's `dims`,
-(box, l1, l2) -> sorted fine weights.
+(box, l1, l2) -> sorted fine weights, on the window [-h, h]^2 of its
+halfwidth h.
 """
 
 from collections import Counter
 
 from wpptoric.errors import InsufficientWindowError, InvalidInputError
-from wpptoric.sheaf_model import Window
 
 
 def dim_at(fam, box, l1, l2):
@@ -26,15 +26,15 @@ def coherence_check(fam):
     edges must be empty (weight spaces vanish far down) and both
     positive directions must have stabilized.
     """
-    w = fam.window
+    h = fam.halfwidth
     for (box, l1, l2) in fam.dims:
-        if l1 == w.l1min or l2 == w.l2min:
+        if l1 == -h or l2 == -h:
             return False
     try:
         for box in fam.nonzero_boxes():
-            for l2 in range(w.l2min, w.l2max + 1):
+            for l2 in range(-h, h + 1):
                 fam.limit_weights(box, 1, l2)
-            for l1 in range(w.l1min, w.l1max + 1):
+            for l1 in range(-h, h + 1):
                 fam.limit_weights(box, 2, l1)
     except InsufficientWindowError:
         return False
@@ -46,10 +46,10 @@ def torsion_free_check(fam):
     if not coherence_check(fam):
         return False
     mod, step1, step2 = fam.params.chart(fam.chart)
-    w = fam.window
+    h = fam.halfwidth
     for (box, l1, l2), weights in fam.dims.items():
         for dl1, dl2, step in ((1, 0, step1), (0, 1, step2)):
-            if l1 + dl1 > w.l1max or l2 + dl2 > w.l2max:
+            if l1 + dl1 > h or l2 + dl2 > h:
                 continue
             shifted = Counter((x + step) % mod for x in weights)
             target = Counter(fam.dims.get((box, l1 + dl1, l2 + dl2), ()))
@@ -69,22 +69,15 @@ def reflexive_check(fam):
     """
     if not torsion_free_check(fam):
         return False
-    w = fam.window
-    inner = Window(w.l1min + 1, w.l1max - 1, w.l2min + 1, w.l2max - 1)
+    inner = range(-fam.halfwidth + 1, fam.halfwidth)  # the window without its edges
     for box in fam.nonzero_boxes():
-        col = {
-            l1: len(fam.limit_weights(box, 2, l1))
-            for l1 in range(inner.l1min, inner.l1max + 1)
-        }
-        row = {
-            l2: len(fam.limit_weights(box, 1, l2))
-            for l2 in range(inner.l2min, inner.l2max + 1)
-        }
+        col = {l1: len(fam.limit_weights(box, 2, l1)) for l1 in inner}
+        row = {l2: len(fam.limit_weights(box, 1, l2)) for l2 in inner}
         rank = max(col.values(), default=0)
         if rank > 2:
             raise InvalidInputError("reflexivity test implemented for rank <= 2")
-        for l1 in range(inner.l1min, inner.l1max + 1):
-            for l2 in range(inner.l2min, inner.l2max + 1):
+        for l1 in inner:
+            for l2 in inner:
                 v, u = col[l1], row[l2]
                 dim = dim_at(fam, box, l1, l2)
                 if v == rank or u == rank:

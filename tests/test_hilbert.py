@@ -339,7 +339,8 @@ def test_hilb_top_E_of_kclass_matches_termwise_sum():
         params = WppParams(*weights)
         E = params.m
         for _ in range(20):
-            coeffs = [rng.choice((0, rng.randint(-5, 5), Fraction(rng.randint(-5, 5), 3)))
+            # a class holds integer coefficients: small ones and a wider band
+            coeffs = [rng.choice((0, rng.randint(-5, 5), rng.randint(-15, 15)))
                       for _ in range(params.degree)]
             kclass = KClass(params, coeffs)
             quad = sum((c * hilb_top_E(params, E, -e).quad

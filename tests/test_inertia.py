@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import factorial
 
 import pytest
@@ -16,8 +16,10 @@ from wpptoric.kgroup import (
     g_power,
     kclass_from_laurent,
     kclass_scalar,
+    rank1_class,
     rank2_typeI_class,
 )
+from wpptoric.partitions import Partition
 from wpptoric.sheaf_model import TypeIBundle
 
 
@@ -87,6 +89,25 @@ def field_records(params, entries):
                        for c in entries[sector]],
         }
         for sector in sectors(params)
+    ]
+
+
+def fraction_records(chern):
+    """`ChernVector.to_records` through `Fraction`s, over the sectors sorted again.
+
+    Each coordinate is read back from `Cyclotomic.coeffs`, the value as a
+    `Fraction` in lowest terms; the writer takes the same numbers straight
+    from the integer numerators and the one denominator.
+    """
+    return [
+        {
+            "f": [sector.f.numerator, sector.f.denominator],
+            "kind": sector.kind,
+            "which": list(sector.which),
+            "coeffs": [[c.order, [[x.numerator, x.denominator] for x in c.coeffs]]
+                       for c in chern.entries[sector]],
+        }
+        for sector in sorted(chern.entries, key=Sector.sort_key)
     ]
 
 
@@ -353,6 +374,31 @@ def test_natural_order_records_embed_to_lcm_records(seed):
                 lifted.append([m, [[x.numerator, x.denominator]
                                    for x in value.embed(m).coords]])
             assert {**record, "coeffs": lifted} == old
+
+
+def _record_cases(params):
+    """Characters of line bundles, rank-1 sheaves and rank-2 bundles on P(a,b,c)."""
+    a, b, c = params.weights()
+    for e in (0, 1, -7, 13):
+        yield tch_of_kclass(g_power(params, e))
+    for labels, rows in (((0, 0, 0), ((1,), (), ())), ((1, -2, 3), ((2, 1), (1, 1), (3,))),
+                         ((-4, 0, 5), ((), (2, 2), (1,))), ((2, 2, -1), ((4,), (), (1, 1, 1)))):
+        lams = [Partition(r) for r in rows]
+        yield tch_of_kclass(rank1_class(params, *labels, *lams))
+    for A, steps, points in ((0, (1, 1, 1), (P1, P2, P3)), (-3, (2, 1, 1), (P1, P2, P3)),
+                             (2, (1, 3, 2), (P1, P1, P3))):
+        datum = type_i((0, 0, A), (b * steps[0], c * steps[1], a * steps[2]), points)
+        yield tch_of_kclass(rank2_typeI_class(params, datum))
+        if datum.points_distinct():
+            yield tch_rank2_closed_form(params, datum)
+
+
+def test_integer_records_match_fraction_records():
+    # every weight triple a <= b <= c <= 8
+    for weights in combinations_with_replacement(range(1, 9), 3):
+        params = WppParams(*weights)
+        for chern in _record_cases(params):
+            assert chern.to_records() == fraction_records(chern), (weights, chern)
 
 
 def test_sectors_cache_is_bounded():

@@ -22,7 +22,6 @@ from wpptoric.sheaf_model import (
     Rank1Sheaf,
     TypeIBundle,
     TruncatedSFamily,
-    Window,
     _deficit,
     check_gluing,
     kclass_by_devissage,
@@ -40,9 +39,9 @@ PT2 = (0, 1)
 PT3 = (1, 1)
 
 
-def families(params, sheaf, shifts=(0, 0, 0), window=None):
+def families(params, sheaf, shifts=(0, 0, 0), halfwidth=None):
     return tuple(
-        sfamily(params, sheaf, chart, window=window, fine_shift=shifts[chart - 1])
+        sfamily(params, sheaf, chart, halfwidth=halfwidth, fine_shift=shifts[chart - 1])
         for chart in (1, 2, 3)
     )
 
@@ -71,9 +70,9 @@ def test_window_policy():
     needed = minimal_halfwidth(P111, sheaf)
     assert needed == 2 + 2 + 2
     with pytest.raises(InvalidInputError):
-        sfamily(P111, sheaf, 1, window=Window.symmetric(needed - 1))
-    fam = sfamily(P111, sheaf, 1, window=Window.symmetric(needed + 1))
-    assert fam.window == Window.symmetric(needed + 1)
+        sfamily(P111, sheaf, 1, halfwidth=needed - 1)
+    fam = sfamily(P111, sheaf, 1, halfwidth=needed + 1)
+    assert fam.halfwidth == needed + 1
 
 
 def test_rank1_staircase_shape():
@@ -133,7 +132,7 @@ def chart_sheaves(draw, max_weight=4):
     return weights, TypeIBundle(*labels, *widths, *points), chart, shift
 
 
-def expected_cells(weights, sheaf, chart, window, shift):
+def expected_cells(weights, sheaf, chart, halfwidth, shift):
     """The cell rule written out: (box, l1, l2) -> fine weights, nonzero cells only.
 
     Chart i has modulus w_i and steps (w_(i+1), w_(i+2)); its box and corner
@@ -157,8 +156,8 @@ def expected_cells(weights, sheaf, chart, window, shift):
     box = (labels[k] % step1, labels[k1] % step2)
     corner = (labels[k] // step1, labels[k1] // step2)
     cells = {}
-    for l1 in range(window.l1min, window.l1max + 1):
-        for l2 in range(window.l2min, window.l2max + 1):
+    for l1 in range(-halfwidth, halfwidth + 1):
+        for l2 in range(-halfwidth, halfwidth + 1):
             u, v = l1 - corner[0], l2 - corner[1]
             if u < 0 or v < 0:
                 continue
@@ -181,7 +180,7 @@ def expected_cells(weights, sheaf, chart, window, shift):
 def test_sfamily_follows_the_cell_rule(case):
     weights, sheaf, chart, shift = case
     fam = sfamily(WppParams(*weights), sheaf, chart, fine_shift=shift)
-    assert fam.dims == expected_cells(weights, sheaf, chart, fam.window, shift)
+    assert fam.dims == expected_cells(weights, sheaf, chart, fam.halfwidth, shift)
 
 
 def test_rank1_gluing_passes():
@@ -201,9 +200,9 @@ def test_rank1_gluing_rejects_mismatched_corners():
     # three charts built from reflexive hulls that disagree in one label
     good = Rank1Sheaf(0, 0, 0)
     bad = Rank1Sheaf(0, 1, 0)
-    f1 = sfamily(P111, good, 1, window=Window.symmetric(4))
-    f2 = sfamily(P111, bad, 2, window=Window.symmetric(4))
-    f3 = sfamily(P111, good, 3, window=Window.symmetric(4))
+    f1 = sfamily(P111, good, 1, halfwidth=4)
+    f2 = sfamily(P111, bad, 2, halfwidth=4)
+    f3 = sfamily(P111, good, 3, halfwidth=4)
     ok, diag = check_gluing(P111, f1, f2, f3)
     assert not ok and diag
 
@@ -211,8 +210,8 @@ def test_rank1_gluing_rejects_mismatched_corners():
 def test_rank1_gluing_ignores_partitions():
     good = Rank1Sheaf(0, 0, 0)
     lam = Rank1Sheaf(0, 0, 0, Partition((1,)))
-    f1 = sfamily(P111, lam, 1, window=Window.symmetric(5))
-    f2, f3 = (sfamily(P111, good, ch, window=Window.symmetric(5)) for ch in (2, 3))
+    f1 = sfamily(P111, lam, 1, halfwidth=5)
+    f2, f3 = (sfamily(P111, good, ch, halfwidth=5) for ch in (2, 3))
     ok, _ = check_gluing(P111, f1, f2, f3)
     assert ok  # partitions sit in the corner and are invisible to the limits
 
@@ -221,14 +220,13 @@ def test_window_guards():
     # generators reject too-small windows outright
     taller = Rank1Sheaf(0, 0, 0, Partition((1, 1, 1, 1, 1, 1, 1)))
     with pytest.raises(InvalidInputError):
-        sfamily(P111, taller, 1, window=Window.symmetric(5))
+        sfamily(P111, taller, 1, halfwidth=5)
     # an unstabilized hand-built family is flagged by the verifier
-    window = Window.symmetric(3)
     dims = {((0, 0), l1, l2): (0,) for l1 in range(-1, 4) for l2 in range(-1, 4)}
     dims[((0, 0), 3, 3)] = ()  # dent at the window edge: no limit yet
-    bad = TruncatedSFamily(P111, 1, window, dims)
-    good = sfamily(P111, Rank1Sheaf(0, 0, 0), 2, window=window)
-    good3 = sfamily(P111, Rank1Sheaf(0, 0, 0), 3, window=window)
+    bad = TruncatedSFamily(P111, 1, 3, dims)
+    good = sfamily(P111, Rank1Sheaf(0, 0, 0), 2, halfwidth=3)
+    good3 = sfamily(P111, Rank1Sheaf(0, 0, 0), 3, halfwidth=3)
     with pytest.raises(InsufficientWindowError):
         check_gluing(P111, bad, good, good3)
 
@@ -248,30 +246,30 @@ def test_fine_weight_uniqueness(params):
 
 def test_rank2_gluing_and_mutations():
     params = P112
-    window = Window.symmetric(10)
+    halfwidth = 10
     datum = TypeIBundle(0, 1, -1, 1, 2, 1, PT1, PT2, PT3)
-    ok, diag = check_gluing(params, *families(params, datum, window=window))
+    ok, diag = check_gluing(params, *families(params, datum, halfwidth=halfwidth))
     assert ok, diag
     # width parity flip on the stacky chart breaks the fine gradings
     bad_width = TypeIBundle(0, 1, -1, 1, 2, 2, PT1, PT2, PT3)
-    fams = list(families(params, datum, window=window))
-    fams[2] = sfamily(params, bad_width, 3, window=window)
+    fams = list(families(params, datum, halfwidth=halfwidth))
+    fams[2] = sfamily(params, bad_width, 3, halfwidth=halfwidth)
     ok, _ = check_gluing(params, *fams)
     assert not ok
     # a mismatched twist label on one chart fails
     shifted = TypeIBundle(0, 1, 1, 1, 2, 1, PT1, PT2, PT3)
-    fams = list(families(params, datum, window=window))
-    fams[1] = sfamily(params, shifted, 2, window=window)
+    fams = list(families(params, datum, halfwidth=halfwidth))
+    fams[1] = sfamily(params, shifted, 2, halfwidth=halfwidth)
     ok, _ = check_gluing(params, *fams)
     assert not ok
     # point-coincidence flip changes a corner dimension on one chart only
     coincident = TypeIBundle(0, 1, -1, 1, 2, 1, PT1, PT1, PT3)
-    fams = list(families(params, datum, window=window))
-    fams[0] = sfamily(params, coincident, 1, window=window)
+    fams = list(families(params, datum, halfwidth=halfwidth))
+    fams[0] = sfamily(params, coincident, 1, halfwidth=halfwidth)
     ok, _ = check_gluing(params, *fams)
     assert ok  # corner boxes do not reach the limits: gluing cannot see them
     # a fine-weight twist on the one chart with a nontrivial group fails
-    fams = list(families(params, datum, shifts=(0, 0, 1), window=window))
+    fams = list(families(params, datum, shifts=(0, 0, 1), halfwidth=halfwidth))
     ok, _ = check_gluing(params, *fams)
     assert not ok
 
@@ -373,8 +371,8 @@ def test_non_coherent_window_detected():
     # a family leaking out of the bottom of its window is not coherent
     fam = sfamily(P111, Rank1Sheaf(0, 0, 0), 1)
     leaked = dict(fam.dims)
-    leaked[((0, 0), fam.window.l1min, 0)] = (0,)
-    bad = TruncatedSFamily(P111, 1, fam.window, leaked)
+    leaked[((0, 0), -fam.halfwidth, 0)] = (0,)
+    bad = TruncatedSFamily(P111, 1, fam.halfwidth, leaked)
     assert not coherence_check(bad)
 
 
@@ -438,10 +436,10 @@ def limit_counter(fam, box, direction, coord):
     """Limit multiset of any box, empty or not, as a Counter of fine weights."""
     mod, step1, step2 = fam.params.chart(fam.chart)
     if direction == 1:
-        edge, step = fam.window.l1max, step1
+        edge, step = fam.halfwidth, step1
         cell = lambda l: (box, l, coord)
     else:
-        edge, step = fam.window.l2max, step2
+        edge, step = fam.halfwidth, step2
         cell = lambda l: (box, coord, l)
     last = Counter((w - edge * step) % mod for w in fam.dims.get(cell(edge), ()))
     prev = Counter((w - (edge - 1) * step) % mod for w in fam.dims.get(cell(edge - 1), ()))
@@ -476,10 +474,9 @@ def check_gluing_full_scan(params, f1, f2, f3):
         def grade(x, y):
             return (y % wt, x % ws) if s > t else (x % ws, y % wt)
 
-        lo = max(left.window.l2min, right.window.l1min)
-        hi = min(left.window.l2max, right.window.l1max)
-        if lo > hi:
-            raise InsufficientWindowError(f"no overlap range for equation {name}")
+        # the lines both windows hold: l2 of the left family, l1 of the right
+        lo = max(-left.halfwidth, -right.halfwidth)
+        hi = min(left.halfwidth, right.halfwidth)
         for j in range(wu):
             for ell in range(lo, hi + 1):
                 lhs = overlap_profile_full_scan(left, 1, ell, j, 2, wt,
@@ -505,7 +502,7 @@ def gluing_outcome(check, params, fams):
 
 
 def demo_cases(params):
-    """The `glue` demo data and their mutations, on one window per datum pair."""
+    """The `glue` demo data and their mutations, on one halfwidth per datum pair."""
     a, b, c = params.weights()
     rank1 = Rank1Sheaf(1, 0, 1, Partition((2, 1)), Partition(), Partition((1,)))
     rank1_bad = Rank1Sheaf(1, 0, 2, Partition((2, 1)), Partition(), Partition((1,)))
@@ -513,28 +510,28 @@ def demo_cases(params):
     typeI_bad = TypeIBundle(0, 1, -1, b, 2 * c, 2 * a)
     for good, bad in ((rank1, rank1_bad), (typeI, typeI_bad)):
         half = max(minimal_halfwidth(params, good), minimal_halfwidth(params, bad))
-        yield good, bad, Window.symmetric(half)
+        yield good, bad, half
 
 
 def shrunk(fam, halfwidth):
     """The family cut down to a smaller symmetric window, without any check."""
-    window = Window.symmetric(halfwidth)
     dims = {key: val for key, val in fam.dims.items()
             if max(abs(key[1]), abs(key[2])) <= halfwidth}
-    return TruncatedSFamily(fam.params, fam.chart, window, dims)
+    return TruncatedSFamily(fam.params, fam.chart, halfwidth, dims)
 
 
 @pytest.mark.parametrize("weights", list(combinations_with_replacement(range(1, 5), 3)))
 def test_gluing_matches_full_scan(weights):
     params = WppParams(*weights)
     verdicts = Counter()
-    for good, bad, window in demo_cases(params):
+    for good, bad, half in demo_cases(params):
         for shifts in product((0, 1), repeat=3):
-            fams = families(params, good, shifts, window=window)
+            fams = families(params, good, shifts, halfwidth=half)
             outcome = check_gluing(params, *fams)
             assert outcome == check_gluing_full_scan(params, *fams), (good, shifts)
             verdicts[outcome[0]] += 1
-        fams = families(params, good, window=window)[:2] + (sfamily(params, bad, 3, window=window),)
+        fams = (*families(params, good, halfwidth=half)[:2],
+                sfamily(params, bad, 3, halfwidth=half))
         outcome = check_gluing(params, *fams)
         assert not outcome[0] and outcome[1]
         assert outcome == check_gluing_full_scan(params, *fams), bad
@@ -546,25 +543,35 @@ def test_gluing_matches_full_scan(weights):
 @pytest.mark.parametrize("weights", [(1, 1, 2), (2, 2, 2), (2, 2, 4), (1, 3, 4)])
 def test_gluing_window_errors_match_full_scan(weights):
     params = WppParams(*weights)
-    for good, _, window in demo_cases(params):
-        fams = families(params, good, window=window)
+    for good, _, half in demo_cases(params):
+        fams = families(params, good, halfwidth=half)
         raised = 0
-        for half in range(1, window.l1max):
-            small = tuple(shrunk(fam, half) for fam in fams)
+        for smaller in range(1, half):
+            small = tuple(shrunk(fam, smaller) for fam in fams)
             outcome = gluing_outcome(check_gluing, params, small)
-            assert outcome == gluing_outcome(check_gluing_full_scan, params, small), (good, half)
+            assert outcome == gluing_outcome(check_gluing_full_scan, params, small), (good, smaller)
             raised += isinstance(outcome, str)
         assert raised, good
+
+
+def test_gluing_reads_the_lines_of_the_smaller_halfwidth():
+    # families cut at different halfwidths glue on the lines both windows hold
+    params = WppParams(2, 3, 4)
+    for good, _, half in demo_cases(params):
+        fams = [sfamily(params, good, chart, halfwidth=half + extra)
+                for chart, extra in ((1, 0), (2, 3), (3, 1))]
+        outcome = check_gluing(params, *fams)
+        assert outcome == check_gluing_full_scan(params, *fams) == (True, [])
 
 
 def test_gluing_ignores_boxes_outside_the_overlap_range():
     # a hand-built box past the overlap's range is skipped, as the full scan skips it
     params = WppParams(2, 3, 4)
-    for good, _, window in demo_cases(params):
-        fams = list(families(params, good, window=window))
+    for good, _, half in demo_cases(params):
+        fams = list(families(params, good, halfwidth=half))
         (i, j), = fams[0].nonzero_boxes()
         extra = {((i, j + 7), l1, l2): val for (_, l1, l2), val in fams[0].dims.items()}
-        fams[0] = TruncatedSFamily(params, 1, window, {**fams[0].dims, **extra})
+        fams[0] = TruncatedSFamily(params, 1, half, {**fams[0].dims, **extra})
         assert len(fams[0].nonzero_boxes()) == 2
         outcome = check_gluing(params, *fams)
         assert outcome == check_gluing_full_scan(params, *fams) == (True, [])
