@@ -61,8 +61,6 @@ from .partitions import (
     eta_inv_pow,
     g_series,
     reference_113_report,
-    specialize,
-    total_count_specialization,
 )
 from .rank2 import (
     enumerate_refined_solutions,
@@ -201,16 +199,11 @@ def cmd_gseries(args, out):
     _require_nonnegative(args, "order")
     _meta(out, "gseries", {"abc": args.abc, "beta": args.beta,
                            "order": args.order, "specialize": args.specialize})
-    # color0 and total count each chart's boxes straight into q and t;
-    # t counts the boxes of nonzero color and is printed at t = 1; none
-    # keeps the chart variables, so it has no t to set
-    others = {"none": None, "color0": "t", "total": "q"}[args.specialize]
-    series = g_series(params, args.beta, args.order, others)
-    shown = series if others is None else specialize(series, {"q": "q", "t": 1})
-    _series_records(out, shown, f"g[{args.specialize}]")
+    series, totals = g_series(params, args.beta, args.order, args.specialize)
+    _series_records(out, series, f"g[{args.specialize}]")
     if args.check:
-        merged = total_count_specialization(series)
-        ok = merged.coeffs == eta_inv_pow(3, args.order).coeffs
+        eta = eta_inv_pow(3, args.order)
+        ok = totals == [eta.coefficient((s,)) for s in range(args.order + 1)]
         out.emit({"record": "check", "name": "total-count-vs-partition-function",
                   "ok": ok})
         if tuple(args.abc) == (1, 1, 3):

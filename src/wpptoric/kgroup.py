@@ -10,7 +10,8 @@ Equality of classes is equality of those coefficient vectors.
 Every class of a toric sheaf is an integer Laurent polynomial in g.  The
 chart-i point class P/(1 - g^w_i) is the product of the two other
 factors of P, and a sheaf's class is one integer sum of cached
-representatives (`kclass_sum`), with no division and no object per term.
+representatives (`kclass_sum`) over the terms of its Laurent polynomial,
+with no division and no object per term.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,6 @@ from math import gcd, lcm
 
 from .errors import InvalidInputError
 from .exact_arith import poly_mul, reduce_by_tail
-from .partitions import chart_spec, color_count
 
 
 @dataclass(frozen=True)
@@ -205,19 +205,6 @@ def kclass_from_laurent(params, terms):
     return kclass_sum(params, ((c, g_power(params, e)) for e, c in terms.items() if c))
 
 
-def structure_sheaf_point(params, i, j=0):
-    """Class of the chart-i fixed point's structure sheaf, twisted by g^j.
-
-    P/(1 - g^w_i) is the product of the two other factors of P, so
-    the class is (1 - g^w')(1 - g^w'') g^j, a Laurent polynomial in g.
-    """
-    _, w1, w2 = params.chart(i)
-    return kclass_sum(params, (
-        (sign, g_power(params, j + e))
-        for sign, e in ((1, 0), (-1, w1), (-1, w2), (1, w1 + w2))
-    ))
-
-
 def line_bundle_class(params, A, B, C):
     """Class of the equivariant line bundle labelled (A, B, C): g^(A+B+C)."""
     return g_power(params, A + B + C)
@@ -226,20 +213,32 @@ def line_bundle_class(params, A, B, C):
 def rank1_class(params, A, B, C, lam1, lam2, lam3):
     """Class of the rank-1 torsion-free sheaf with reflexive hull (A, B, C).
 
-    The hull contributes g^(A+B+C); each partition box contributes a
-    point class twisted by the box's fine weight, which the coloring at
-    offset A+B+C records directly.  (Grouping by colors relative to the
-    hull generator and twisting the whole sum by g^(A+B+C) instead gives
-    the same classes, since a twisted point class only depends on its
-    exponent modulo the chart weight.)
+    The hull contributes g^o, o = A+B+C, and each chart partition takes
+    away the point classes (1 - t1)(1 - t2) g^o t1^l1 t2^l2 of its boxes
+    (l1, l2), with t1 = g^w1 and t2 = g^w2 the chart's steps.  Over rows
+    lam_0 >= ... >= lam_(L-1), and lam_L = 0, that sum telescopes to
+
+        g^o (1 - sum_(j=0..L) t1^lam_j t2^j + sum_(j=1..L) t1^lam_(j-1) t2^j),
+
+    whose terms for j >= 1 cancel where lam_(j-1) = lam_j: the class is
+    one Laurent polynomial with a term per corner of each partition.
     """
     offset = A + B + C
-    pairs = [(1, line_bundle_class(params, A, B, C))]
+    terms = {offset: 1}
     for chart, lam in ((1, lam1), (2, lam2), (3, lam3)):
-        counts = color_count(lam, chart_spec(params, chart, offset))
-        pairs += ((-count, structure_sheaf_point(params, chart, color))
-                  for color, count in enumerate(counts) if count)
-    return kclass_sum(params, pairs)
+        # an empty partition adds -1 and +1 at the offset
+        _, w1, w2 = params.chart(chart)
+        terms[offset] -= 1
+        rows = lam.rows + (0,)
+        for j, length in enumerate(rows):
+            if j and rows[j - 1] == length:
+                continue
+            e = offset + length * w1 + j * w2
+            terms[e] = terms.get(e, 0) + 1
+            if j:
+                e = offset + rows[j - 1] * w1 + j * w2
+                terms[e] = terms.get(e, 0) - 1
+    return kclass_from_laurent(params, terms)
 
 
 def rank2_typeI_laurent(datum):

@@ -1,15 +1,15 @@
-"""Colored 2D partitions, sparse multivariate series, colored counts.
+"""Colored 2D partitions, sparse series, colored counts.
 
 A partition is a weakly decreasing tuple of positive row lengths; its
 box at column l1 of row l2 carries color (offset + l1*w1 + l2*w2) mod n.
-Generating functions over colored partitions are sparse `Series` in one
-formal variable per color.  The relations among the variables of the
-three charts of a weighted projective plane are never imposed on stored
-series; a caller that compares series specializes them explicitly.
-Every count is one row DP fed by a per-color table; in the rank-1
-product `g_series` that table names the variable a box of each color
-counts in, so a count of color-0 and other boxes never builds the
-multicolor product.
+Every count is one row DP fed by a per-color table of (grade, code),
+and comes out as levels: levels[s] = {code: count} over grade s.  A
+code is an integer that adds like an exponent vector, one base-(order
++ 1) digit per variable; only this module knows that layout.  The
+rank-1 product `g_series` multiplies the three charts' levels and
+decodes once, into a sparse `Series` in one variable per chart color or
+a one-variable count.  The relations among the variables of the three
+charts are never imposed on a series.
 
 `eta_inv_pow` drops the eta prefactor q^(-r/24): every stored exponent
 is an integer.
@@ -73,19 +73,8 @@ class ColoringSpec:
         self.w2 = w2 % modulus
         self.offset = offset % modulus
 
-    def color(self, l1, l2):
-        return (self.offset + l1 * self.w1 + l2 * self.w2) % self.modulus
-
     def __repr__(self):
         return f"ColoringSpec(n={self.modulus}, w=({self.w1},{self.w2}), offset={self.offset})"
-
-
-def color_count(partition, spec):
-    """Vector whose l-th entry counts the boxes of color l."""
-    counts = [0] * spec.modulus
-    for l1, l2 in partition.boxes():
-        counts[spec.color(l1, l2)] += 1
-    return tuple(counts)
 
 
 def chart_spec(params, chart, offset=0):
@@ -103,12 +92,6 @@ def chart_spec(params, chart, offset=0):
 # ---------------------------------------------------------------------------
 # sparse multivariate series
 # ---------------------------------------------------------------------------
-
-def _natural_var_key(name):
-    head = name.rstrip("0123456789")
-    tail = name[len(head):]
-    return (head, int(tail) if tail else -1)
-
 
 class Series:
     """Sparse formal series: exponent vector -> integer coefficient.
@@ -134,12 +117,6 @@ class Series:
                 continue
             clean[exps] = clean.get(exps, 0) + coeff
         self.coeffs = {e: c for e, c in clean.items() if c != 0}
-
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def one(vars, truncation=None):
-        return Series(vars, {(0,) * len(tuple(vars)): 1}, truncation)
 
     # -- ring operations ----------------------------------------------------
 
@@ -194,48 +171,6 @@ class Series:
             terms.append(f"{coeff}{'*' + mono if mono else ''}")
         more = " + ..." if len(self.coeffs) > 8 else ""
         return f"Series({' + '.join(terms) or '0'}{more})"
-
-
-def specialize(series, assignment, result_vars=None):
-    """Substitute a monomial (or 1) for every variable of the series.
-
-    Assignment values may be 1, a variable name or a {name: exponent}
-    mapping.  Monomials are rewritten one at a time; the truncation
-    bound carries over, so when a variable is sent to 1 the low-order
-    coefficients are only complete if the source was expanded far
-    enough.
-    """
-    normalized = {}
-    names = []
-    for var in series.vars:
-        if var not in assignment:
-            raise InvalidInputError(f"no assignment for variable {var}")
-        target = assignment[var]
-        if target == 1:
-            normalized[var] = {}
-        elif isinstance(target, str):
-            normalized[var] = {target: 1}
-        elif isinstance(target, dict):
-            normalized[var] = dict(target)
-        else:
-            raise InvalidInputError(f"bad assignment target for {var}: {target!r}")
-        names.extend(normalized[var])
-    if result_vars is None:
-        result_vars = tuple(sorted(set(names), key=_natural_var_key))
-    index = {v: i for i, v in enumerate(result_vars)}
-    # per source variable, the (result index, multiplier) pairs it feeds
-    moves = [[(index[name], mult) for name, mult in normalized[var].items()]
-             for var in series.vars]
-    out = {}
-    for exps, coeff in series.coeffs.items():
-        new = [0] * len(result_vars)
-        for e, targets in zip(exps, moves):
-            if e:
-                for i, mult in targets:
-                    new[i] += e * mult
-        key = tuple(new)
-        out[key] = out.get(key, 0) + coeff
-    return Series(result_vars, out, series.truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +241,24 @@ def _chart_levels(n, w1, w2, offset, table, caps, trunc):
     return _row_sums(period, caps, trunc, grade, mono)
 
 
-def colored_series(spec, max_order, vars=None, slots=None):
+def _decode(levels, base, width):
+    """{exponent tuple: count} of levels whose codes hold `width` digits, lowest first."""
+    out = {}
+    for level in levels:
+        for code, count in level.items():
+            exps = []
+            for _ in range(width):
+                code, e = divmod(code, base)
+                exps.append(e)
+            out[tuple(exps)] = count
+    return out
+
+
+def colored_series(spec, max_order, vars=None):
     """Sum over partitions with <= max_order boxes of the color monomials.
 
-    Color l counts in vars[slots[l]], by default in its own q_l: a box
-    adds base^slot to a code whose digits, base max_order + 1, are the
+    Color l counts in vars[l], by default in its own q_l: a box adds
+    base^l to a code whose digits, base max_order + 1, are the
     exponents.
 
     >>> s = colored_series(ColoringSpec(1, 0, 0), 4)
@@ -321,20 +269,12 @@ def colored_series(spec, max_order, vars=None, slots=None):
     """
     if max_order < 0:
         raise InvalidInputError("max_order must be nonnegative")
-    n = spec.modulus
+    n, base = spec.modulus, max_order + 1
     vars = tuple(f"q{l}" for l in range(n)) if vars is None else vars
-    slots = range(n) if slots is None else slots
-    low, high, base = min(slots), max(slots), max_order + 1
-    table = tuple((1, base ** (s - low)) for s in slots)
+    table = tuple((1, base ** l) for l in range(n))
     w1, w2 = sorted((spec.w1, spec.w2))
-    out = {}
-    for level in _chart_levels(n, w1, w2, spec.offset, table, max_order, max_order):
-        for code, count in level.items():
-            exps = [0] * len(vars)
-            for s in range(low, high + 1):
-                code, exps[s] = divmod(code, base)
-            out[tuple(exps)] = count
-    return Series(vars, out, max_order)
+    levels = _chart_levels(n, w1, w2, spec.offset, table, max_order, max_order)
+    return Series(vars, _decode(levels, base, n), max_order)
 
 
 def color_zero_series(spec, max_order):
@@ -360,39 +300,67 @@ def color_zero_series(spec, max_order):
     return Series(("q",), {(k,): level.get(0, 0) for k, level in enumerate(levels)}, max_order)
 
 
-def chart_variables(params):
-    """Canonical variable ordering p0..p(a-1), q0..q(b-1), r0..r(c-1)."""
-    return tuple(
-        [f"p{l}" for l in range(params.a)]
-        + [f"q{l}" for l in range(params.b)]
-        + [f"r{l}" for l in range(params.c)]
-    )
+def _times(left, right):
+    """Product of two level lists of one length, cut at their last grade."""
+    out = [{} for _ in left]
+    for s1, level in enumerate(left):
+        for s2 in range(len(left) - s1):
+            dest = out[s1 + s2]
+            for k2, c2 in right[s2].items():
+                for k1, c1 in level.items():
+                    dest[k1 + k2] = dest.get(k1 + k2, 0) + c1 * c2
+    return out
 
 
-def g_series(params, beta, max_order, others=None):
-    """Product of the three chart series at offset -beta.
+def g_series(params, beta, max_order, mode="none"):
+    """Triples of partitions, one per chart colored at offset -beta.
 
-    With `others` None every color keeps its variable of
-    `chart_variables`; the cross-chart variable relations are not
-    imposed, and callers compare series only after an explicit
-    specialization.  Otherwise color 0 of each chart counts in q and the
-    other colors in `others`, in the variables (q, t): "t" gives the
-    color-0 grading with t counting the other boxes, "q" the total box
-    count.  Either way the product keeps at most max_order boxes in all.
+    Returns (series, totals): totals[s] counts the triples with s <=
+    max_order boxes, and the series counts them by `mode`.  With "none"
+    color l of each chart keeps its variable, p_l, q_l or r_l on
+    charts 1, 2, 3, and the cross-chart variable relations are not
+    imposed; "color0" counts the boxes of color 0 in q, "total" every
+    box.  Each chart's row DP gives a box of color l the code base^(start
+    + l) with base = max_order + 1 and `start` the chart's first digit
+    slot (none), 1 for color 0 and 0 otherwise (color0), or 0 (total).
+    The three level lists are multiplied grade by grade under the cut
+    at max_order boxes, where codes add without carry, and decoded once.
+
+    >>> from wpptoric.kgroup import WppParams
+    >>> series, totals = g_series(WppParams(1, 1, 1), 0, 2)
+    >>> series.vars, totals, series.coefficient((1, 0, 1))
+    (('p0', 'q0', 'r0'), [1, 3, 9], 1)
+    >>> g_series(WppParams(1, 1, 2), 0, 2, "color0")[0].items()
+    [((0,), 1), ((1,), 5), ((2,), 7)]
     """
-    vars = chart_variables(params) if others is None else ("q", "t")
-    result = Series.one(vars, max_order)
-    for chart, start in zip((1, 2, 3), (0, params.a, params.a + params.b)):
+    if max_order < 0:
+        raise InvalidInputError("max_order must be nonnegative")
+    if mode not in ("none", "color0", "total"):
+        raise InvalidInputError(f"unknown count mode {mode!r}")
+    base = max_order + 1
+    product = [{0: 1}] + [{} for _ in range(max_order)]
+    start = 0
+    for chart in (1, 2, 3):
         spec = chart_spec(params, chart, -beta)
         n = spec.modulus
-        slots = range(start, start + n) if others is None else (0,) + (vars.index(others),) * (n - 1)
-        result = result * colored_series(spec, max_order, vars, slots)
-    return result
-
-
-def total_count_specialization(series, target="q"):
-    """Send every variable to the same q, turning colors into box counts."""
-    return specialize(series, {v: target for v in series.vars})
+        if mode == "none":
+            table = tuple((1, base ** (start + l)) for l in range(n))
+        else:
+            table = ((1, int(mode == "color0")),) + ((1, 0),) * (n - 1)
+        start += n
+        w1, w2 = sorted((spec.w1, spec.w2))
+        product = _times(product, _chart_levels(n, w1, w2, spec.offset, table,
+                                                max_order, max_order))
+    totals = [sum(level.values()) for level in product]
+    if mode == "none":
+        vars = tuple(f"{x}{l}" for x, w in zip("pqr", params.weights()) for l in range(w))
+        return Series(vars, _decode(product, base, start), max_order), totals
+    coeffs = {}
+    for s, level in enumerate(product):
+        for code, count in level.items():
+            key = (code,) if mode == "color0" else (s,)
+            coeffs[key] = coeffs.get(key, 0) + count
+    return Series(("q",), coeffs, max_order), totals
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,11 @@ from wpptoric.hilbert import _check_E, hilb_top_from_sums, rank_and_twists
 from wpptoric.partitions import ColoringSpec, Series
 
 
+def series_one(vars, truncation=None):
+    """The constant series 1 in the given variables."""
+    return Series(vars, {(0,) * len(vars): 1}, truncation)
+
+
 def geometric_factor(vars, exps, truncation, power=1):
     """(1 - m)^(-power) expanded to the truncation bound, m a monomial."""
     deg = sum(exps)
@@ -34,13 +39,13 @@ def geometric_factor(vars, exps, truncation, power=1):
         raise InvalidInputError("geometric factor needs a positive-degree monomial")
     if power < 0:
         raise InvalidInputError("negative series powers are not supported")
-    base = Series.one(vars, truncation)
+    base = series_one(vars, truncation)
     if truncation is not None:
         terms = {}
         for k in range(truncation // deg + 1):
             terms[tuple(k * e for e in exps)] = 1
         base = Series(vars, terms, truncation)
-    result = Series.one(vars, truncation)
+    result = series_one(vars, truncation)
     for _ in range(power):
         result = result * base
     return result
@@ -75,7 +80,7 @@ def balanced_rhs(k, max_order):
         raise InvalidInputError("k must be positive")
     vars = tuple(f"q{l}" for l in range(k))
     full_cycle = (1,) * k
-    prefactor = Series.one(vars, max_order)
+    prefactor = series_one(vars, max_order)
     j = 1
     while j * k <= max_order:
         prefactor = prefactor * geometric_factor(vars, tuple(j * e for e in full_cycle), max_order, power=k)
@@ -183,7 +188,7 @@ def one_cc_closed_form(c, max_order, leading_power=3):
         raise InvalidInputError("c must be positive")
     vars = tuple(f"r{l}" for l in range(c))
     full = (1,) * c
-    out = Series.one(vars, max_order)
+    out = series_one(vars, max_order)
     j = 1
     while j * c <= max_order:
         out = out * geometric_factor(vars, tuple(j * e for e in full), max_order, power=leading_power)

@@ -1,14 +1,15 @@
 """Brute-force enumeration of 2D partitions, for the oracles of the tests.
 
 The library counts colored partitions by a DP over rows and never lists
-them; the tests' partition walks and box-count checks list them here,
-and fold multicolor series down to their color-0 counts.
+them, and decodes its counts once into the series it prints; the tests'
+partition walks and box-count checks list them here, color them box by
+box, and fold multicolor series down to fewer variables.
 """
 
 from functools import lru_cache
 
 from wpptoric.errors import InvalidInputError
-from wpptoric.partitions import Partition, specialize
+from wpptoric.partitions import Partition, Series
 
 
 @lru_cache(maxsize=128)
@@ -48,6 +49,49 @@ def partitions_of_size(n):
     return [Partition(rows) for rows in _partitions_of(n)]
 
 
+def box_color(spec, l1, l2):
+    """Color of box (l1, l2) under the coloring: offset + l1*w1 + l2*w2 mod n."""
+    return (spec.offset + l1 * spec.w1 + l2 * spec.w2) % spec.modulus
+
+
+def color_count(partition, spec):
+    """Vector whose l-th entry counts the boxes of color l."""
+    counts = [0] * spec.modulus
+    for l1, l2 in partition.boxes():
+        counts[box_color(spec, l1, l2)] += 1
+    return tuple(counts)
+
+
+def fold(series, assignment, result_vars=("q",)):
+    """Substitute 1, a variable or a monomial {variable: exponent} for each variable.
+
+    The targets are variables of `result_vars`; the truncation bound
+    carries over, so when a variable is sent to 1 the low-order
+    coefficients are only complete if the source was expanded far
+    enough.
+    """
+    index = {v: i for i, v in enumerate(result_vars)}
+    moves = []
+    for var in series.vars:
+        target = assignment[var]
+        target = {} if target == 1 else {target: 1} if isinstance(target, str) else target
+        moves.append([(index[name], mult) for name, mult in target.items()])
+    out = {}
+    for exps, coeff in series.coeffs.items():
+        new = [0] * len(result_vars)
+        for e, targets in zip(exps, moves):
+            for i, mult in targets:
+                new[i] += e * mult
+        key = tuple(new)
+        out[key] = out.get(key, 0) + coeff
+    return Series(result_vars, out, series.truncation)
+
+
+def total_count(series):
+    """Every variable sent to q: colors become box counts."""
+    return fold(series, dict.fromkeys(series.vars, "q"))
+
+
 def _is_color_zero(var):
     """True for the index-0 variable of a letter block (p0, q0, r0)."""
     return var[len(var.rstrip("0123456789")):] == "0"
@@ -61,4 +105,5 @@ def color_zero_specialization(series, target="q"):
     classes: the twisted point sheaves with nonzero twist have
     vanishing holomorphic Euler characteristic.
     """
-    return specialize(series, {v: target if _is_color_zero(v) else 1 for v in series.vars})
+    return fold(series, {v: target if _is_color_zero(v) else 1 for v in series.vars},
+                (target,))

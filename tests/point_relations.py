@@ -1,12 +1,27 @@
-"""The identification rows among the twisted point classes, checked in K.
+"""Twisted point classes and the identification rows among them, checked in K.
 
-No `wpptoric` command imposes these rows; they are the oracle of
-`kgroup.structure_sheaf_point`: on every row the summed point classes
-of the three charts agree, although each is built from its own chart's
-two weights.
+`structure_sheaf_point` is the class of one box: summed box by box it
+is the oracle of the corner formula of `kgroup.rank1_class`.  No
+`wpptoric` command imposes the rows; they are the oracle of
+`structure_sheaf_point`: on every row the summed point classes of the
+three charts agree, although each is built from its own chart's two
+weights.
 """
 
-from wpptoric.kgroup import kclass_sum, structure_sheaf_point
+from wpptoric.kgroup import g_power, kclass_sum
+
+
+def structure_sheaf_point(params, i, j=0):
+    """Class of the chart-i fixed point's structure sheaf, twisted by g^j.
+
+    P/(1 - g^w_i) is the product of the two other factors of P, so
+    the class is (1 - g^w')(1 - g^w'') g^j, a Laurent polynomial in g.
+    """
+    _, w1, w2 = params.chart(i)
+    return kclass_sum(params, (
+        (sign, g_power(params, j + e))
+        for sign, e in ((1, 0), (-1, w1), (-1, w2), (1, w1 + w2))
+    ))
 
 
 def variable_relations(params):

@@ -23,7 +23,7 @@ TRAFFIC = {
     "wpptoric.kgroup._period_nilpotent": "kclass-mix 407 hits in 469 calls",
     "wpptoric.kgroup._relation_tail": "kclass-mix 991 hits in 1053 calls",
     "wpptoric.kgroup.g_power": "kclass-mix 1315 hits in 1784 calls",
-    "wpptoric.partitions._chart_levels": "moduli-mix 80 hits in 175 calls",
+    "wpptoric.partitions._chart_levels": "moduli-mix 65 hits in 175 calls",
     "wpptoric.rank2._bound_parts": "moduli-mix 20 hits in 47 calls",
     "wpptoric.sheaf_model._point_class": "kclass-mix 266 hits in 496 calls",
 }

@@ -302,28 +302,32 @@ def test_stdout_pinned(capsys, argv, pin):
     assert len(got) == len(want), f"{len(got)} lines, pinned {len(want)}"
 
 
-@pytest.mark.parametrize("mode", ["total", "color0"])
-def test_specialized_gseries_never_builds_g_series(capsys, monkeypatch, mode):
-    # the specialized modes count each chart's boxes in q and t from the
-    # start, so the multicolor g_series is never built; the none mode
-    # shows that the wrapper sees a product in all a + b + c colors
-    widths = []
-    mul = partitions.Series.__mul__
+@pytest.mark.parametrize("mode", ["total", "color0", "none"])
+def test_gseries_chart_tables_code_by_mode(capsys, monkeypatch, mode):
+    # each chart's row DP gets one (grade, code) per color: the one-variable
+    # modes code a box by 0 or 1, 1 only for color 0 under color0, and none
+    # gives the a + b + c chart colors one base-(order + 1) digit each, in
+    # chart order
+    tables = []
+    levels = partitions._chart_levels
 
-    def recording(self, other):
-        widths.append(len(self.vars))
-        return mul(self, other)
+    def recording(n, w1, w2, offset, table, caps, trunc):
+        tables.append(table)
+        return levels(n, w1, w2, offset, table, caps, trunc)
 
-    monkeypatch.setattr(partitions.Series, "__mul__", recording)
-    for abc in (["1", "1", "1"], ["2", "3", "5"]):
-        for shown in (mode, "none"):
-            widths.clear()
-            assert main(["gseries", "--abc", *abc, "--beta", "1", "--order", "6",
-                         "--specialize", shown, "--check"]) == 0
-            if shown == "none":
-                assert sum(map(int, abc)) in widths
-            else:
-                assert widths and max(widths) <= 2
+    monkeypatch.setattr(partitions, "_chart_levels", recording)
+    for abc in ((1, 1, 1), (2, 3, 5)):
+        tables.clear()
+        assert main(["gseries", "--abc", *map(str, abc), "--beta", "1", "--order", "6",
+                     "--specialize", mode, "--check"]) == 0
+        assert [len(table) for table in tables] == list(abc)
+        assert all(grade == 1 for table in tables for grade, _ in table)
+        codes = [code for table in tables for _, code in table]
+        if mode == "none":
+            assert codes == [7 ** k for k in range(sum(abc))]
+        else:
+            assert set(codes) <= {0, 1}
+            assert codes.count(1) == (3 if mode == "color0" else 0)
     capsys.readouterr()
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from closed_forms import hilb_top_E_of_kclass
 from cyclotomic_field import field, inverse, zeta
+from point_relations import structure_sheaf_point
 from wpptoric.errors import InvalidInputError
 from wpptoric.hilbert import (
     HilbTop,
@@ -28,7 +29,6 @@ from wpptoric.kgroup import (
     WppParams,
     g_power,
     kclass_from_laurent,
-    structure_sheaf_point,
 )
 
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import point_relations
 from cyclotomic_field import poly_divmod, poly_mod
-from point_relations import variable_relations, verify_relations
+from partition_enumeration import color_count, enumerate_partitions
+from point_relations import structure_sheaf_point, variable_relations, verify_relations
 from test_sheaf_model import chart_sheaves
 from wpptoric.errors import InvalidInputError
 from wpptoric.kgroup import (
@@ -23,9 +24,8 @@ from wpptoric.kgroup import (
     rank1_class,
     rank2_typeI_class,
     relation_poly,
-    structure_sheaf_point,
 )
-from wpptoric.partitions import Partition, chart_spec, color_count
+from wpptoric.partitions import Partition, chart_spec
 from wpptoric.sheaf_model import Rank1Sheaf, kclass_by_devissage
 
 P111 = WppParams(1, 1, 1)
@@ -300,6 +300,35 @@ def rank1_class_by_add_chain(params, A, B, C, lam1, lam2, lam3):
                 point = point_by_division(params, chart, color)
                 total = total - kclass_scalar(params, count) * point
     return total
+
+
+def rank1_class_by_points(params, A, B, C, lam1, lam2, lam3):
+    """The rank-1 class as the hull minus one twisted point class per box."""
+    offset = A + B + C
+    pairs = [(1, line_bundle_class(params, A, B, C))]
+    for chart, lam in ((1, lam1), (2, lam2), (3, lam3)):
+        counts = color_count(lam, chart_spec(params, chart, offset))
+        pairs += ((-count, structure_sheaf_point(params, chart, color))
+                  for color, count in enumerate(counts) if count)
+    return kclass_sum(params, pairs)
+
+
+def test_rank1_corner_formula_matches_the_point_classes_of_its_boxes():
+    # every partition of <= 4 boxes on each chart, the others cycling
+    # through the same list, so that equal and distinct adjacent rows,
+    # rectangles and empty charts all meet every weight and offset
+    lams = list(enumerate_partitions(4))
+    triples = [(lam, lams[(i + 1) % len(lams)], lams[(i + 5) % len(lams)])
+               for i, lam in enumerate(lams)]
+    for weights in product((1, 2, 3, 5), repeat=3):
+        params = WppParams(*weights)
+        for offset in (-7, -3, 0, 2, 11):
+            for triple in triples:
+                for turn in range(3):
+                    lam1, lam2, lam3 = triple[turn:] + triple[:turn]
+                    assert (rank1_class(params, offset, 0, 0, lam1, lam2, lam3)
+                            == rank1_class_by_points(params, offset, 0, 0, lam1, lam2, lam3)), \
+                        (weights, offset, lam1, lam2, lam3)
 
 
 def test_rank1_class_matches_add_chain():

@@ -11,13 +11,17 @@ from closed_forms import (
     balanced_spec,
     geometric_factor,
     one_cc_closed_form,
+    series_one,
     su_k_character_proxy,
     theta3,
 )
 from partition_enumeration import (
+    color_count,
     color_zero_specialization,
     enumerate_partitions,
+    fold,
     partitions_of_size,
+    total_count,
 )
 from point_relations import variable_relations
 from wpptoric.errors import InvalidInputError
@@ -28,15 +32,11 @@ from wpptoric.partitions import (
     Series,
     _chart_levels,
     chart_spec,
-    chart_variables,
-    color_count,
     color_zero_series,
     colored_series,
     eta_inv_pow,
     g_series,
     reference_113_report,
-    specialize,
-    total_count_specialization,
 )
 
 
@@ -163,21 +163,14 @@ def test_series_product_stops_at_the_cut(trunc):
 
 def test_specialize_identity_and_total():
     p = WppParams(1, 1, 2)
-    g = g_series(p, 0, 4)
-    ident = specialize(g, {v: v for v in g.vars}, result_vars=g.vars)
+    g, totals = g_series(p, 0, 4)
+    ident = fold(g, {v: v for v in g.vars}, result_vars=g.vars)
     assert ident == g
-    tot = total_count_specialization(g)
+    tot = total_count(g)
     # triple product of uncolored partition functions
     eta3 = eta_inv_pow(3, 4)
     assert tot.coeffs == eta3.coeffs
-
-
-def test_specialize_rejects_a_pair_target():
-    # an exponent is given as {name: exponent}; a (name, exponent) pair is refused
-    s = Series(("x", "y"), {(1, 0): 1, (0, 2): 3})
-    assert specialize(s, {"x": {"q": 2}, "y": "q"}).coeffs == {(2,): 4}
-    with pytest.raises(InvalidInputError, match="bad assignment target"):
-        specialize(s, {"x": ("q", 2), "y": "q"})
+    assert totals == [eta3.coefficient((s,)) for s in range(5)]
 
 
 def test_chart_series_examples():
@@ -194,14 +187,15 @@ def test_chart_series_total_specialization_is_uncolored():
     # independent of the coloring, forgetting colors counts all partitions
     for spec in (ColoringSpec(3, 1, 2), ColoringSpec(4, 2, 3, 1), ColoringSpec(2, 0, 0)):
         s = colored_series(spec, 6)
-        tot = total_count_specialization(s)
+        tot = total_count(s)
         assert tot.coeffs == eta_inv_pow(1, 6).coeffs
 
 
 def test_g_series_p2():
     p = WppParams(1, 1, 1)
-    g = g_series(p, 0, 2)
-    merged = total_count_specialization(g)
+    g, totals = g_series(p, 0, 2)
+    merged = total_count(g)
+    assert totals == [1, 3, 9]
     assert merged.coefficient((0,)) == 1
     assert merged.coefficient((1,)) == 3
     assert merged.coefficient((2,)) == 9
@@ -236,7 +230,7 @@ def test_specialized_balanced_identity(k, source, band):
             for lam in partitions_of_size(n)
         )
     brute = colored_series(balanced_spec(k), source)
-    lhs = specialize(brute, {v: "q" if v == "q0" else 1 for v in brute.vars})
+    lhs = fold(brute, {v: "q" if v == "q0" else 1 for v in brute.vars})
     rhs = eta_inv_pow(k, order) * su_k_character_proxy(k, order)
     for e in range(order + 1):
         assert lhs.coefficient((e,)) == rhs.coefficient((e,))
@@ -253,7 +247,7 @@ def test_eta_inv_pow_matches_product_of_geometric_factors():
     # the running sums against the series product they replace
     for r in range(5):
         for order in range(16):
-            expected = Series.one(("q",), order)
+            expected = series_one(("q",), order)
             for n in range(1, order + 1):
                 expected = expected * geometric_factor(("q",), (n,), order, power=r)
             series = eta_inv_pow(r, order)
@@ -278,13 +272,13 @@ def test_su3_proxy_is_hexagonal_theta():
 def test_one_cc_closed_form(c):
     order = 6
     params = WppParams(1, c, c)
-    g = g_series(params, 0, order)
+    g, _ = g_series(params, 0, order)
     # relations for (1,c,c): p0 = q0...q(c-1) = r0...r(c-1), q_i = r_i
     assign = {"p0": {f"r{l}": 1 for l in range(c)}}
     for l in range(c):
         assign[f"q{l}"] = f"r{l}"
         assign[f"r{l}"] = f"r{l}"
-    lhs = specialize(g, assign, result_vars=tuple(f"r{l}" for l in range(c)))
+    lhs = fold(g, assign, result_vars=tuple(f"r{l}" for l in range(c)))
     # p0 has degree c >= 1 after substitution, so no degree folds down and
     # the order-6 truncation stays complete
     rhs = one_cc_closed_form(c, order, leading_power=3)
@@ -296,9 +290,9 @@ def test_one_cc_literal_display_disagrees():
     # factor; at c=2 the first wrong coefficient is already at order 2
     literal = one_cc_closed_form(2, 2, leading_power=1)
     params = WppParams(1, 2, 2)
-    g = g_series(params, 0, 2)
+    g, _ = g_series(params, 0, 2)
     assign = {"p0": {"r0": 1, "r1": 1}, "q0": "r0", "q1": "r1", "r0": "r0", "r1": "r1"}
-    brute = specialize(g, assign, result_vars=("r0", "r1"))
+    brute = fold(g, assign, result_vars=("r0", "r1"))
     assert brute.coefficient((1, 1)) == 3
     assert literal.coefficient((1, 1)) == 1
 
@@ -326,7 +320,7 @@ def test_variable_relations_rows():
 
 def test_color_zero_specialization_112():
     params = WppParams(1, 1, 2)
-    g = g_series(params, 0, 20)
+    g, _ = g_series(params, 0, 20)
     s = color_zero_specialization(g)
     assert [s.coefficient((e,)) for e in range(3)] == [1, 6, 22]
 
@@ -337,29 +331,28 @@ _LCM_AT_MOST_12 = [w for w in combinations_with_replacement(range(1, 13), 3) if 
 @pytest.mark.parametrize("m", range(1, 13))
 def test_chart_folds_match_the_folded_g_series(m):
     # the multicolor product folded afterwards is the oracle of the
-    # chart-by-chart fold: (q, t) as a whole, and both printed modes
+    # chart-by-chart codes of both one-variable modes, and of the totals
     for weights in (w for w in _LCM_AT_MOST_12 if lcm(*w) == m):
         params = WppParams(*weights)
         for beta in range(-3, 4):
-            g = g_series(params, beta, 8)
-            kept = specialize(g, {v: "q" if v[1:] == "0" else "t" for v in g.vars},
-                              result_vars=("q", "t"))
-            fold = g_series(params, beta, 8, "t")
-            assert fold == kept, (weights, beta)
-            assert specialize(fold, {"q": "q", "t": 1}) == color_zero_specialization(g)
-            total = g_series(params, beta, 8, "q")
-            assert specialize(total, {"q": "q", "t": 1}) == total_count_specialization(g)
+            g, totals = g_series(params, beta, 8)
+            color0, color0_totals = g_series(params, beta, 8, "color0")
+            assert color0 == color_zero_specialization(g), (weights, beta)
+            total, total_totals = g_series(params, beta, 8, "total")
+            assert total == total_count(g), (weights, beta)
+            assert totals == color0_totals == total_totals
+            assert totals == [total.coefficient((s,)) for s in range(9)]
 
 
 @pytest.mark.parametrize("weights, beta", [((1, 2, 3), 1), ((2, 6, 12), -2), ((3, 3, 4), 2)])
 def test_chart_folds_at_every_low_order(weights, beta):
     params = WppParams(*weights)
     for order in range(9):
-        g = g_series(params, beta, order)
-        fold = g_series(params, beta, order, "t")
-        assert specialize(fold, {"q": "q", "t": 1}) == color_zero_specialization(g)
-        assert specialize(fold, {"q": "q", "t": "q"}) == total_count_specialization(g)
-        assert total_count_specialization(g).coeffs == eta_inv_pow(3, order).coeffs
+        g, totals = g_series(params, beta, order)
+        assert g_series(params, beta, order, "color0")[0] == color_zero_specialization(g)
+        assert g_series(params, beta, order, "total")[0] == total_count(g)
+        assert total_count(g).coeffs == eta_inv_pow(3, order).coeffs
+        assert totals == [eta_inv_pow(3, order).coefficient((s,)) for s in range(order + 1)]
 
 
 def test_reference_113_report():
@@ -395,40 +388,50 @@ def test_colored_series_matches_partition_oracle():
     assert colored_series(spec, 30) == colored_series_oracle(spec, 30)
 
 
-def g_series_oracle(params, beta, max_order, others):
-    """(vars, coeffs) of g_series by coloring every triple of partitions.
+def g_series_oracle(params, beta, max_order, mode):
+    """(vars, coeffs, totals) of g_series by coloring every triple of partitions.
 
     Chart i's boxes are colored by `chart_spec` at offset -beta; a box
-    of color l counts in the chart's variable l, or, with `others`
-    given, in q for color 0 and in `others` for the rest.
+    of color l counts in the chart's variable l (mode none), in q if
+    l = 0 (color0), or in q (total).  totals[s] counts the triples of
+    s boxes.
     """
-    vars = chart_variables(params) if others is None else ("q", "t")
+    letters = [f"{x}{l}" for x, w in zip("pqr", params.weights()) for l in range(w)]
+    vars = tuple(letters) if mode == "none" else ("q",)
     specs = [chart_spec(params, chart, -beta) for chart in (1, 2, 3)]
-    coeffs = {}
+    coeffs, totals = {}, [0] * (max_order + 1)
     for triple in product(list(enumerate_partitions(max_order)), repeat=3):
-        if sum(sum(lam.rows) for lam in triple) > max_order:
+        size = sum(sum(lam.rows) for lam in triple)
+        if size > max_order:
             continue
+        totals[size] += 1
         exps = dict.fromkeys(vars, 0)
         for letter, lam, spec in zip("pqr", triple, specs):
             for color, count in enumerate(color_count(lam, spec)):
-                if others is None:
+                if mode == "none":
                     exps[f"{letter}{color}"] += count
-                else:
-                    exps["q" if color == 0 else others] += count
+                elif mode == "total" or color == 0:
+                    exps["q"] += count
         key = tuple(exps.values())
         coeffs[key] = coeffs.get(key, 0) + 1
-    return vars, coeffs
+    return vars, coeffs, totals
 
 
 @given(st.tuples(*[st.integers(1, 6)] * 3), st.integers(-3, 3), st.integers(0, 5),
-       st.sampled_from([None, "t", "q"]))
+       st.sampled_from(["none", "color0", "total"]))
 @settings(max_examples=200, deadline=None)
-def test_g_series_matches_the_triples_of_partitions(weights, beta, order, others):
-    # every mode of the chart product against a count that lists the
-    # partition triples and never enters the row DP
+def test_g_series_matches_the_triples_of_partitions(weights, beta, order, mode):
+    # every mode of the chart product, and the totals by number of boxes,
+    # against a count that lists the partition triples and never enters
+    # the row DP
     params = WppParams(*weights)
-    g = g_series(params, beta, order, others)
-    assert (g.vars, g.coeffs) == g_series_oracle(params, beta, order, others)
+    g, totals = g_series(params, beta, order, mode)
+    assert (g.vars, g.coeffs, totals) == g_series_oracle(params, beta, order, mode)
+
+
+def test_g_series_refuses_an_unknown_mode():
+    with pytest.raises(InvalidInputError, match="unknown count mode"):
+        g_series(WppParams(1, 1, 1), 0, 2, "t")
 
 
 def test_colored_series_cache_is_not_aliased():

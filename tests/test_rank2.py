@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from class_numbers import three_hurwitz
 from closed_forms import balanced_rhs, balanced_spec, hilb_top_E_of_kclass
 from cyclotomic_field import field, zeta
-from partition_enumeration import color_zero_specialization
+from partition_enumeration import box_color, color_zero_specialization
 from wpptoric.errors import InvalidInputError
 from wpptoric.hilbert import (
     _psi_sum,
@@ -425,7 +425,7 @@ def color_zero_walk(spec, max_zeros):
         nonlocal largest
         length = 0
         while length < cap:
-            if spec.color(length, l2) == 0:
+            if box_color(spec, length, l2) == 0:
                 zeros += 1
                 if zeros > max_zeros:
                     return

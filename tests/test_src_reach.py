@@ -18,7 +18,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "wpptoric"
 
 # name -> why it stays in the package without a caller
 ALLOWED = {
-    "h_vb_refined": "the refined rank-2 series, kept for the fixed-K-class count (ROADMAP item 8)",
+    "h_vb_refined": "the refined rank-2 series, kept for the fixed-K-class count (ROADMAP item 7)",
     "refined_key": "the key h_vb_refined groups by; it goes or stays with h_vb_refined",
 }
 
