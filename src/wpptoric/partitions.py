@@ -1,24 +1,27 @@
-"""Colored 2D partitions, sparse series, colored counts.
+"""Colored 2D partitions and their counts.
 
 A partition is a weakly decreasing tuple of positive row lengths; its
 box at column l1 of row l2 carries color (offset + l1*w1 + l2*w2) mod n.
 Every count is one row DP fed by a per-color table of (grade, code),
 and comes out as levels: levels[s] = {code: count} over grade s.  A
 code is an integer that adds like an exponent vector, one base-(order
-+ 1) digit per variable; only this module knows that layout.  The
-rank-1 product `g_series` multiplies the three charts' levels and
-decodes once, into a sparse `Series` in one variable per chart color or
-a one-variable count.  The relations among the variables of the three
-charts are never imposed on a series.
++ 1) digit per variable; only this module knows that layout.  `_times`
+multiplies two level lists grade by grade; it is the package's one
+series product.  The rank-1 product `g_series` multiplies the three
+charts' levels and decodes once, into the `Series` that `gseries`
+prints, in one variable per chart color or a one-variable count.  The
+relations among the variables of the three charts are never imposed on
+a series.
 
-`eta_inv_pow` drops the eta prefactor q^(-r/24): every stored exponent
-is an integer.
+A one-variable count that no command prints as it is stays integers:
+`color_zero_series` and `eta_inv_pow` return the dense list of their
+coefficients through q^max_order.  `eta_inv_pow` drops the eta
+prefactor q^(-r/24): every exponent is an integer.
 """
 
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, inf
-from operator import add
+from math import gcd
 
 from .errors import InternalInconsistencyError, InvalidInputError
 
@@ -90,59 +93,23 @@ def chart_spec(params, chart, offset=0):
 
 
 # ---------------------------------------------------------------------------
-# sparse multivariate series
+# printed series
 # ---------------------------------------------------------------------------
 
 class Series:
-    """Sparse formal series: exponent vector -> integer coefficient.
+    """A series a command prints: exponent tuple -> nonzero integer coefficient.
 
-    `truncation` bounds the total degree of stored monomials (None means
-    unbounded).  Products re-truncate to the smaller operand bound.
-    Exponents may be negative for Laurent-type series (truncation None).
+    One exponent per variable of `vars`.  Only the rank-1 counts that
+    `gseries` prints and the (1,1,3) reference report build one; every
+    other series the package computes is an integer list or an
+    {exponent: count} dict.
     """
 
-    __slots__ = ("vars", "coeffs", "truncation")
+    __slots__ = ("vars", "coeffs")
 
-    def __init__(self, vars, coeffs=None, truncation=None):
+    def __init__(self, vars, coeffs):
         self.vars = tuple(vars)
-        self.truncation = truncation
-        clean = {}
-        for exps, coeff in (coeffs or {}).items():
-            exps = tuple(exps)
-            if len(exps) != len(self.vars):
-                raise InvalidInputError("exponent vector length mismatch")
-            if coeff == 0:
-                continue
-            if truncation is not None and sum(exps) > truncation:
-                continue
-            clean[exps] = clean.get(exps, 0) + coeff
-        self.coeffs = {e: c for e, c in clean.items() if c != 0}
-
-    # -- ring operations ----------------------------------------------------
-
-    def _common_truncation(self, other):
-        if self.truncation is None:
-            return other.truncation
-        if other.truncation is None:
-            return self.truncation
-        return min(self.truncation, other.truncation)
-
-    def __mul__(self, other):
-        if self.vars != other.vars:
-            raise InvalidInputError("series variable mismatch")
-        trunc = self._common_truncation(other)
-        # right terms by total degree: each left term stops at the first
-        # right term that would leave the truncation
-        right = sorted((sum(e), e, c) for e, c in other.coeffs.items())
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            room = (inf if trunc is None else trunc) - sum(e1)
-            for deg, e2, c2 in right:
-                if deg > room:
-                    break
-                e = tuple(map(add, e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return Series(self.vars, out, trunc)
+        self.coeffs = {exps: coeff for exps, coeff in coeffs.items() if coeff != 0}
 
     def coefficient(self, exps):
         return self.coeffs.get(tuple(exps), 0)
@@ -274,11 +241,11 @@ def colored_series(spec, max_order, vars=None):
     table = tuple((1, base ** l) for l in range(n))
     w1, w2 = sorted((spec.w1, spec.w2))
     levels = _chart_levels(n, w1, w2, spec.offset, table, max_order, max_order)
-    return Series(vars, _decode(levels, base, n), max_order)
+    return Series(vars, _decode(levels, base, n))
 
 
 def color_zero_series(spec, max_order):
-    """Partitions counted by their boxes of color 0, exact through q^max_order.
+    """Partitions counted by their boxes of color 0: counts[k] for k <= max_order.
 
     Equals colored_series with every other color sent to 1, without a
     bound on the number of boxes.  The coloring must have offset 0: with
@@ -286,8 +253,8 @@ def color_zero_series(spec, max_order):
     every p = n / gcd(w1, n) boxes, so no row is longer than p *
     max_order; every turn of n / gcd(w2, n) rows starts one at color 0.
 
-    >>> color_zero_series(ColoringSpec(7, 1, 1), 1).coeffs
-    {(0,): 1, (1,): 1429}
+    >>> color_zero_series(ColoringSpec(7, 1, 1), 1)
+    [1, 1429]
     """
     if max_order < 0:
         raise InvalidInputError("max_order must be nonnegative")
@@ -297,7 +264,7 @@ def color_zero_series(spec, max_order):
     w1, w2 = sorted((spec.w1, spec.w2))
     table = ((1, 0),) + ((0, 0),) * (n - 1)
     levels = _chart_levels(n, w1, w2, 0, table, n // gcd(w1, n) * max_order, max_order)
-    return Series(("q",), {(k,): level.get(0, 0) for k, level in enumerate(levels)}, max_order)
+    return [level.get(0, 0) for level in levels]
 
 
 def _times(left, right):
@@ -354,13 +321,13 @@ def g_series(params, beta, max_order, mode="none"):
     totals = [sum(level.values()) for level in product]
     if mode == "none":
         vars = tuple(f"{x}{l}" for x, w in zip("pqr", params.weights()) for l in range(w))
-        return Series(vars, _decode(product, base, start), max_order), totals
+        return Series(vars, _decode(product, base, start)), totals
     coeffs = {}
     for s, level in enumerate(product):
         for code, count in level.items():
             key = (code,) if mode == "color0" else (s,)
             coeffs[key] = coeffs.get(key, 0) + count
-    return Series(("q",), coeffs, max_order), totals
+    return Series(("q",), coeffs), totals
 
 
 # ---------------------------------------------------------------------------
@@ -368,13 +335,13 @@ def g_series(params, beta, max_order, mode="none"):
 # ---------------------------------------------------------------------------
 
 def eta_inv_pow(r, max_order):
-    """prod_{n>0} (1 - q^n)^(-r), fractional eta prefactor dropped.
+    """prod_{n>0} (1 - q^n)^(-r) through q^max_order, eta prefactor dropped.
 
-    Each factor 1/(1 - q^n) is a running sum with step n over an
-    integer list, applied r times.
+    Each factor 1/(1 - q^n) is a running sum with step n over the
+    integer list of coefficients, applied r times.
 
-    >>> eta_inv_pow(1, 4).coeffs[(4,)]
-    5
+    >>> eta_inv_pow(1, 4)
+    [1, 1, 2, 3, 5]
     """
     if r < 0:
         raise InvalidInputError("negative series powers are not supported")
@@ -383,7 +350,7 @@ def eta_inv_pow(r, max_order):
         for _ in range(r):
             for k in range(n, max_order + 1):
                 coeffs[k] += coeffs[k - n]
-    return Series(("q",), {(k,): c for k, c in enumerate(coeffs)}, max_order)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

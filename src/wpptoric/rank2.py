@@ -8,6 +8,8 @@ modified Hilbert coefficients of the distinguished sub-line-bundles.
 The refined generating function groups solutions of the character
 constraints by their full codegree-0 character vector; the specialized
 one sums q to the constant term of the modified Hilbert polynomial.
+Every one-variable series here is an {exponent: count} dict of its
+nonzero coefficients.
 Fixed-point enumeration normalizes the three points to (1:0), (0:1),
 (1:1).
 """
@@ -25,7 +27,7 @@ from .hilbert import (
 )
 from .inertia import sector_value, sectors, tch_rank2_closed_form
 from .kgroup import rank2_typeI_laurent
-from .partitions import Series, chart_spec, color_zero_series
+from .partitions import _times, chart_spec, color_zero_series
 from .sheaf_model import TypeIBundle
 
 
@@ -186,17 +188,17 @@ def refined_targets(params, c1, lam):
 
 
 def h_vb_specialized(params, E, c1, lam, max_sum):
-    """One-variable series: q to the Hilbert constant term, over stable data.
+    """{exponent: count}: q to the Hilbert constant term, over stable data.
 
     Every exponent is an integer by the integrality of the constant
     term; exponents are complete for the widths enumerated (the sole
     truncation knob is max_sum).
     """
-    coeffs = {}
+    counts = {}
     for A, widths in enumerate_stable_triples(params, c1, lam, max_sum):
-        key = (rank2_constant_term(params, E, A, *widths),)
-        coeffs[key] = coeffs.get(key, 0) + 1
-    return Series(("q",), coeffs, None)
+        e = rank2_constant_term(params, E, A, *widths)
+        counts[e] = counts.get(e, 0) + 1
+    return counts
 
 
 def _psi_bound(E, m1, n, weight_product):
@@ -272,16 +274,15 @@ def h_vb_window(params, E, c1, lam, depth):
     doubling Q0 until the bound at Q0 + 1 is below the running top minus
     `depth`: the bound decreases strictly in q and the top only rises,
     so no exponent at or above the final floor is missed.
-    Returns (series, floor_exponent).
+    Returns ({exponent: count}, floor_exponent).
 
     >>> from wpptoric.kgroup import WppParams
-    >>> series, floor = h_vb_window(WppParams(4, 6, 12), 12, 1, 0, 5)
-    >>> series.coeffs, floor
+    >>> h_vb_window(WppParams(4, 6, 12), 12, 1, 0, 5)
     ({}, 0)
     """
     check_generating_E(params, E)
     if (c1 + 2 * lam) % params.d:
-        return Series(("q",), {}, None), 0
+        return {}, 0
     found = []
     low, high = 0, 3
     while not found or _form_bound(params, E, c1, low + 1) >= max(found) - depth:
@@ -289,11 +290,11 @@ def h_vb_window(params, E, c1, lam, depth):
             found.append(rank2_constant_term(params, E, A, *widths))
         low, high = high, 2 * high
     floor = max(found) - depth
-    coeffs = {}
+    counts = {}
     for value in found:
         if value >= floor:
-            coeffs[(value,)] = coeffs.get((value,), 0) + 1
-    return Series(("q",), coeffs, None), floor
+            counts[value] = counts.get(value, 0) + 1
+    return counts, floor
 
 
 def h_full(params, E, c1, lam, max_order):
@@ -303,23 +304,24 @@ def h_full(params, E, c1, lam, max_order):
     the color-0 grading (an interpretation: the product formula holds at
     the level of classes and does not name a specialization).  The
     result is reported on the top max_order exponents of the rank-2
-    factor, where it is exact.
-    Returns (series, floor_exponent).
+    factor, where it is exact.  The six chart factors are multiplied as
+    level lists by `_times`, each count at the one code 0.
+    Returns ({exponent: count}, floor_exponent).
     """
     vb, floor = h_vb_window(params, E, c1, lam, max_order)
-    if not vb.coeffs:
-        return Series(("q",), {}, None), 0
+    if not vb:
+        return {}, 0
     # vb lives in [floor, floor + max_order], so only correction
     # exponents n <= max_order reach the window
-    correction = Series(("q",), {(0,): 1}, max_order)
+    correction = [{0: 1}] + [{} for _ in range(max_order)]
     for chart in (1, 2, 3):
-        g = color_zero_series(chart_spec(params, chart), max_order)
-        correction = correction * g * g
+        g = [{0: count} for count in color_zero_series(chart_spec(params, chart), max_order)]
+        correction = _times(_times(correction, g), g)
     out = {}
-    for (e,), coeff in vb.coeffs.items():
-        for (n,), mult in correction.coeffs.items():
+    for e, coeff in vb.items():
+        for n, level in enumerate(correction):
             x = e - n
             if x < floor:
-                continue
-            out[(x,)] = out.get((x,), 0) + coeff * mult
-    return Series(("q",), out, None), floor
+                break
+            out[x] = out.get(x, 0) + coeff * level[0]
+    return out, floor

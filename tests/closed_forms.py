@@ -17,7 +17,10 @@ that one does:
 
 All fractional series prefactors (q^(1/6) and friends) are dropped:
 every exponent is an integer, and comparisons align lowest-order terms.
-A power of a series is a loop of products.
+A series is a `Series`, which the package only prints; `series_product`
+is the one product of the tests, and a power of a series is a loop of
+products.  `q_series` reads a dense one-variable count of the package,
+an integer list, as a `Series` in q.
 """
 
 from math import isqrt
@@ -27,9 +30,28 @@ from wpptoric.hilbert import _check_E, hilb_top_from_sums, rank_and_twists
 from wpptoric.partitions import ColoringSpec, Series
 
 
-def series_one(vars, truncation=None):
+def series_product(left, right, cut=None):
+    """left * right over every pair of terms, without the terms of total degree above `cut`.
+
+    `cut` None keeps every term.
+    """
+    out = {}
+    for e1, c1 in left.coeffs.items():
+        for e2, c2 in right.coeffs.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if cut is None or sum(e) <= cut:
+                out[e] = out.get(e, 0) + c1 * c2
+    return Series(left.vars, out)
+
+
+def q_series(counts):
+    """A dense coefficient list, counts[k] at q^k, as a `Series` in q."""
+    return Series(("q",), {(k,): c for k, c in enumerate(counts)})
+
+
+def series_one(vars):
     """The constant series 1 in the given variables."""
-    return Series(vars, {(0,) * len(vars): 1}, truncation)
+    return Series(vars, {(0,) * len(vars): 1})
 
 
 def geometric_factor(vars, exps, truncation, power=1):
@@ -39,15 +61,10 @@ def geometric_factor(vars, exps, truncation, power=1):
         raise InvalidInputError("geometric factor needs a positive-degree monomial")
     if power < 0:
         raise InvalidInputError("negative series powers are not supported")
-    base = series_one(vars, truncation)
-    if truncation is not None:
-        terms = {}
-        for k in range(truncation // deg + 1):
-            terms[tuple(k * e for e in exps)] = 1
-        base = Series(vars, terms, truncation)
-    result = series_one(vars, truncation)
+    base = Series(vars, {tuple(k * e for e in exps): 1 for k in range(truncation // deg + 1)})
+    result = series_one(vars)
     for _ in range(power):
-        result = result * base
+        result = series_product(result, base, truncation)
     return result
 
 
@@ -80,10 +97,11 @@ def balanced_rhs(k, max_order):
         raise InvalidInputError("k must be positive")
     vars = tuple(f"q{l}" for l in range(k))
     full_cycle = (1,) * k
-    prefactor = series_one(vars, max_order)
+    prefactor = series_one(vars)
     j = 1
     while j * k <= max_order:
-        prefactor = prefactor * geometric_factor(vars, tuple(j * e for e in full_cycle), max_order, power=k)
+        factor = geometric_factor(vars, tuple(j * e for e in full_cycle), max_order, power=k)
+        prefactor = series_product(prefactor, factor, max_order)
         j += 1
 
     # The full-cycle exponent is Q(n) = (n1^2 + n_{k-1}^2 +
@@ -116,7 +134,7 @@ def balanced_rhs(k, max_order):
             extend(n + (x,), squares + (x - last) ** 2)
 
     extend((), 0)
-    return prefactor * Series(vars, theta_terms, max_order)
+    return series_product(prefactor, Series(vars, theta_terms), max_order)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +148,7 @@ def theta3(max_order, scale=1):
     while scale * n * n <= max_order:
         coeffs[(scale * n * n,)] = 2
         n += 1
-    return Series(("q",), coeffs, max_order)
+    return Series(("q",), coeffs)
 
 
 def theta2_pair(max_order):
@@ -148,7 +166,7 @@ def theta2_pair(max_order):
             coeffs[(e,)] = coeffs.get((e,), 0) + 4
             m += 1
         n += 1
-    return Series(("q",), coeffs, max_order)
+    return Series(("q",), coeffs)
 
 
 def su_k_character_proxy(k, max_order):
@@ -160,10 +178,10 @@ def su_k_character_proxy(k, max_order):
     if k == 2:
         return theta3(max_order)
     if k == 3:
-        coeffs = dict((theta3(max_order) * theta3(max_order, scale=3)).coeffs)
+        coeffs = series_product(theta3(max_order), theta3(max_order, scale=3), max_order).coeffs
         for e, c in theta2_pair(max_order).coeffs.items():
             coeffs[e] = coeffs.get(e, 0) + c
-        return Series(("q",), coeffs, max_order)
+        return Series(("q",), coeffs)
     raise InvalidInputError("character proxy implemented for k = 2, 3 only")
 
 
@@ -188,10 +206,11 @@ def one_cc_closed_form(c, max_order, leading_power=3):
         raise InvalidInputError("c must be positive")
     vars = tuple(f"r{l}" for l in range(c))
     full = (1,) * c
-    out = series_one(vars, max_order)
+    out = series_one(vars)
     j = 1
     while j * c <= max_order:
-        out = out * geometric_factor(vars, tuple(j * e for e in full), max_order, power=leading_power)
+        factor = geometric_factor(vars, tuple(j * e for e in full), max_order, power=leading_power)
+        out = series_product(out, factor, max_order)
         j += 1
     for i in range(c - 1):
         k = 1
@@ -199,7 +218,7 @@ def one_cc_closed_form(c, max_order, leading_power=3):
             exps = tuple((1 if l <= i else 0) + (k - 1) for l in range(c))
             if sum(exps) > max_order:
                 break
-            out = out * geometric_factor(vars, exps, max_order, power=2)
+            out = series_product(out, geometric_factor(vars, exps, max_order, power=2), max_order)
             k += 1
     return out
 

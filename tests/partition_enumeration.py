@@ -62,13 +62,13 @@ def color_count(partition, spec):
     return tuple(counts)
 
 
-def fold(series, assignment, result_vars=("q",)):
+def fold(series, assignment, result_vars=("q",), cut=None):
     """Substitute 1, a variable or a monomial {variable: exponent} for each variable.
 
-    The targets are variables of `result_vars`; the truncation bound
-    carries over, so when a variable is sent to 1 the low-order
-    coefficients are only complete if the source was expanded far
-    enough.
+    The targets are variables of `result_vars`; terms of total degree
+    above `cut` are dropped (None keeps them all).  When a variable is
+    sent to 1 the low-order coefficients are only complete if the source
+    was expanded far enough.
     """
     index = {v: i for i, v in enumerate(result_vars)}
     moves = []
@@ -82,9 +82,10 @@ def fold(series, assignment, result_vars=("q",)):
         for e, targets in zip(exps, moves):
             for i, mult in targets:
                 new[i] += e * mult
-        key = tuple(new)
-        out[key] = out.get(key, 0) + coeff
-    return Series(result_vars, out, series.truncation)
+        if cut is None or sum(new) <= cut:
+            key = tuple(new)
+            out[key] = out.get(key, 0) + coeff
+    return Series(result_vars, out)
 
 
 def total_count(series):

@@ -57,5 +57,5 @@ def test_traced_requests_exit_0_with_pinned_stdout():
         assert out == (PINS / pin).read_text(), argv
     layers = result["layers"]
     for name in ("exact_arith.Cyclotomic.from_integers", "kgroup.KClass.mul",
-                 "partitions.Series.mul", "inertia.tch_rank2_closed_form"):
+                 "partitions.color_zero_series", "inertia.tch_rank2_closed_form"):
         assert layers[f"{name}.calls"] > 0, name

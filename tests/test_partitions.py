@@ -11,7 +11,9 @@ from closed_forms import (
     balanced_spec,
     geometric_factor,
     one_cc_closed_form,
+    q_series,
     series_one,
+    series_product,
     su_k_character_proxy,
     theta3,
 )
@@ -31,6 +33,8 @@ from wpptoric.partitions import (
     Partition,
     Series,
     _chart_levels,
+    _decode,
+    _times,
     chart_spec,
     color_zero_series,
     colored_series,
@@ -75,33 +79,35 @@ def test_chart_spec():
     assert color_count(Partition((3, 1)), s) == (0, 4)
 
 
-def test_series_ring_ops():
-    s = Series(("x", "y"), {(1, 0): 1, (0, 1): 2}, truncation=3)
-    t = s * s
-    assert t.coefficient((2, 0)) == 1
-    assert t.coefficient((1, 1)) == 4
-    assert t.coefficient((0, 2)) == 4
+# `_times` is the package's one series product.  The tests hand it a
+# series in at most three variables, with exponents in [-3, 6], as a
+# level list: a term with exponents e sits at grade sum(e + shift), and
+# the e + shift are the base-32 digits of its code, so that the digits
+# of a product (at most 18) never carry
+_BASE = 32
 
 
-def test_series_truncation_semantics():
-    s = geometric_factor(("q",), (1,), 5)
-    assert s.coefficient((5,)) == 1
-    assert s.coefficient((6,)) == 0
-    t = Series(s.vars, s.coeffs, 2) * s
-    assert t.truncation == 2
-    assert t.coefficient((3,)) == 0
+def _levels(series, length, shift=0):
+    levels = [{} for _ in range(length)]
+    for exps, coeff in series.coeffs.items():
+        grade = sum(exps) + shift * len(exps)
+        if grade < length:
+            code = sum((e + shift) * _BASE ** i for i, e in enumerate(exps))
+            levels[grade][code] = coeff
+    return levels
 
 
-def naive_product(left, right):
-    """Every pair of terms multiplied, then cut at the smaller truncation."""
-    trunc = left._common_truncation(right)
-    out = {}
-    for e1, c1 in left.coeffs.items():
-        for e2, c2 in right.coeffs.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            if trunc is None or sum(e) <= trunc:
-                out[e] = out.get(e, 0) + c1 * c2
-    return Series(left.vars, out, trunc)
+def _level_product(left, right, cut, shift=0):
+    """`_times` of the two series' level lists, cut at total degree `cut`, as a series.
+
+    With no cut the lists reach the largest grade of a product, 18 per
+    variable.
+    """
+    length = 18 * len(left.vars) + 1 if cut is None else cut + 1
+    product = _times(_levels(left, length, shift), _levels(right, length, shift))
+    decoded = _decode(product, _BASE, len(left.vars))
+    return Series(left.vars, {tuple(e - 2 * shift for e in exps): c
+                              for exps, c in decoded.items()})
 
 
 def _random_series(rng, nvars, truncation, low):
@@ -109,7 +115,9 @@ def _random_series(rng, nvars, truncation, low):
     for _ in range(rng.randint(0, 12)):
         exps = tuple(rng.randint(low, 6) for _ in range(nvars))
         coeffs[exps] = rng.choice((rng.randint(-5, 5), rng.randint(-10**12, 10**12)))
-    return Series(tuple(f"x{i}" for i in range(nvars)), coeffs, truncation)
+    if truncation is not None:
+        coeffs = {e: c for e, c in coeffs.items() if sum(e) <= truncation}
+    return Series(tuple(f"x{i}" for i in range(nvars)), coeffs)
 
 
 def test_series_product_matches_naive_product():
@@ -121,9 +129,8 @@ def test_series_product_matches_naive_product():
         low = -3 if t1 is None and t2 is None else 0
         left = _random_series(rng, nvars, t1, low)
         right = _random_series(rng, nvars, t2, low)
-        product = left * right
-        expected = naive_product(left, right)
-        assert product == expected and product.truncation == expected.truncation
+        cut = min((t for t in (t1, t2) if t is not None), default=None)
+        assert _level_product(left, right, cut, -low) == series_product(left, right, cut)
 
 
 class _Counted:
@@ -149,16 +156,16 @@ class _Counted:
 
 @pytest.mark.parametrize("trunc", [None, 0, 3, 6])
 def test_series_product_stops_at_the_cut(trunc):
-    # the result alone cannot show the stop, since the constructor drops
-    # what lies past the cut: count the coefficient products instead
+    # the result alone cannot show the stop, since the level lists hold
+    # nothing past the cut: count the coefficient products instead
     terms = {(i, j): _Counted(1) for i in range(4) for j in range(4)}
-    left, right = Series(("x", "y"), terms), Series(("x", "y"), terms, trunc)
+    series = Series(("x", "y"), terms)
     _Counted.products = 0
-    product = left * right
-    fits = sum(1 for e1 in left.coeffs for e2 in right.coeffs
+    product = _level_product(series, series, trunc)
+    fits = sum(1 for e1 in terms for e2 in terms
                if trunc is None or sum(e1) + sum(e2) <= trunc)
     assert _Counted.products == fits
-    assert product.coeffs == naive_product(left, right).coeffs
+    assert product.coeffs == series_product(series, series, trunc).coeffs
 
 
 def test_specialize_identity_and_total():
@@ -169,8 +176,8 @@ def test_specialize_identity_and_total():
     tot = total_count(g)
     # triple product of uncolored partition functions
     eta3 = eta_inv_pow(3, 4)
-    assert tot.coeffs == eta3.coeffs
-    assert totals == [eta3.coefficient((s,)) for s in range(5)]
+    assert tot == q_series(eta3)
+    assert totals == eta3
 
 
 def test_chart_series_examples():
@@ -188,7 +195,7 @@ def test_chart_series_total_specialization_is_uncolored():
     for spec in (ColoringSpec(3, 1, 2), ColoringSpec(4, 2, 3, 1), ColoringSpec(2, 0, 0)):
         s = colored_series(spec, 6)
         tot = total_count(s)
-        assert tot.coeffs == eta_inv_pow(1, 6).coeffs
+        assert tot == q_series(eta_inv_pow(1, 6))
 
 
 def test_g_series_p2():
@@ -202,7 +209,7 @@ def test_g_series_p2():
 
 
 def test_balanced_rhs_degenerate_k1():
-    assert balanced_rhs(1, 6).coeffs == eta_inv_pow(1, 6).coeffs
+    assert balanced_rhs(1, 6).coeffs == q_series(eta_inv_pow(1, 6)).coeffs
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -231,15 +238,15 @@ def test_specialized_balanced_identity(k, source, band):
         )
     brute = colored_series(balanced_spec(k), source)
     lhs = fold(brute, {v: "q" if v == "q0" else 1 for v in brute.vars})
-    rhs = eta_inv_pow(k, order) * su_k_character_proxy(k, order)
+    rhs = series_product(q_series(eta_inv_pow(k, order)), su_k_character_proxy(k, order), order)
     for e in range(order + 1):
         assert lhs.coefficient((e,)) == rhs.coefficient((e,))
 
 
 def test_theta_series():
     assert theta3(4).coeffs == {(0,): 1, (1,): 2, (4,): 2}
-    assert eta_inv_pow(1, 4).coeffs == {(0,): 1, (1,): 1, (2,): 2, (3,): 3, (4,): 5}
-    conv = eta_inv_pow(4, 2) * theta3(2)
+    assert eta_inv_pow(1, 4) == [1, 1, 2, 3, 5]
+    conv = series_product(q_series(eta_inv_pow(4, 2)), theta3(2), 2)
     assert conv.coefficient((2,)) == 22
 
 
@@ -247,11 +254,12 @@ def test_eta_inv_pow_matches_product_of_geometric_factors():
     # the running sums against the series product they replace
     for r in range(5):
         for order in range(16):
-            expected = series_one(("q",), order)
+            expected = series_one(("q",))
             for n in range(1, order + 1):
-                expected = expected * geometric_factor(("q",), (n,), order, power=r)
+                factor = geometric_factor(("q",), (n,), order, power=r)
+                expected = series_product(expected, factor, order)
             series = eta_inv_pow(r, order)
-            assert series == expected and series.truncation == order, (r, order)
+            assert q_series(series) == expected and len(series) == order + 1, (r, order)
     with pytest.raises(InvalidInputError):
         eta_inv_pow(-1, 3)
 
@@ -278,7 +286,7 @@ def test_one_cc_closed_form(c):
     for l in range(c):
         assign[f"q{l}"] = f"r{l}"
         assign[f"r{l}"] = f"r{l}"
-    lhs = fold(g, assign, result_vars=tuple(f"r{l}" for l in range(c)))
+    lhs = fold(g, assign, result_vars=tuple(f"r{l}" for l in range(c)), cut=order)
     # p0 has degree c >= 1 after substitution, so no degree folds down and
     # the order-6 truncation stays complete
     rhs = one_cc_closed_form(c, order, leading_power=3)
@@ -351,8 +359,8 @@ def test_chart_folds_at_every_low_order(weights, beta):
         g, totals = g_series(params, beta, order)
         assert g_series(params, beta, order, "color0")[0] == color_zero_specialization(g)
         assert g_series(params, beta, order, "total")[0] == total_count(g)
-        assert total_count(g).coeffs == eta_inv_pow(3, order).coeffs
-        assert totals == [eta_inv_pow(3, order).coefficient((s,)) for s in range(order + 1)]
+        assert total_count(g) == q_series(eta_inv_pow(3, order))
+        assert totals == eta_inv_pow(3, order)
 
 
 def test_reference_113_report():
@@ -375,7 +383,7 @@ def colored_series_oracle(spec, max_order):
     for lam in enumerate_partitions(max_order):
         key = color_count(lam, spec)
         coeffs[key] = coeffs.get(key, 0) + 1
-    return Series(tuple(f"q{l}" for l in range(spec.modulus)), coeffs, max_order)
+    return Series(tuple(f"q{l}" for l in range(spec.modulus)), coeffs)
 
 
 def test_colored_series_matches_partition_oracle():

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from class_numbers import three_hurwitz
-from closed_forms import balanced_rhs, balanced_spec, hilb_top_E_of_kclass
+from closed_forms import (
+    balanced_rhs,
+    balanced_spec,
+    hilb_top_E_of_kclass,
+    q_series,
+    series_one,
+    series_product,
+)
 from cyclotomic_field import field, zeta
 from partition_enumeration import box_color, color_zero_specialization
 from wpptoric.errors import InvalidInputError
@@ -20,7 +27,6 @@ from wpptoric.inertia import sector_value, sectors
 from wpptoric.kgroup import WppParams, g_power, rank2_typeI_class, rank2_typeI_laurent
 from wpptoric.partitions import (
     ColoringSpec,
-    Series,
     chart_spec,
     color_zero_series,
     eta_inv_pow,
@@ -151,8 +157,8 @@ def test_refined_specialized_consistency(weights, E, c1):
         alpha, beta = refined_targets(params, c1, lam)
         for A, widths, chern in enumerate_refined_solutions(params, alpha, beta, 12):
             e = int(rank2_constant_term(params, E, A, *widths))
-            grouped[(e,)] = grouped.get((e,), 0) + 1
-        assert grouped == specialized.coeffs
+            grouped[e] = grouped.get(e, 0) + 1
+        assert grouped == specialized
 
 
 def test_specialized_p2_series_against_direct_formula():
@@ -172,10 +178,10 @@ def test_specialized_p2_series_against_direct_formula():
                     - Fraction(3, 2) + 2
                 )
                 assert e.denominator == 1
-                expected[(int(e),)] = expected.get((int(e),), 0) + 1
-    assert series.coeffs == expected
-    assert series.coeffs[(0,)] == 1  # the minimal triple (1,1,1)
-    assert max(e for (e,) in series.coeffs) == 0
+                expected[int(e)] = expected.get(int(e), 0) + 1
+    assert series == expected
+    assert series[0] == 1  # the minimal triple (1,1,1)
+    assert max(series) == 0
 
 
 def test_222_matches_p2_up_to_shift():
@@ -185,8 +191,8 @@ def test_222_matches_p2_up_to_shift():
         c1 = 2 * half_c1
         big = h_vb_specialized(P222, E2, c1, 0, 14)
         small = h_vb_specialized(P111, E1, 0, 0, 7)
-        shift = max(e for (e,) in big.coeffs) - max(e for (e,) in small.coeffs)
-        shifted = Series(small.vars, {(e + shift,): c for (e,), c in small.coeffs.items()})
+        shift = max(big) - max(small)
+        shifted = {e + shift: c for e, c in small.items()}
         assert big == shifted, (c1, shift)
 
 
@@ -204,9 +210,9 @@ def test_h_vb_window_completeness():
     assert floor == -3
     # direct check against a generous fixed-bound enumeration
     wide = h_vb_specialized(P111, E, -1, 0, 25)
-    expected = {k: v for k, v in wide.coeffs.items() if k[0] >= floor}
-    assert window.coeffs == expected
-    assert expected[(-3,)] == 6  # (3,2,2) and (4,4,1) patterns
+    expected = {k: v for k, v in wide.items() if k >= floor}
+    assert window == expected
+    assert expected[-3] == 6  # (3,2,2) and (4,4,1) patterns
 
 
 @pytest.mark.parametrize("weights, E, c1, depth", [
@@ -216,14 +222,14 @@ def test_h_vb_window_matches_wide_enumeration(weights, E, c1, depth):
     params = WppParams(*weights)
     window, floor = h_vb_window(params, E, c1, 0, depth)
     wide = h_vb_specialized(params, E, c1, 0, 48)
-    assert window.coeffs
-    assert window.coeffs == {k: v for k, v in wide.coeffs.items() if k[0] >= floor}
+    assert window
+    assert window == {k: v for k, v in wide.items() if k >= floor}
 
 
 def test_h_vb_window_empty_for_parity_obstruction():
     E = 2
     series, _ = h_vb_window(P222, E, 1, 0, 4)
-    assert series.coeffs == {}
+    assert series == {}
 
 
 WEIGHTS_UP_TO_4 = list(combinations_with_replacement(range(1, 5), 3))
@@ -238,9 +244,9 @@ def test_h_vb_window_empty_exactly_when_d_does_not_divide_c1_plus_2lam(weights):
             series, floor = h_vb_window(params, E, c1, lam, 0)
             if (c1 + 2 * lam) % params.d:
                 assert list(enumerate_stable_triples(params, c1, lam, 40)) == []
-                assert (series.coeffs, floor) == ({}, 0)
+                assert (series, floor) == ({}, 0)
             else:
-                assert series.coeffs, (c1, lam)
+                assert series, (c1, lam)
 
 
 def _constant_term_upper_bound(params, E, c1, total):
@@ -284,14 +290,14 @@ def test_h_vb_window_matches_enumeration_to_the_proven_stop(weights):
                     while _constant_term_upper_bound(params, E, c1, T) >= floor:
                         T += 1
                     wide = h_vb_specialized(params, E, c1, lam, T)
-                    cut = {k: v for k, v in wide.coeffs.items() if k[0] >= floor}
-                    assert window.coeffs == cut, (E, c1, lam, depth)
-                    assert max(e for (e,) in cut) == floor + depth
+                    cut = {k: v for k, v in wide.items() if k >= floor}
+                    assert window == cut, (E, c1, lam, depth)
+                    assert max(cut) == floor + depth
 
 
 def test_chart_unit_series_plane():
     g = color_zero_series(chart_spec(P111, 1), 8)
-    assert g.coeffs == eta_inv_pow(1, 8).coeffs
+    assert g == eta_inv_pow(1, 8)
 
 
 def test_three_hurwitz_known_values():
@@ -305,7 +311,7 @@ def test_plane_window_counts_klyachko_class_numbers():
     # 3 H(4 c2 - 1) stable toric rank-2 bundles on P^2 with c1 = -1, at q^(1 - c2)
     window, floor = h_vb_window(P111, 1, -1, 0, 400)
     assert floor == -400
-    assert window.coeffs == {(1 - c2,): three_hurwitz(4 * c2 - 1) for c2 in range(1, 402)}
+    assert window == {1 - c2: three_hurwitz(4 * c2 - 1) for c2 in range(1, 402)}
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -320,8 +326,8 @@ def test_gerbe_window_counts_klyachko_class_numbers(d):
                 continue
             window, floor = h_vb_window(params, d, c1, lam, 11)
             top = floor + 11
-            expected = {(top - k,): three_hurwitz(4 * k + 3) for k in range(12)}
-            assert window.coeffs == expected, (c1, lam)
+            expected = {top - k: three_hurwitz(4 * k + 3) for k in range(12)}
+            assert window == expected, (c1, lam)
             checked += 1
     assert checked == 3 * d
 
@@ -332,13 +338,11 @@ def test_h_full_plane():
     vb, _ = h_vb_window(P111, E, -1, 0, 4)
     eta6 = eta_inv_pow(6, 4)
     # H(X) = sum_n vb(X + n) * eta6(n)
-    for (x,), coeff in full.coeffs.items():
-        expected = sum(
-            vb.coefficient((x + n,)) * eta6.coefficient((n,)) for n in range(0, -x + 1)
-        )
+    for x, coeff in full.items():
+        expected = sum(vb.get(x + n, 0) * eta6[n] for n in range(0, -x + 1))
         assert coeff == expected
-    assert full.coefficient((0,)) == vb.coefficient((0,)) == 1
-    assert full.coefficient((-1,)) == 3 + 1 * 6  # new bundles plus six point escapes
+    assert full[0] == vb[0] == 1
+    assert full[-1] == 3 + 1 * 6  # new bundles plus six point escapes
 
 
 def slope_stability_oracle(params, E, datum):
@@ -441,19 +445,19 @@ def color_zero_walk(spec, max_zeros):
 def _h_full_untruncated(params, E, c1, lam, max_order):
     """h_full with walked chart factors and the correction multiplied out in full."""
     vb, floor = h_vb_window(params, E, c1, lam, max_order)
-    if not vb.coeffs:
-        return Series(("q",), {}, None), 0
-    correction = Series(("q",), {(0,): 1}, None)
+    if not vb:
+        return {}, 0
+    correction = series_one(("q",))
     for chart in (1, 2, 3):
         counts, _ = color_zero_walk(chart_spec(params, chart), max_order)
-        g = Series(("q",), {(k,): c for k, c in enumerate(counts)}, None)
-        correction = correction * g * g
+        g = q_series(counts)
+        correction = series_product(series_product(correction, g), g)
     out = {}
-    for (e,), coeff in vb.coeffs.items():
+    for e, coeff in vb.items():
         for (n,), mult in correction.coeffs.items():
             if e - n >= floor:
-                out[(e - n,)] = out.get((e - n,), 0) + coeff * mult
-    return Series(("q",), out, None), floor
+                out[e - n] = out.get(e - n, 0) + coeff * mult
+    return out, floor
 
 
 CHART_COLORINGS = sorted({
@@ -469,15 +473,15 @@ def test_color_zero_series_matches_walk_on_charts(n, w1, w2):
     counts, _ = color_zero_walk(spec, 5)
     for order in range(6):
         series = color_zero_series(spec, order)
-        assert series.coeffs == {(k,): c for k, c in enumerate(counts[:order + 1])}
-        assert series.truncation == order
+        assert series == counts[:order + 1]
+        assert len(series) == order + 1
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_color_zero_series_matches_walk_on_steps_11(n):
     spec = ColoringSpec(n, 1, 1)
     counts, _ = color_zero_walk(spec, 2)
-    assert color_zero_series(spec, 2).coeffs == {(k,): c for k, c in enumerate(counts)}
+    assert color_zero_series(spec, 2) == counts
 
 
 @pytest.mark.parametrize("k", range(1, 6))
@@ -487,14 +491,14 @@ def test_color_zero_series_matches_balanced_rhs(k):
     order = 3
     _, largest = color_zero_walk(balanced_spec(k), order)
     folded = color_zero_specialization(balanced_rhs(k, largest))
-    expected = {(e,): folded.coefficient((e,)) for e in range(order + 1)}
-    assert color_zero_series(balanced_spec(k), order).coeffs == expected
+    expected = [folded.coefficient((e,)) for e in range(order + 1)]
+    assert color_zero_series(balanced_spec(k), order) == expected
 
 
 def test_color_zero_series_known_values():
     # the mod-4 colorings of chart 3 of P(1,3,4) and chart 1 of P(4,1,1)
-    assert color_zero_series(ColoringSpec(4, 1, 3), 5).coefficient((5,)) == 2160
-    assert color_zero_series(ColoringSpec(4, 1, 1), 7).coefficient((7,)) == 17283
+    assert color_zero_series(ColoringSpec(4, 1, 3), 5)[5] == 2160
+    assert color_zero_series(ColoringSpec(4, 1, 1), 7)[7] == 17283
 
 
 def test_color_zero_series_rejects_offset():
@@ -552,6 +556,6 @@ def test_psi_cache_is_keyed_on_residues():
     _psi_sum.cache_clear()
     for depth in (7, 40):
         series, _ = h_vb_window(params, E, 0, 0, depth)
-        assert series.coeffs
+        assert series
     bound = sum(n ** 3 for n in (params.d12, params.d13, params.d23))
     assert 0 < _psi_sum.cache_info().currsize <= bound

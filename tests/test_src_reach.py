@@ -2,13 +2,15 @@
 
 The scan starts from each module's top-level statements other than
 imports (`cli.COMMANDS` names every command handler, and the
-`__main__` guard names `cli.main`).  A top-level function or class, or
-a method of such a class, is reached once a reached body names it, by
-a bare name or an attribute; a reached class reaches its dunder
-methods, which Python calls for it.  A definition that only tests or
-other unreached definitions name belongs in `tests/`, as the oracle of
-what it checks, or nowhere.  Names are matched without resolving
-scopes, so a name shared by two definitions reaches both.
+`__main__` guard names `cli.main`).  A top-level function or class is
+reached once a reached body names it by a bare name, and a method of
+such a class once a reached body names it as an attribute (`x.name`);
+so an option read as `args.name` reaches no function `name`.  A reached
+class reaches its dunder methods, which Python calls for it.  A
+definition that only tests or other unreached definitions name belongs
+in `tests/`, as the oracle of what it checks, or nowhere.  Names are
+matched without resolving scopes, so a name shared by two definitions
+of one kind reaches both.
 """
 
 import ast
@@ -28,45 +30,54 @@ def _is_dunder(name):
 
 
 def _names(nodes):
-    """Every bare name and attribute named anywhere in the nodes."""
+    """Every name in the nodes: ("bare", id) of a bare name, ("attr", attr) of an attribute."""
     out = set()
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
-                out.add(sub.id)
+                out.add(("bare", sub.id))
             elif isinstance(sub, ast.Attribute):
-                out.add(sub.attr)
+                out.add(("attr", sub.attr))
     return out
 
 
-def _definitions():
-    """(module-level names, {qualified name: (name, names its body names)})."""
+def _definitions(sources):
+    """(module-level names, {qualified name: (its name, names its body names)}).
+
+    `sources` maps a module name to its text.  A top-level definition is
+    named ("bare", name), a method ("attr", name).
+    """
     roots, defs = set(), {}
-    for path in sorted(SRC.glob("*.py")):
-        module = path.stem
-        for node in ast.parse(path.read_text()).body:
+    for module, text in sorted(sources.items()):
+        for node in ast.parse(text).body:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defs[f"{module}.{node.name}"] = (node.name, _names([node]))
+                defs[f"{module}.{node.name}"] = (("bare", node.name), _names([node]))
             elif isinstance(node, ast.ClassDef):
                 methods = [m for m in node.body
                            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
                 # the class body proper: bases, decorators, attributes, dunders
                 own = [m for m in node.body if m not in methods or _is_dunder(m.name)]
                 defs[f"{module}.{node.name}"] = (
-                    node.name, _names(own + node.bases + node.decorator_list))
+                    ("bare", node.name), _names(own + node.bases + node.decorator_list))
                 for m in methods:
                     if not _is_dunder(m.name):
-                        defs[f"{module}.{node.name}.{m.name}"] = (m.name, _names([m]))
+                        defs[f"{module}.{node.name}.{m.name}"] = (("attr", m.name), _names([m]))
             else:
                 roots |= _names([node])
     return roots, defs
 
 
-def unreached():
-    """Qualified names of the definitions no reached code names, sorted."""
-    named, defs = _definitions()
+def unreached(sources=None):
+    """Qualified names of the definitions no reached code names, sorted.
+
+    `sources` maps module names to their text; by default the modules
+    of `src/wpptoric`.
+    """
+    if sources is None:
+        sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    named, defs = _definitions(sources)
     reached = set()
     grew = True
     while grew:
@@ -77,6 +88,23 @@ def unreached():
                 named |= body
                 grew = True
     return sorted(set(defs) - reached)
+
+
+def test_an_option_attribute_reaches_no_function():
+    # an option read as `args.specialize` does not keep a stray top-level
+    # `def specialize` alive; a call by its bare name does
+    source = """
+def specialize(series):
+    return series
+
+def run(args):
+    return args.specialize
+
+COMMANDS = {"run": run}
+"""
+    assert unreached({"cli": source}) == ["cli.specialize"]
+    called = source.replace("return args.specialize", "return specialize(args.specialize)")
+    assert unreached({"cli": called}) == []
 
 
 def test_every_definition_is_reached():
