@@ -4,7 +4,7 @@ Every command prints JSON lines: one leading metadata record echoing
 the configuration, then one record per result row.  `--pretty` switches
 to human-readable tables.  Exit codes: 0 success, 1 usage, invalid
 input or an output pipe closed by its reader, 2 oracle mismatch under
---check, 3 internal inconsistency.
+--check (`hilb` always checks), 3 internal inconsistency.
 
 Default truncation orders can be overridden with the environment
 variables WPPTORIC_ORDER (default 6) and WPPTORIC_MAX (default 10).
@@ -33,6 +33,9 @@ period of integer numerators whatever E is
 (`hilbert.lin_numerator_window`).  `kclass` accepts weights with
 lcm(a,b,c) <= 10^6 (`kgroup.MAX_PERIOD`): its twists g^e reduce g^m from
 a list of m + 1 coefficients, about a second and 70 MB at the limit.
+`glue` accepts a window halfwidth h <= 300 (`minimal_halfwidth`,
+3 + 2a + b + 2c for the rank-2 demo): its families hold (2h+1)^2 cells
+each, about half a second and 100 MB at the limit.
 """
 
 import json
@@ -67,7 +70,6 @@ from .rank2 import (
     h_full,
     h_vb_specialized,
     is_mu_stable,
-    refined_targets,
     slope_oracle_stability,
 )
 from .sheaf_model import (
@@ -86,6 +88,7 @@ EXIT_INCONSISTENT = 3
 
 MAX_ABS_R = 10**6
 MAX_E = 10**5
+MAX_HALFWIDTH = 300
 
 
 class _OracleMismatch(Exception):
@@ -242,10 +245,8 @@ def cmd_hseries(args, out):
         _term_records(out, "h_full", ("q",), _q_terms(full))
     if args.check:
         # the data h_vb counts, against those solving the refined constraints
-        alpha, beta = refined_targets(params, args.c1, lam)
-        refined = [(A, widths) for A, widths, _ in
-                   enumerate_refined_solutions(params, alpha, beta, args.max)]
-        ok = refined == list(enumerate_stable_triples(params, args.c1, lam, args.max))
+        ok = (list(enumerate_refined_solutions(params, args.c1, lam, args.max))
+              == list(enumerate_stable_triples(params, args.c1, lam, args.max)))
         out.emit({"record": "check", "name": "refined-vs-specialized", "ok": ok})
         if not ok:
             raise _OracleMismatch("refined solutions disagree with the stable data")
@@ -310,7 +311,6 @@ def cmd_kclass(args, out):
 
 def cmd_glue(args, out):
     params = WppParams(*args.abc)
-    _meta(out, "glue", {"abc": args.abc, "demo": args.demo})
     if args.demo == "rank1":
         # chart 3 sees the hull label C through its corner on every plane,
         # B only through fine weights mod c
@@ -322,6 +322,9 @@ def cmd_glue(args, out):
         sheaf = TypeIBundle(0, 1, -1, params.b, 2 * params.c, params.a)
         mutated = TypeIBundle(0, 1, -1, params.b, 2 * params.c, 2 * params.a)
     halfwidth = max(minimal_halfwidth(params, sheaf), minimal_halfwidth(params, mutated))
+    if halfwidth > MAX_HALFWIDTH:
+        raise InvalidInputError(f"window halfwidth {halfwidth} exceeds {MAX_HALFWIDTH}")
+    _meta(out, "glue", {"abc": args.abc, "demo": args.demo})
     fams = [sfamily(params, sheaf, ch, halfwidth=halfwidth) for ch in (1, 2, 3)]
     ok, _ = check_gluing(params, *fams)
     out.emit({"record": "glue", "case": "matched-data", "pass": ok})
@@ -360,6 +363,8 @@ _MAX = ("max", "int", "WPPTORIC_MAX", False, "enumeration bound")
 COMMANDS = {
     "hilb": (cmd_hilb, "Hilbert coefficients and the counting oracle", {
         **_SHARED,
+        "--check": ("check", "flag", False, False,
+                    "accepted and ignored: the oracles always run, exit 2 on mismatch"),
         "--r": ("r", "int", 0, False, "the twist r"),
         "--E": ("E", "int", None, False, "also the generating-sheaf version for this E"),
     }),

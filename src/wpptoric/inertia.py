@@ -1,26 +1,27 @@
 """Inertia-stack sectors and the orbifold Chern character.
 
-The connected components of the inertia stack are indexed by rationals
-f in [0, 1): the 2-dimensional ones by multiples of 1/d, the
-1-dimensional ones by multiples of 1/d_ij not already counted, and the
-0-dimensional ones by multiples of 1/w_i not counted before.  On a
-sector the tautological class g acts as the root of unity e^(-2 pi i f)
-times exp(-x) truncated at the sector dimension; extending that map
-multiplicatively gives a ring map from the K-group to the direct sum of
-truncated cohomologies with cyclotomic coefficients, and the map is an
-isomorphism, so exact coefficientwise comparison of the images is a
-complete equality test.
+The connected components of the inertia stack are indexed by the
+rationals f = l/w_i in [0, 1), one sector for each: with n the order of
+f, the sector is 2-dimensional when n divides d, 1-dimensional on the
+pair (i, j) when n divides d_ij (then it divides no other pair gcd,
+since two of them have gcd d), and 0-dimensional on the one weight n
+divides otherwise.  On a sector the tautological class g acts as the
+root of unity e^(-2 pi i f) times exp(-x) truncated at the sector
+dimension; extending that map multiplicatively gives a ring map from
+the K-group to the direct sum of truncated cohomologies with cyclotomic
+coefficients, and the map is an isomorphism, so exact coefficientwise
+comparison of the images is a complete equality test.
 
 The coefficients on the sector f = p/n live in Q(zeta_n), and they are
-stored there, at order n = f.denominator, and written there by
-`ChernVector.to_records`, one record per sector in `sectors` order: each
-record names its order, and each coordinate is a reduced [numerator,
-denominator] pair read off the integers it is stored as.  Each one is an
-integer combination of powers of omega = zeta_n^(-p) over a small
-integer, and `sector_value` builds it from those integers in one fold,
-with no cyclotomic arithmetic: the character of a K-class from the
-moments of its integer coefficients over k!, the rank-2 closed form
-from the terms of its display.
+stored there, at order n = f.denominator, one entry per sector in
+`sectors` order, and written there by `ChernVector.to_records`, one
+record per sector: each record names its order, and each coordinate is
+a reduced [numerator, denominator] pair read off the integers it is
+stored as.  Each one is an integer combination of powers of
+omega = zeta_n^(-p) over a small integer, and `sector_value` builds it
+from those integers in one fold, with no cyclotomic arithmetic: the
+character of a K-class from the moments of its integer coefficients
+over k!, the rank-2 closed form from the terms of its display.
 """
 
 from dataclasses import dataclass
@@ -31,55 +32,37 @@ from math import factorial, gcd
 from .errors import InvalidInputError
 from .exact_arith import Cyclotomic
 
-KIND_RANK = {"2dim": 0, "1dim": 1, "0dim": 2}
-
-
 @dataclass(frozen=True)
 class Sector:
     f: Fraction
     kind: str  # "2dim" | "1dim" | "0dim"
     which: tuple  # () | (i, j) with i < j | (i,)
-
-    def __post_init__(self):
-        # sectors key every ChernVector; hashing the Fraction f each time is costly
-        object.__setattr__(self, "_hash", hash((self.f, self.kind, self.which)))
-
-    def __hash__(self):
-        return self._hash
-
-    @property
-    def dim(self):
-        return 2 - KIND_RANK[self.kind]
-
-    def sort_key(self):
-        return (self.f, KIND_RANK[self.kind], self.which)
+    dim: int
 
 
 @lru_cache(maxsize=128)
 def sectors(params):
-    """Canonically ordered sectors of the inertia stack.
+    """The sectors of the inertia stack, one per fraction l/w_i, in ascending f.
 
     >>> from wpptoric.kgroup import WppParams
     >>> [ (str(s.f), s.kind) for s in sectors(WppParams(1, 1, 2)) ]
     [('0', '2dim'), ('1/2', '0dim')]
     """
-    d = params.d
-    two = {Fraction(l, d) for l in range(d)}
-    pair_gcds = {(1, 2): params.d12, (1, 3): params.d13, (2, 3): params.d23}
-    one = {}
-    for pair, dij in pair_gcds.items():
-        one[pair] = {Fraction(l, dij) for l in range(dij)} - two
-    zero = {}
-    for i in (1, 2, 3):
-        used = set(two).union(*(fs for pair, fs in one.items() if i in pair))
-        w = params.chart(i)[0]
-        zero[i] = {Fraction(l, w) for l in range(w)} - used
-    out = [Sector(f, "2dim", ()) for f in two]
-    for pair, fs in one.items():
-        out.extend(Sector(f, "1dim", pair) for f in fs)
-    for i, fs in zero.items():
-        out.extend(Sector(f, "0dim", (i,)) for f in fs)
-    return tuple(sorted(out, key=Sector.sort_key))
+    weights = params.weights()
+    pairs = (((1, 2), params.d12), ((1, 3), params.d13), ((2, 3), params.d23))
+    out = []
+    for f in sorted({Fraction(l, w) for w in weights for l in range(w)}):
+        n = f.denominator
+        # n divides all three pair gcds (n | d), exactly one, or none
+        on = [pair for pair, dij in pairs if dij % n == 0]
+        if len(on) == 3:
+            out.append(Sector(f, "2dim", (), 2))
+        elif on:
+            out.append(Sector(f, "1dim", on[0], 1))
+        else:
+            which = tuple(i for i, w in enumerate(weights, 1) if w % n == 0)
+            out.append(Sector(f, "0dim", which, 0))
+    return tuple(out)
 
 
 def sector_value(f, terms, den=1):
@@ -99,24 +82,22 @@ def sector_value(f, terms, den=1):
 class ChernVector:
     """Per-sector truncated polynomials in the sector hyperplane class.
 
-    Entries are tuples of cyclotomic coefficients in ascending degree
-    (length dim+1), every entry of the sector f at order f.denominator,
-    built in `sectors(params)` order, so that equality is plain
-    comparison of the entries.  Codegree k of a sector of dimension n is
-    the degree n-k coefficient.
+    `entries` holds one tuple per sector, in `sectors(params)` order:
+    the cyclotomic coefficients of the sector in ascending degree
+    (length dim+1), each at order f.denominator, so that equality is
+    plain comparison of the entries.  Codegree k of a sector of
+    dimension n is the degree n-k coefficient.
     """
 
     __slots__ = ("params", "entries")
 
     def __init__(self, params, entries):
-        for sector, coeffs in entries.items():
-            if len(coeffs) != sector.dim + 1:
-                raise InvalidInputError("sector entry length must be dim + 1")
+        entries, order = tuple(entries), sectors(params)
+        if len(entries) != len(order) or any(
+                len(coeffs) != sector.dim + 1 for sector, coeffs in zip(order, entries)):
+            raise InvalidInputError("need one entry per sector, of length dim + 1")
         self.params = params
         self.entries = entries
-
-    def codegree(self, sector, k):
-        return self.entries[sector][sector.dim - k]
 
     def __eq__(self, other):
         return (isinstance(other, ChernVector) and self.params == other.params
@@ -131,10 +112,10 @@ class ChernVector:
         with g = gcd(x, den), straight from the integer numerators.
         """
         records = []
-        for sector in sectors(self.params):
+        for sector, entry in zip(sectors(self.params), self.entries):
             coeffs = [
                 [c.order, [[x // (g := gcd(x, c.den)), c.den // g] for x in c.nums]]
-                for c in self.entries[sector]
+                for c in entry
             ]
             records.append({
                 "f": [sector.f.numerator, sector.f.denominator],
@@ -161,7 +142,7 @@ def tch_of_kclass(kclass):
     params = kclass.params
     terms = [(e, c) for e, c in enumerate(kclass.coeffs) if c]
     moments = {}  # (n, k) -> sums of c_e (-e)^k over the residues e mod n
-    entries = {}
+    entries = []
     for sector in sectors(params):
         n = sector.f.denominator
         entry = []
@@ -173,7 +154,7 @@ def tch_of_kclass(kclass):
                     sums[e % n] += c * (-e) ** k
                 moments[(n, k)] = sums
             entry.append(sector_value(sector.f, enumerate(sums), factorial(k)))
-        entries[sector] = tuple(entry)
+        entries.append(tuple(entry))
     return ChernVector(params, entries)
 
 
@@ -198,23 +179,23 @@ def tch_rank2_closed_form(params, datum):
     sum_d2 = sum(x * x for x in D)
     # sector pair -> (index of D_j twist, D_i, D_k) per the cyclic display
     pair_roles = {(1, 2): (1, 0, 2), (2, 3): (2, 1, 0), (1, 3): (0, 2, 1)}
-    entries = {}
+    entries = []
     for sector in sectors(params):
         f = sector.f
-        if sector.kind == "2dim":
-            entries[sector] = (
+        if sector.dim == 2:
+            entries.append((
                 sector_value(f, [(A, 2)]),
                 sector_value(f, [(A, -(2 * A + sum_d))]),
                 sector_value(f, [(A, 2 * A * A + 2 * sum_d * A + sum_d2)], 2),
-            )
-        elif sector.kind == "1dim":
+            ))
+        elif sector.dim == 1:
             j_idx, i_idx, k_idx = pair_roles[sector.which]
             dj = D[j_idx]
-            entries[sector] = (
+            entries.append((
                 sector_value(f, [(A, 1), (A + dj, 1)]),
                 sector_value(f, [(A, -(A + D[i_idx] + D[k_idx])), (A + dj, -(A + dj))]),
-            )
+            ))
         else:
             (i,) = sector.which
-            entries[sector] = (sector_value(f, [(A + D[i - 1], 1), (A + D[i % 3], 1)]),)
+            entries.append((sector_value(f, [(A + D[i - 1], 1), (A + D[i % 3], 1)]),))
     return ChernVector(params, entries)

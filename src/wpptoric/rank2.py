@@ -5,9 +5,12 @@ the three points are mutually distinct and the widths satisfy the
 strict triangle inequalities; the slope oracle re-derives this from the
 modified Hilbert coefficients of the distinguished sub-line-bundles.
 
-The refined generating function groups solutions of the character
-constraints by their full codegree-0 character vector; the specialized
-one sums q to the constant term of the modified Hilbert polynomial.
+The specialized generating function sums q to the constant term of
+the modified Hilbert polynomial over the stable data; its check solves
+the character constraints of (c1, lambda) on the 2-dimensional sectors
+from the closed-form character (`enumerate_refined_solutions`).  The
+refined series, which groups those solutions by their codegree-0
+character vector, is an oracle of the tests.
 Every one-variable series here is an {exponent: count} dict of its
 nonzero coefficients.
 Fixed-point enumeration normalizes the three points to (1:0), (0:1),
@@ -17,7 +20,7 @@ Fixed-point enumeration normalizes the three points to (1:0), (0:1),
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InternalInconsistencyError, InvalidInputError
+from .errors import InternalInconsistencyError
 from .hilbert import (
     check_generating_E,
     psi_E,
@@ -112,79 +115,25 @@ def enumerate_stable_triples(params, c1, lam, max_sum):
             yield (A, widths)
 
 
-def refined_key(params, chern):
-    """Canonical hashable key of the codegree-0 character entries.
+def enumerate_refined_solutions(params, c1, lam, max_sum):
+    """The (A, widths) whose closed-form character has the invariants (c1, lam).
 
-    Sectors in canonical order; each entry in power-basis coordinates at
-    the sector's own order f.denominator, so equal values collide
-    exactly.
+    On every 2-dimensional sector f the codegree-2 entry must be
+    2 omega^lam and the codegree-1 entry c1 omega^lam, omega =
+    e^(-2 pi i f); the other sectors are unconstrained.  The twist is
+    solved from the untwisted sector f = 0, A = -(c1 + D1 + D2 + D3)/2,
+    over the admissible widths summing to at most `max_sum`, in their
+    order.
     """
-    key = []
-    for sector in sectors(params):
-        value = chern.codegree(sector, 0)
-        key.append((
-            sector.f.numerator,
-            sector.f.denominator,
-            sector.kind,
-            sector.which,
-            tuple(value.coeffs),
-        ))
-    return tuple(key)
-
-
-def enumerate_refined_solutions(params, alpha, beta, max_sum):
-    """Solutions (A, widths, character) of the refined constraints.
-
-    `alpha` maps sector indices f in D to codegree-2 targets; `beta`
-    maps sector indices in D or D_ij to codegree-1 targets.  Sectors
-    missing from the maps are unconstrained.  The twist A is solved from
-    the untwisted f = 0 equation: beta[0] must be an even-defect integer
-    with A = -(beta_0 + D1 + D2 + D3)/2.
-    """
-    beta0 = beta.get(Fraction(0))
-    if beta0 is None:
-        raise InvalidInputError("beta must constrain the untwisted sector f = 0")
-    if beta0.den != 1:  # order 1: the value is nums[0] / den
-        raise InvalidInputError("the f = 0 component of beta must be an integer")
-    beta0 = beta0.nums[0]
-    checks = []  # (sector, codegree, target)
-    for sector in sectors(params):
-        if sector.kind == "2dim" and alpha.get(sector.f) is not None:
-            checks.append((sector, 2, alpha[sector.f]))
-        if sector.kind in ("2dim", "1dim") and beta.get(sector.f) is not None:
-            checks.append((sector, 1, beta[sector.f]))
-    for widths in _admissible_widths(params, beta0, max_sum):
-        A = -(beta0 + sum(widths)) // 2
-        chern = tch_rank2_closed_form(params, TypeIBundle(0, 0, A, *widths))
-        if all(chern.codegree(sector, k) == target for sector, k, target in checks):
-            yield (A, widths, chern)
-
-
-# no caller in the package: the refined generating function the README lists
-def h_vb_refined(params, alpha, beta, max_sum):
-    """Multiplicities of codegree-0 character keys over the solutions."""
-    counts = {}
-    for _, _, chern in enumerate_refined_solutions(params, alpha, beta, max_sum):
-        key = refined_key(params, chern)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def refined_targets(params, c1, lam):
-    """(alpha, beta) selectors matching the specialized invariants (c1, lam).
-
-    On every 2-dimensional sector f the codegree-2 value is forced to
-    2 e^(-2 pi i f lam) and the codegree-1 value to c1 e^(-2 pi i f lam);
-    1-dimensional sectors are left unconstrained.
-    """
-    alpha = {}
-    beta = {}
-    for sector in sectors(params):
-        if sector.kind != "2dim":
-            continue
-        alpha[sector.f] = sector_value(sector.f, [(lam, 2)])
-        beta[sector.f] = sector_value(sector.f, [(lam, c1)])
-    return alpha, beta
+    targets = [
+        (i, (sector_value(sector.f, [(lam, 2)]), sector_value(sector.f, [(lam, c1)])))
+        for i, sector in enumerate(sectors(params)) if sector.dim == 2
+    ]
+    for widths in _admissible_widths(params, c1, max_sum):
+        A = -(c1 + sum(widths)) // 2
+        entries = tch_rank2_closed_form(params, TypeIBundle(0, 0, A, *widths)).entries
+        if all(entries[i][:2] == target for i, target in targets):
+            yield (A, widths)
 
 
 def h_vb_specialized(params, E, c1, lam, max_sum):

@@ -13,7 +13,11 @@ that one does:
 * `geometric_factor` of `eta_inv_pow`;
 * `hilb_top_E_of_kclass` (the canonical representative, term by term)
   of the integer slopes of `rank2.slope_oracle_stability`, which read
-  any Laurent representative through `hilbert.rank_and_twists`.
+  any Laurent representative through `hilbert.rank_and_twists`;
+* `enumerate_refined_by_maps` with `refined_targets` (sector values
+  given as maps, on any sector) of `rank2.enumerate_refined_solutions`,
+  and `h_vb_refined` with `refined_key`, the refined rank-2 series
+  (ROADMAP item 7).
 
 All fractional series prefactors (q^(1/6) and friends) are dropped:
 every exponent is an integer, and comparisons align lowest-order terms.
@@ -23,11 +27,15 @@ products.  `q_series` reads a dense one-variable count of the package,
 an integer list, as a `Series` in q.
 """
 
+from fractions import Fraction
 from math import isqrt
 
 from wpptoric.errors import InternalInconsistencyError, InvalidInputError
 from wpptoric.hilbert import _check_E, hilb_top_from_sums, rank_and_twists
+from wpptoric.inertia import sector_value, sectors, tch_rank2_closed_form
 from wpptoric.partitions import ColoringSpec, Series
+from wpptoric.rank2 import _admissible_widths
+from wpptoric.sheaf_model import TypeIBundle
 
 
 def series_product(left, right, cut=None):
@@ -238,3 +246,91 @@ def hilb_top_E_of_kclass(params, E, kclass):
     rank, twists = rank_and_twists(params, E, enumerate(kclass.coeffs))
     gcd_product = params.d12 * params.d13 * params.d23
     return hilb_top_from_sums(params, rank * E // params.d, params.d * gcd_product * twists)
+
+
+# ---------------------------------------------------------------------------
+# the refined rank-2 series
+# ---------------------------------------------------------------------------
+
+def by_sector(chern):
+    """{sector: entry} of a ChernVector, whose entries are in `sectors` order."""
+    return dict(zip(sectors(chern.params), chern.entries, strict=True))
+
+
+def codegree(chern, sector, k):
+    """The codegree-k coefficient of the sector's entry."""
+    return by_sector(chern)[sector][sector.dim - k]
+
+
+def refined_key(params, chern):
+    """Canonical hashable key of the codegree-0 character entries.
+
+    Sectors in canonical order; each entry in power-basis coordinates at
+    the sector's own order f.denominator, so equal values collide
+    exactly.
+    """
+    key = []
+    for sector in sectors(params):
+        value = codegree(chern, sector, 0)
+        key.append((
+            sector.f.numerator,
+            sector.f.denominator,
+            sector.kind,
+            sector.which,
+            tuple(value.coeffs),
+        ))
+    return tuple(key)
+
+
+def enumerate_refined_by_maps(params, alpha, beta, max_sum):
+    """Solutions (A, widths, character) of the refined constraints.
+
+    `alpha` maps sector indices f in D to codegree-2 targets; `beta`
+    maps sector indices in D or D_ij to codegree-1 targets.  Sectors
+    missing from the maps are unconstrained.  The twist A is solved from
+    the untwisted f = 0 equation: beta[0] must be an even-defect integer
+    with A = -(beta_0 + D1 + D2 + D3)/2.
+    """
+    beta0 = beta.get(Fraction(0))
+    if beta0 is None:
+        raise InvalidInputError("beta must constrain the untwisted sector f = 0")
+    if beta0.den != 1:  # order 1: the value is nums[0] / den
+        raise InvalidInputError("the f = 0 component of beta must be an integer")
+    beta0 = beta0.nums[0]
+    checks = []  # (sector, codegree, target)
+    for sector in sectors(params):
+        if sector.kind == "2dim" and alpha.get(sector.f) is not None:
+            checks.append((sector, 2, alpha[sector.f]))
+        if sector.kind in ("2dim", "1dim") and beta.get(sector.f) is not None:
+            checks.append((sector, 1, beta[sector.f]))
+    for widths in _admissible_widths(params, beta0, max_sum):
+        A = -(beta0 + sum(widths)) // 2
+        chern = tch_rank2_closed_form(params, TypeIBundle(0, 0, A, *widths))
+        if all(codegree(chern, sector, k) == target for sector, k, target in checks):
+            yield (A, widths, chern)
+
+
+def h_vb_refined(params, alpha, beta, max_sum):
+    """Multiplicities of codegree-0 character keys over the solutions."""
+    counts = {}
+    for _, _, chern in enumerate_refined_by_maps(params, alpha, beta, max_sum):
+        key = refined_key(params, chern)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def refined_targets(params, c1, lam):
+    """(alpha, beta) selectors matching the specialized invariants (c1, lam).
+
+    On every 2-dimensional sector f the codegree-2 value is forced to
+    2 e^(-2 pi i f lam) and the codegree-1 value to c1 e^(-2 pi i f lam);
+    1-dimensional sectors are left unconstrained.
+    """
+    alpha = {}
+    beta = {}
+    for sector in sectors(params):
+        if sector.kind != "2dim":
+            continue
+        alpha[sector.f] = sector_value(sector.f, [(lam, 2)])
+        beta[sector.f] = sector_value(sector.f, [(lam, c1)])
+    return alpha, beta

@@ -213,6 +213,17 @@ def test_glue_large_weights_are_fast(capsys):
     assert [r for r in records if r["record"] == "verdict"][0]["demo_behaved"] is True
 
 
+def test_glue_wide_window_is_refused_promptly(capsys):
+    # the rank-2 demo on P(60,60,60) needs halfwidth 303: its families of
+    # 607^2 cells each (about 100 MB) are refused before any is built
+    start = time.perf_counter()
+    code = main(["glue", "--abc", "60", "60", "60", "--demo", "rank2"])
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "invalid input: window halfwidth 303 exceeds 300\n"
+
+
 _MATCHED = '{"case": "matched-data", "pass": true, "record": "glue"}'
 _BEHAVED = '{"demo_behaved": true, "record": "verdict"}'
 

@@ -23,6 +23,36 @@ from wpptoric.partitions import Partition
 from wpptoric.sheaf_model import TypeIBundle
 
 
+KIND_RANK = {"2dim": 0, "1dim": 1, "0dim": 2}
+
+
+def sectors_by_sets(params):
+    """The sectors by subtracting index sets, sorted by (f, kind, which).
+
+    The 2-dimensional ones are the multiples of 1/d, the 1-dimensional
+    ones on a pair the multiples of 1/d_ij not already counted, and the
+    0-dimensional ones on a weight the multiples of 1/w_i counted on no
+    sector through it; `sectors` classifies each l/w_i by its order.
+    """
+    d = params.d
+    two = {Fraction(l, d) for l in range(d)}
+    pair_gcds = {(1, 2): params.d12, (1, 3): params.d13, (2, 3): params.d23}
+    one = {}
+    for pair, dij in pair_gcds.items():
+        one[pair] = {Fraction(l, dij) for l in range(dij)} - two
+    zero = {}
+    for i in (1, 2, 3):
+        used = set(two).union(*(fs for pair, fs in one.items() if i in pair))
+        w = params.chart(i)[0]
+        zero[i] = {Fraction(l, w) for l in range(w)} - used
+    out = [Sector(f, "2dim", (), 2) for f in two]
+    for pair, fs in one.items():
+        out.extend(Sector(f, "1dim", pair, 1) for f in fs)
+    for i, fs in zero.items():
+        out.extend(Sector(f, "0dim", (i,), 0) for f in fs)
+    return tuple(sorted(out, key=lambda s: (s.f, KIND_RANK[s.kind], s.which)))
+
+
 def tch_oracle(kclass):
     """The character by multiplying out truncated powers of the image of g.
 
@@ -74,8 +104,9 @@ def tch_fraction_fold(kclass):
 
 
 def in_field(chern):
-    """The entries of a ChernVector as elements of the tests' field."""
-    return {sector: [field(c) for c in coeffs] for sector, coeffs in chern.entries.items()}
+    """The entries of a ChernVector as elements of the tests' field, by sector."""
+    return {sector: [field(c) for c in coeffs]
+            for sector, coeffs in zip(sectors(chern.params), chern.entries, strict=True)}
 
 
 def field_records(params, entries):
@@ -93,7 +124,7 @@ def field_records(params, entries):
 
 
 def fraction_records(chern):
-    """`ChernVector.to_records` through `Fraction`s, over the sectors sorted again.
+    """`ChernVector.to_records` through `Fraction`s, over the sectors built by sets.
 
     Each coordinate is read back from `Cyclotomic.coeffs`, the value as a
     `Fraction` in lowest terms; the writer takes the same numbers straight
@@ -105,27 +136,26 @@ def fraction_records(chern):
             "kind": sector.kind,
             "which": list(sector.which),
             "coeffs": [[c.order, [[x.numerator, x.denominator] for x in c.coeffs]]
-                       for c in chern.entries[sector]],
+                       for c in entry],
         }
-        for sector in sorted(chern.entries, key=Sector.sort_key)
+        for sector, entry in zip(sectors_by_sets(chern.params), chern.entries, strict=True)
     ]
 
 
 def lcm_records(chern):
     """`ChernVector.to_records` as it was: every entry in the order-lcm(a,b,c) field."""
     m = chern.params.m
-    return field_records(chern.params, {sector: [field(c).embed(m) for c in coeffs]
-                                        for sector, coeffs in chern.entries.items()})
+    return field_records(chern.params, {sector: [c.embed(m) for c in coeffs]
+                                        for sector, coeffs in in_field(chern).items()})
 
 
 def _assert_matches_oracle(kclass):
     m = kclass.params.m
     chern = tch_of_kclass(kclass)
     expected = tch_oracle(kclass)
-    assert set(chern.entries) == set(expected)
-    for sector, coeffs in chern.entries.items():
+    for (sector, want), coeffs in zip(expected.items(), chern.entries, strict=True):
         assert all(c.order == sector.f.denominator for c in coeffs), sector
-        assert [field(c).embed(m).coords for c in coeffs] == [c.coords for c in expected[sector]]
+        assert [field(c).embed(m).coords for c in coeffs] == [c.coords for c in want]
 
 
 P1 = (Fraction(1), Fraction(0))
@@ -219,18 +249,20 @@ def test_closed_form_first_display_entries():
     chv = tch_rank2_closed_form(params, datum)
     sector = sectors(params)[0]
     A, sum_d = -1, 4
-    assert field(chv.codegree(sector, 2)) == 2
-    assert field(chv.codegree(sector, 1)) == -(2 * A + sum_d)
-    assert field(chv.codegree(sector, 0)) == A * A + sum_d * A + Fraction(4 + 1 + 1, 2)
+    assert sector.dim == 2  # codegree k is the degree 2 - k coefficient
+    codegree2, codegree1, codegree0 = chv.entries[0]
+    assert field(codegree2) == 2
+    assert field(codegree1) == -(2 * A + sum_d)
+    assert field(codegree0) == A * A + sum_d * A + Fraction(4 + 1 + 1, 2)
 
 
 def test_closed_form_zero_dim_sector_112():
     params = WppParams(1, 1, 2)
     datum = type_i((0, 0, 3), (1, 2, 1))
     chv = tch_rank2_closed_form(params, datum)
-    zd = sectors(params)[1]
+    assert sectors(params)[1].kind == "0dim"
     # (-1)^A ((-1)^D1 + (-1)^D3)
-    assert field(chv.entries[zd][0]) == -((-1) ** 1 + (-1) ** 1)
+    assert field(chv.entries[1][0]) == -((-1) ** 1 + (-1) ** 1)
 
 
 def test_closed_form_guards():
@@ -333,10 +365,14 @@ def test_tch_matches_power_table_oracle_on_rank2_classes():
 def test_chern_vector_checks_entry_length():
     params = WppParams(2, 2, 4)
     chern = tch_of_kclass(g_power(params, 3))
-    for sector, coeffs in chern.entries.items():
+    entries = list(chern.entries)
+    assert ChernVector(params, entries) == chern
+    for i, (sector, coeffs) in enumerate(zip(sectors(params), entries, strict=True)):
         assert all(c.order == sector.f.denominator for c in coeffs)
         with pytest.raises(InvalidInputError):
-            ChernVector(params, {sector: list(coeffs)[1:]})
+            ChernVector(params, entries[:i] + [coeffs[1:]] + entries[i + 1:])
+    with pytest.raises(InvalidInputError):
+        ChernVector(params, entries[:-1])
 
 
 def _seeded_kclasses(seed):
@@ -399,6 +435,13 @@ def test_integer_records_match_fraction_records():
         params = WppParams(*weights)
         for chern in _record_cases(params):
             assert chern.to_records() == fraction_records(chern), (weights, chern)
+
+
+def test_sectors_match_set_oracle():
+    # every weight triple a, b, c <= 15, in every order
+    for weights in product(range(1, 16), repeat=3):
+        params = WppParams(*weights)
+        assert sectors(params) == sectors_by_sets(params), weights
 
 
 def test_sectors_cache_is_bounded():

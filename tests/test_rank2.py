@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +9,12 @@ from class_numbers import three_hurwitz
 from closed_forms import (
     balanced_rhs,
     balanced_spec,
+    codegree,
+    enumerate_refined_by_maps,
+    h_vb_refined,
     hilb_top_E_of_kclass,
     q_series,
+    refined_targets,
     series_one,
     series_product,
 )
@@ -37,12 +41,9 @@ from wpptoric.rank2 import (
     enumerate_refined_solutions,
     enumerate_stable_triples,
     h_full,
-    h_vb_refined,
     h_vb_specialized,
     h_vb_window,
     is_mu_stable,
-    refined_key,
-    refined_targets,
     slope_oracle_stability,
 )
 from wpptoric.sheaf_model import STANDARD_POINTS, TypeIBundle
@@ -121,13 +122,13 @@ def test_refined_122_zero_branch():
     f_half = Fraction(1, 2)
     alpha, beta = refined_targets(P122, -1, 0)
     beta[f_half] = sector_value(f_half, [])
-    solutions = list(enumerate_refined_solutions(P122, alpha, beta, 11))
+    solutions = list(enumerate_refined_by_maps(P122, alpha, beta, 11))
     assert solutions
     for A, widths, chern in solutions:
         d1, d2, d3 = widths
         assert d3 % 2 == 1
         sector = [s for s in sectors(P122) if s.f == f_half][0]
-        value = chern.codegree(sector, 0)
+        value = codegree(chern, sector, 0)
         sign = (-1) ** ((-1 + d1 + d2 + d3) // 2)
         assert field(value) == sign * (-d1 - d2 + d3)
 
@@ -155,10 +156,24 @@ def test_refined_specialized_consistency(weights, E, c1):
         specialized = h_vb_specialized(params, E, c1, lam, 12)
         grouped = {}
         alpha, beta = refined_targets(params, c1, lam)
-        for A, widths, chern in enumerate_refined_solutions(params, alpha, beta, 12):
+        for A, widths, chern in enumerate_refined_by_maps(params, alpha, beta, 12):
             e = int(rank2_constant_term(params, E, A, *widths))
             grouped[e] = grouped.get(e, 0) + 1
         assert grouped == specialized
+
+
+@pytest.mark.parametrize("weights", list(product(range(1, 7), repeat=3)))
+def test_refined_solutions_match_map_oracle(weights):
+    # the (c1, lam) check of `hseries --check` against the alpha/beta maps,
+    # for every c1 in [-3, 3] and lam < d; both routes list the data by
+    # total width, so the lists at max 12 hold those of every smaller max
+    params = WppParams(*weights)
+    for c1 in range(-3, 4):
+        for lam in range(params.d):
+            alpha, beta = refined_targets(params, c1, lam)
+            expected = [(A, widths) for A, widths, _ in
+                        enumerate_refined_by_maps(params, alpha, beta, 12)]
+            assert list(enumerate_refined_solutions(params, c1, lam, 12)) == expected, (c1, lam)
 
 
 def test_specialized_p2_series_against_direct_formula():

@@ -18,12 +18,6 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "wpptoric"
 
-# name -> why it stays in the package without a caller
-ALLOWED = {
-    "h_vb_refined": "the refined rank-2 series, kept for the fixed-K-class count (ROADMAP item 7)",
-    "refined_key": "the key h_vb_refined groups by; it goes or stays with h_vb_refined",
-}
-
 
 def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
@@ -109,7 +103,4 @@ COMMANDS = {"run": run}
 
 def test_every_definition_is_reached():
     names = unreached()
-    stray = [q for q in names if q.rsplit(".", 1)[-1] not in ALLOWED]
-    assert stray == [], "defined in src but reached by no command: " + ", ".join(stray)
-    # an allowlisted definition that gained a caller, or went, is a stale entry
-    assert sorted(q.rsplit(".", 1)[-1] for q in names) == sorted(ALLOWED)
+    assert names == [], "defined in src but reached by no command: " + ", ".join(names)
